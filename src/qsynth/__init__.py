@@ -9,13 +9,10 @@ from .blocks import (
     Element,
     PhaseShifter,
     TwoModeSqueezer,
+    apply_element,
     circuit_from_json,
     circuit_smatrix,
     circuit_to_json,
-    embed_element,
-    lift_gain,
-    lift_loss,
-    lift_phase,
 )
 from .closedform2x2 import Params2x2, analytic_circuit, analytic_params, analytic_synthesize
 from .mesh import NotUnitaryError, mesh_verify, reck_decompose
@@ -48,8 +45,6 @@ from .synth import (
     SynthesisResult,
     classify_singulars,
     count_bounds,
-    lift_singular,
-    lift_unitary_factor,
     pad_factors,
     synthesize,
     verification_report,

@@ -1,4 +1,4 @@
-"""Elementary optical elements and their exact quasiunitary matrix lifts.
+"""Elementary optical elements and the kernel that applies them to a matrix.
 
 An element is one of three frozen dataclasses: a phase shifter on a single
 mode, a beam splitter (real rotation ``[[cos t, sin t], [-sin t, cos t]]``)
@@ -6,13 +6,14 @@ between two modes, or a two-mode squeezer with gain ``cosh(xi)``.  A circuit
 is an ordered element list applied first-to-last; the corresponding matrix
 product therefore runs last-to-first.
 
-The 2N x 2N lift of an element acts on the operator vector
+The 2N x 2N scattering matrix of a circuit acts on the operator vector
 ``(a_1 .. a_N, a_1^dag .. a_N^dag)``: mode ``p`` couples to row/column ``p``
 (annihilation) and ``p + N`` (creation).  Mode indices are 0-based.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -96,88 +97,46 @@ class Circuit:
                 raise ValueError(f"element {e} references a mode >= n_modes = {self.n_modes}")
 
 
-def lift_loss(sigma: float) -> np.ndarray:
-    """4x4 quasiunitary for one attenuated channel, 0 <= sigma < 1.
+def apply_element(s: np.ndarray, e: Element, n_modes: int) -> np.ndarray:
+    """Left-multiply ``s`` (2N rows, or N rows for a passive network) by ``e`` in place.
 
-    Basis (a_1, a_2, a_1^dag, a_2^dag) where mode 2 is the vacuum ancilla; the
-    block-diagonal rotation has transmission ``sigma`` and reflection
-    ``sqrt(1 - sigma^2)``.
+    Only the rows of the element's modes change, plus their creation partners
+    ``p + N`` when ``s`` has 2N rows; a squeezer needs those partners.
     """
-    if not 0.0 <= sigma < 1.0:
-        raise ValueError(f"loss channel requires 0 <= sigma < 1, got {sigma}")
-    r = math.sqrt(1.0 - sigma * sigma)
-    block = np.array([[sigma, r], [-r, sigma]], dtype=complex)
-    out = np.zeros((4, 4), dtype=complex)
-    out[:2, :2] = block
-    out[2:, 2:] = block
-    return out
-
-
-def lift_gain(sigma: float) -> np.ndarray:
-    """4x4 quasiunitary for one amplified channel, sigma > 1 (``cosh(xi) = sigma``)."""
-    if not sigma > 1.0:
-        raise ValueError(f"gain channel requires sigma > 1, got {sigma}")
-    r = math.sqrt(sigma * sigma - 1.0)
-    return np.array(
-        [
-            [sigma, 0.0, 0.0, r],
-            [0.0, sigma, r, 0.0],
-            [0.0, r, sigma, 0.0],
-            [r, 0.0, 0.0, sigma],
-        ],
-        dtype=complex,
-    )
-
-
-def lift_phase(phi: float) -> np.ndarray:
-    """2x2 lift ``diag(e^{i phi}, e^{-i phi})`` of a single-mode phase shift."""
-    if not math.isfinite(phi):
-        raise ValueError(f"phase must be finite, got {phi}")
-    return np.diag([np.exp(1j * phi), np.exp(-1j * phi)])
-
-
-def element_unitary(e: Element, n_modes: int) -> np.ndarray:
-    """n x n single-particle unitary of a passive element (phase shifter or beam splitter)."""
-    _check_modes(e, n_modes)
-    u = np.eye(n_modes, dtype=complex)
-    if isinstance(e, PhaseShifter):
-        u[e.mode, e.mode] = np.exp(1j * e.phi)
-    elif isinstance(e, BeamSplitter):
-        c, s = math.cos(e.theta), math.sin(e.theta)
-        a, b = e.mode_a, e.mode_b
-        u[a, a] = c
-        u[a, b] = s
-        u[b, a] = -s
-        u[b, b] = c
-    else:
-        raise ValueError("a two-mode squeezer has no single-particle unitary")
-    return u
-
-
-def embed_element(e: Element, n_modes: int) -> np.ndarray:
-    """2N x 2N quasiunitary lift of one element, identity outside its modes."""
     _check_modes(e, n_modes)
     n = n_modes
-    out = np.eye(2 * n, dtype=complex)
-    if isinstance(e, TwoModeSqueezer):
-        a, b = e.mode_a, e.mode_b
+    if s.shape[0] not in (n, 2 * n):
+        raise ValueError(f"matrix has {s.shape[0]} rows, expected {n} or {2 * n}")
+    lifted = s.shape[0] == 2 * n
+    if isinstance(e, PhaseShifter):
+        rot = cmath.exp(1j * e.phi)
+        s[e.mode] *= rot
+        if lifted:
+            s[e.mode + n] *= rot.conjugate()
+    elif isinstance(e, BeamSplitter):
+        c, sn = math.cos(e.theta), math.sin(e.theta)
+        _mix_rows(s, e.mode_a, e.mode_b, c, sn, -sn, c)
+        if lifted:
+            _mix_rows(s, e.mode_a + n, e.mode_b + n, c, sn, -sn, c)
+    elif not lifted:
+        raise ValueError("a two-mode squeezer has no single-particle unitary")
+    else:
         ch, sh = math.cosh(e.xi), math.sinh(e.xi)
-        out[a, a] = out[b, b] = out[a + n, a + n] = out[b + n, b + n] = ch
-        out[a, b + n] = out[b, a + n] = out[a + n, b] = out[b + n, a] = sh
-        return out
-    block = element_unitary(e, n)[np.ix_(element_modes(e), element_modes(e))]
-    idx = list(element_modes(e))
-    out[np.ix_(idx, idx)] = block
-    idx_c = [m + n for m in idx]
-    out[np.ix_(idx_c, idx_c)] = block.conj()
-    return out
+        _mix_rows(s, e.mode_a, e.mode_b + n, ch, sh, sh, ch)
+        _mix_rows(s, e.mode_b, e.mode_a + n, ch, sh, sh, ch)
+    return s
+
+
+def _mix_rows(s: np.ndarray, i: int, j: int, m00: float, m01: float, m10: float, m11: float) -> None:
+    """Replace rows ``i, j`` of ``s`` by ``[[m00, m01], [m10, m11]]`` times them."""
+    s[i], s[j] = m00 * s[i] + m01 * s[j], m10 * s[i] + m11 * s[j]
 
 
 def circuit_smatrix(c: Circuit) -> np.ndarray:
-    """Product of the embedded element lifts, last element leftmost."""
+    """2N x 2N scattering matrix of the circuit: its elements applied in order."""
     s = np.eye(2 * c.n_modes, dtype=complex)
     for e in c.elements:
-        s = embed_element(e, c.n_modes) @ s
+        apply_element(s, e, c.n_modes)
     return s
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,19 +24,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VERIFY = 3
 EXIT_DOMAIN = 4
-
-
-@dataclass(frozen=True)
-class Config:
-    """Run-wide settings for all subcommands."""
-
-    tol: float = 1e-10
-    eps_sigma: float = 1e-9
-    mesh: str = "reck"
-    seed: int | None = None
-
-    def synthesis(self) -> SynthesisConfig:
-        return SynthesisConfig(tol=self.tol, eps_sigma=self.eps_sigma)
 
 
 class ParseFailure(Exception):
@@ -69,12 +55,17 @@ def _write_json(path: str | None, payload: dict) -> None:
             fh.write(text + "\n")
 
 
-def cmd_synth(matrix_file: str, out_netlist: str | None, out_report: str | None, config: Config) -> int:
-    """Compile a matrix file into a netlist plus a verification report."""
+def cmd_synth(matrix_file: str, out_netlist: str | None, out_report: str | None, config: SynthesisConfig) -> int:
+    """Compile a matrix file into a netlist plus a verification report (one document if both go to stdout)."""
     t = _load_matrix(matrix_file)
-    result = synth.synthesize(t, config.synthesis())
-    _write_json(out_netlist, circuit_to_json(result.circuit))
-    _write_json(out_report, synth.verification_report(result))
+    result = synth.synthesize(t, config)
+    netlist = circuit_to_json(result.circuit)
+    report = synth.verification_report(result)
+    if out_netlist in (None, "-") and out_report in (None, "-"):
+        _write_json(None, {"schema": SCHEMA, "netlist": netlist, "report": report})
+    else:
+        _write_json(out_netlist, netlist)
+        _write_json(out_report, report)
     return EXIT_OK
 
 
@@ -83,7 +74,7 @@ def cmd_simulate(
     input_spec: str,
     predicate_spec: str | None,
     mode: str,
-    config: Config,
+    config: SynthesisConfig,
 ) -> int:
     """Run a netlist: exact Fock statistics (passive only) or moment propagation."""
     netlist = _load_json(netlist_file)
@@ -106,7 +97,7 @@ def cmd_simulate(
     occupation = _parse_occupation(input_spec, circuit.n_modes)
     block = sim.passive_block(s_total, config.tol)
     state = sim.fock_evolve(block, occupation, config.tol)
-    predicate = _parse_predicate(predicate_spec)
+    predicate = _parse_predicate(predicate_spec, circuit.n_modes)
     payload = {"schema": SCHEMA, "outcomes": _outcome_table(state)}
     if predicate is not None:
         conditioned, success = sim.postselect(state, predicate)
@@ -153,15 +144,18 @@ def _parse_complex_list(spec: str, n_modes: int) -> np.ndarray:
     return out
 
 
-def _parse_predicate(spec: str | None):
+def _parse_predicate(spec: str | None, n_modes: int):
     """Per-mode photon-count windows: JSON object mode -> [min, max]."""
     if spec is None:
         return None
     try:
         obj = json.loads(spec)
         windows = {int(mode): (int(lo), int(hi)) for mode, (lo, hi) in obj.items()}
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ParseFailure(f"bad predicate {spec!r}: {exc}") from exc
+    for mode in windows:
+        if not 0 <= mode < n_modes:
+            raise ParseFailure(f"predicate mode {mode} outside 0..{n_modes - 1}")
 
     def predicate(occ: tuple[int, ...]) -> bool:
         return all(lo <= occ[mode] <= hi for mode, (lo, hi) in windows.items())
@@ -169,7 +163,7 @@ def _parse_predicate(spec: str | None):
     return predicate
 
 
-def cmd_naimark(povm_file: str, out: str | None, config: Config) -> int:
+def cmd_naimark(povm_file: str, out: str | None, config: SynthesisConfig) -> int:
     """POVM JSON -> extension unitary plus its mesh netlist."""
     obj = _load_json(povm_file)
     try:
@@ -205,10 +199,10 @@ def cmd_naimark(povm_file: str, out: str | None, config: Config) -> int:
     return EXIT_OK
 
 
-def cmd_analytic2x2(matrix_file: str, out: str | None, config: Config) -> int:
+def cmd_analytic2x2(matrix_file: str, out: str | None, config: SynthesisConfig) -> int:
     """Closed-form decomposition of a 2x2 matrix file."""
     t = _load_matrix(matrix_file)
-    params, result = closedform2x2.analytic_synthesize(t, config.synthesis())
+    params, result = closedform2x2.analytic_synthesize(t, config)
     _write_json(out, {
         "schema": SCHEMA,
         "params": closedform2x2.params_to_json(params),
@@ -218,9 +212,9 @@ def cmd_analytic2x2(matrix_file: str, out: str | None, config: Config) -> int:
     return EXIT_OK
 
 
-def cmd_cz(config: Config) -> int:
+def cmd_cz(config: SynthesisConfig) -> int:
     """Synthesize the postselected controlled-Z network and report its checks."""
-    result = synth.synthesize(apps.cz_gate_target(), config.synthesis())
+    result = synth.synthesize(apps.cz_gate_target(), config)
     verification = apps.verify_cz(result, config.tol)
     _write_json(None, {
         "schema": SCHEMA,
@@ -242,10 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qsynth",
         description="Compile linear optical transformations with loss and gain into element netlists.",
     )
-    parser.add_argument("--tol", type=float, default=1e-10, help="verification tolerance")
-    parser.add_argument("--eps-sigma", type=float, default=1e-9, help="singular values this close to 1 compile to no element")
-    parser.add_argument("--seed", type=int, default=None, help="seed for randomized self-tests")
-    parser.add_argument("--format", choices=["json"], default="json", help="output format")
+    parser.add_argument("--tol", type=float, default=SynthesisConfig.tol, help="verification tolerance")
+    parser.add_argument("--eps-sigma", type=float, default=SynthesisConfig.eps_sigma, help="singular values this close to 1 compile to no element")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="matrix JSON -> netlist + verification report")
@@ -273,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = Config(tol=args.tol, eps_sigma=args.eps_sigma, seed=args.seed)
     try:
+        config = SynthesisConfig(tol=args.tol, eps_sigma=args.eps_sigma)
         if args.command == "synth":
             return cmd_synth(args.matrix, args.netlist, args.report, config)
         if args.command == "simulate":

@@ -6,7 +6,7 @@ closed form: ``T = U . D . BS(theta2) . PS_1(-xi1)`` with
 ``U = PS_1(alpha1) . PS_2(alpha2) . BS(gamma) . PS_1(beta1) . PS_2(beta2)``
 and ``D = diag(sigma1, sigma2)``, ``sigma1 >= sigma2 >= 0``.  This module
 computes the parameters, rebuilds the same circuit through the generic
-element lifts, and serves as an independent cross-check of the numeric
+element kernel, and serves as an independent cross-check of the numeric
 pipeline.
 """
 
@@ -18,16 +18,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blocks import BeamSplitter, Circuit, PhaseShifter, circuit_smatrix
+from .blocks import BeamSplitter, Circuit, PhaseShifter
 from .mesh import PRUNE_EPS, wrap_angle
-from .numkit import as_matrix, max_abs, quasiunitarity_deviation, upper_left_block
+from .numkit import as_matrix, max_abs, upper_left_block
 from .synth import (
     SynthesisConfig,
     SynthesisError,
     SynthesisResult,
-    _singular_element,
     classify_singulars,
-    count_elements,
+    singular_element,
+    verified,
 )
 
 # |cos(gamma)| may exceed 1 by rounding; anything beyond this is a logic error.
@@ -87,9 +87,10 @@ def analytic_params(t) -> Params2x2:
     q = (a * a - d * d + b * b, a * a - d * d - b * b)
     theta1 = -0.5 * math.atan2(2.0 * p[0], q[0])
     theta2 = 0.5 * math.atan2(2.0 * p[1], q[1])
-    root = (math.hypot(q[0], 2.0 * p[0]), math.hypot(q[1], 2.0 * p[1]))
-    sigma1 = math.sqrt(max((s + root[0]) / 2.0, 0.0))
-    sigma2 = math.sqrt(max((s - root[1]) / 2.0, 0.0))
+    sigma1 = math.sqrt(max((s + math.hypot(q[0], 2.0 * p[0])) / 2.0, 0.0))
+    # sigma1 * sigma2 = det = a * d.  Taking sigma2 from the determinant keeps
+    # it exact on rank-deficient input, where (s - root) / 2 is pure rounding.
+    sigma2 = min(a * d / sigma1, sigma1) if sigma1 > 0.0 else 0.0
 
     # Simplified form of the left unitary factor.
     mix = cmath.exp(1j * (xi2 - xi1))
@@ -170,7 +171,7 @@ def analytic_circuit(p: Params2x2, config: SynthesisConfig | None = None) -> Syn
     add_bs(p.theta2)
     for j, ch in enumerate(classification.channels):
         if ch.ancilla is not None:
-            elements.append(_singular_element(j, ch.ancilla, ch.sigma))
+            elements.append(singular_element(j, ch.ancilla, ch.sigma))
     add_ps(1, p.beta2)
     add_ps(0, p.beta1)
     add_bs(p.gamma)
@@ -183,19 +184,7 @@ def analytic_circuit(p: Params2x2, config: SynthesisConfig | None = None) -> Syn
         elements=tuple(elements),
         full_ancillas=tuple(range(2, classification.n_total)),
     )
-    s_total = circuit_smatrix(circuit)
-    block_dev = max_abs(upper_left_block(s_total, 2, 2) - reconstruct_params(p))
-    quasi_dev = quasiunitarity_deviation(s_total)
-    if block_dev > cfg.tol or quasi_dev > cfg.tol:
-        raise SynthesisError(block_dev, quasi_dev, cfg.tol)
-    return SynthesisResult(
-        circuit=circuit,
-        s_total=s_total,
-        classification=classification,
-        counts=count_elements(circuit),
-        block_deviation=block_dev,
-        quasiunitarity_deviation=quasi_dev,
-    )
+    return verified(circuit, classification, reconstruct_params(p), cfg.tol)
 
 
 def analytic_synthesize(t, config: SynthesisConfig | None = None) -> tuple[Params2x2, SynthesisResult]:

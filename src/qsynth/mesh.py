@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .blocks import BeamSplitter, Element, PhaseShifter, element_unitary
+from .blocks import BeamSplitter, Element, PhaseShifter, apply_element
 from .numkit import as_matrix, max_abs, unitarity_deviation
 
 DEFAULT_TOL = 1e-10
@@ -105,7 +105,7 @@ def reconstruct(elements, n_modes: int) -> np.ndarray:
     """n x n unitary implemented by the element list (last element leftmost)."""
     m = np.eye(n_modes, dtype=complex)
     for e in elements:
-        m = element_unitary(e, n_modes) @ m
+        apply_element(m, e, n_modes)
     return m
 
 

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TOL = 1e-10
-
 
 class DecompositionError(RuntimeError):
     """Raised when an underlying matrix factorization fails to converge."""
@@ -51,10 +49,6 @@ def quasiunitarity_deviation(s) -> float:
         raise ValueError(f"s must be square with even dimension, got {rows}x{cols}")
     g = g_metric(rows // 2)
     return max_abs(s @ g @ s.conj().T - g)
-
-
-def is_quasiunitary(s, tol: float = DEFAULT_TOL) -> bool:
-    return quasiunitarity_deviation(s) <= tol
 
 
 def unitarity_deviation(u) -> float:

@@ -3,8 +3,8 @@
 Pipeline: singular value decomposition, identity padding for non-square
 inputs, mesh decomposition of the two unitary factors, one beam splitter or
 two-mode squeezer per singular value different from 1 (each coupling a
-nominal mode to its own vacuum ancilla), and the ordered product of all the
-lifted factors.  The result carries the circuit, the full scattering matrix
+nominal mode to its own vacuum ancilla), and the scattering matrix of the
+whole element list.  The result carries the circuit, the full scattering matrix
 with the input in its upper-left block, and the verification deviations.
 """
 
@@ -23,7 +23,6 @@ from .blocks import (
     PhaseShifter,
     TwoModeSqueezer,
     circuit_smatrix,
-    embed_element,
 )
 from .numkit import (
     SvdFactors,
@@ -51,7 +50,7 @@ class SynthesisConfig:
     sigma_max: float = DEFAULT_SIGMA_MAX
 
     def __post_init__(self):
-        if self.tol <= 0 or self.eps_sigma <= 0:
+        if not (self.tol > 0 and self.eps_sigma > 0):  # also rejects NaN
             raise ValueError("tol and eps_sigma must be positive")
 
 
@@ -177,31 +176,8 @@ def _identity_pad(square: np.ndarray, n_pad: int) -> np.ndarray:
     return out
 
 
-def lift_unitary_factor(u_piece, n_ancillas: int) -> np.ndarray:
-    """Embed an n_N x n_N unitary piece as block-diag(U, I_nA, U*, I_nA)."""
-    u_piece = as_matrix(u_piece, "u_piece")
-    if u_piece.shape[0] != u_piece.shape[1]:
-        raise ValueError(f"unitary piece must be square, got {u_piece.shape}")
-    k = u_piece.shape[0]
-    n = k + n_ancillas
-    out = np.eye(2 * n, dtype=complex)
-    out[:k, :k] = u_piece
-    out[n : n + k, n : n + k] = u_piece.conj()
-    return out
-
-
-def lift_singular(
-    j: int, m_aj: int, sigma: float, n_modes: int, eps_sigma: float = DEFAULT_EPS_SIGMA
-) -> np.ndarray:
-    """2N x 2N lift coupling nominal mode ``j`` to ancilla ``m_aj`` with strength ``sigma``."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
-    if abs(sigma - 1.0) <= eps_sigma:
-        raise ValueError(f"sigma = {sigma} is within eps_sigma of 1; no lift is needed")
-    return embed_element(_singular_element(j, m_aj, sigma), n_modes)
-
-
-def _singular_element(j: int, m_aj: int, sigma: float) -> Element:
+def singular_element(j: int, m_aj: int, sigma: float) -> Element:
+    """Loss (beam splitter) or gain (squeezer) coupling of mode ``j`` to ancilla ``m_aj``."""
     if sigma < 1.0:
         return BeamSplitter(mode_a=j, mode_b=m_aj, theta=math.acos(sigma))
     return TwoModeSqueezer(mode_a=j, mode_b=m_aj, xi=math.acosh(sigma))
@@ -245,7 +221,7 @@ def synthesize(t, config: SynthesisConfig | None = None, factors: SvdFactors | N
     w_elements = mesh.reck_decompose(w_pad, cfg.tol)
     u_elements = mesh.reck_decompose(u_pad, cfg.tol)
     d_elements = [
-        _singular_element(j, ch.ancilla, ch.sigma)
+        singular_element(j, ch.ancilla, ch.sigma)
         for j, ch in enumerate(classification.channels)
         if ch.ancilla is not None
     ]
@@ -258,12 +234,16 @@ def synthesize(t, config: SynthesisConfig | None = None, factors: SvdFactors | N
         ancilla_outputs=tuple(range(n, n_nominal)) if m > n else (),
         full_ancillas=tuple(range(n_nominal, classification.n_total)),
     )
-    s_total = circuit_smatrix(circuit)
+    return verified(circuit, classification, t, cfg.tol)
 
-    block_dev = max_abs(upper_left_block(s_total, n, m) - t)
+
+def verified(circuit: Circuit, classification: SingularClassification, target: np.ndarray, tol: float) -> SynthesisResult:
+    """Assemble ``S_total``; raise :class:`SynthesisError` unless it is quasiunitary and holds ``target``."""
+    s_total = circuit_smatrix(circuit)
+    block_dev = max_abs(upper_left_block(s_total, *target.shape) - target)
     quasi_dev = quasiunitarity_deviation(s_total)
-    if block_dev > cfg.tol or quasi_dev > cfg.tol:
-        raise SynthesisError(block_dev, quasi_dev, cfg.tol)
+    if block_dev > tol or quasi_dev > tol:
+        raise SynthesisError(block_dev, quasi_dev, tol)
     return SynthesisResult(
         circuit=circuit,
         s_total=s_total,

@@ -2,8 +2,10 @@
 
 Nothing here shares a code path with the package: permanents are enumerated
 over explicit permutations, unitaries come from QR orthonormalization, the
-coupling matrices are written out entry by entry, and the lossy-beam-splitter
-network is a hand-checkable closed form in a fixed factor gauge.
+coupling matrices are written out entry by entry, every element has a dense
+matrix lift (the definition the package's row-update kernel is checked
+against), and the lossy-beam-splitter network is a hand-checkable closed form
+in a fixed factor gauge.  Only the element dataclasses come from the package.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import itertools
 import math
 
 import numpy as np
+
+from qsynth.blocks import BeamSplitter, PhaseShifter, TwoModeSqueezer
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -60,6 +64,106 @@ def all_occupations(n_modes: int, n_photons: int) -> list[tuple[int, ...]]:
     for first in range(n_photons + 1):
         for rest in all_occupations(n_modes - 1, n_photons - first):
             out.append((first, *rest))
+    return out
+
+
+# --- dense element lifts -----------------------------------------------------
+#
+# The 2N x 2N lift acts on (a_1 .. a_N, a_1^dag .. a_N^dag) and is the
+# identity outside the element's modes and their creation partners.
+
+
+def element_unitary(e, n_modes: int) -> np.ndarray:
+    """n x n single-particle unitary of a passive element (phase shifter or beam splitter)."""
+    _check_modes(e, n_modes)
+    u = np.eye(n_modes, dtype=complex)
+    if isinstance(e, PhaseShifter):
+        u[e.mode, e.mode] = np.exp(1j * e.phi)
+    elif isinstance(e, BeamSplitter):
+        c, s = math.cos(e.theta), math.sin(e.theta)
+        a, b = e.mode_a, e.mode_b
+        u[a, a] = c
+        u[a, b] = s
+        u[b, a] = -s
+        u[b, b] = c
+    else:
+        raise ValueError("a two-mode squeezer has no single-particle unitary")
+    return u
+
+
+def embed_element(e, n_modes: int) -> np.ndarray:
+    """2N x 2N quasiunitary lift of one element, identity outside its modes."""
+    _check_modes(e, n_modes)
+    n = n_modes
+    out = np.eye(2 * n, dtype=complex)
+    if isinstance(e, TwoModeSqueezer):
+        a, b = e.mode_a, e.mode_b
+        ch, sh = math.cosh(e.xi), math.sinh(e.xi)
+        out[a, a] = out[b, b] = out[a + n, a + n] = out[b + n, b + n] = ch
+        out[a, b + n] = out[b, a + n] = out[a + n, b] = out[b + n, a] = sh
+        return out
+    u = element_unitary(e, n)
+    out[:n, :n] = u
+    out[n:, n:] = u.conj()
+    return out
+
+
+def _check_modes(e, n_modes: int) -> None:
+    modes = (e.mode,) if isinstance(e, PhaseShifter) else (e.mode_a, e.mode_b)
+    if any(not (0 <= m < n_modes) for m in modes):
+        raise ValueError(f"element {e} references a mode outside 0..{n_modes - 1}")
+
+
+def lift_loss(sigma: float) -> np.ndarray:
+    """4x4 quasiunitary for one attenuated channel, 0 <= sigma < 1.
+
+    Basis (a_1, a_2, a_1^dag, a_2^dag) where mode 2 is the vacuum ancilla; the
+    block-diagonal rotation has transmission ``sigma`` and reflection
+    ``sqrt(1 - sigma^2)``.
+    """
+    if not 0.0 <= sigma < 1.0:
+        raise ValueError(f"loss channel requires 0 <= sigma < 1, got {sigma}")
+    r = math.sqrt(1.0 - sigma * sigma)
+    block = np.array([[sigma, r], [-r, sigma]], dtype=complex)
+    out = np.zeros((4, 4), dtype=complex)
+    out[:2, :2] = block
+    out[2:, 2:] = block
+    return out
+
+
+def lift_gain(sigma: float) -> np.ndarray:
+    """4x4 quasiunitary for one amplified channel, sigma > 1 (``cosh(xi) = sigma``)."""
+    if not sigma > 1.0:
+        raise ValueError(f"gain channel requires sigma > 1, got {sigma}")
+    r = math.sqrt(sigma * sigma - 1.0)
+    return np.array(
+        [
+            [sigma, 0.0, 0.0, r],
+            [0.0, sigma, r, 0.0],
+            [0.0, r, sigma, 0.0],
+            [r, 0.0, 0.0, sigma],
+        ],
+        dtype=complex,
+    )
+
+
+def lift_phase(phi: float) -> np.ndarray:
+    """2x2 lift ``diag(e^{i phi}, e^{-i phi})`` of a single-mode phase shift."""
+    if not math.isfinite(phi):
+        raise ValueError(f"phase must be finite, got {phi}")
+    return np.diag([np.exp(1j * phi), np.exp(-1j * phi)])
+
+
+def lift_unitary_factor(u_piece, n_ancillas: int) -> np.ndarray:
+    """Embed an n_N x n_N unitary piece as block-diag(U, I_nA, U*, I_nA)."""
+    u_piece = np.asarray(u_piece, dtype=complex)
+    if u_piece.ndim != 2 or u_piece.shape[0] != u_piece.shape[1]:
+        raise ValueError(f"unitary piece must be square, got {u_piece.shape}")
+    k = u_piece.shape[0]
+    n = k + n_ancillas
+    out = np.eye(2 * n, dtype=complex)
+    out[:k, :k] = u_piece
+    out[n : n + k, n : n + k] = u_piece.conj()
     return out
 
 

@@ -11,12 +11,7 @@ import time
 import numpy as np
 
 from qsynth.apps import cz_gate_target, naimark_extension, povm_probabilities, verify_cz
-from qsynth.blocks import (
-    BeamSplitter,
-    PhaseShifter,
-    TwoModeSqueezer,
-    embed_element,
-)
+from qsynth.blocks import BeamSplitter, PhaseShifter, TwoModeSqueezer
 from qsynth.closedform2x2 import analytic_params, analytic_synthesize
 from qsynth.mesh import mesh_verify, reck_decompose
 from qsynth.numkit import (
@@ -31,7 +26,7 @@ from qsynth.synth import (
     KIND_GAIN,
     KIND_LOSS,
     count_bounds,
-    lift_singular,
+    singular_element,
     synthesize,
 )
 from qsynth.apps import RankOnePovm
@@ -42,6 +37,7 @@ from oracles import (
     LOSSY_BS_T,
     LOSSY_BS_U,
     LOSSY_BS_W,
+    embed_element,
     gain_coupling_8x8,
     loss_coupling_8x8,
     random_unitary,
@@ -171,8 +167,8 @@ def test_criterion_6_analytic_vs_numeric_2x2():
     # Mixed attenuation/amplification couplings carry the literal 8x8 display
     # patterns: loss on the first mode with the first ancilla, gain on the
     # second mode with the second ancilla.
-    assert max_abs(lift_singular(0, 2, 0.5, 4) - loss_coupling_8x8(0.5)) < 1e-15
-    assert max_abs(lift_singular(1, 3, 2.0, 4) - gain_coupling_8x8(2.0)) < 1e-15
+    assert max_abs(embed_element(singular_element(0, 2, 0.5), 4) - loss_coupling_8x8(0.5)) < 1e-15
+    assert max_abs(embed_element(singular_element(1, 3, 2.0), 4) - gain_coupling_8x8(2.0)) < 1e-15
     # The analytic route orders singulars descending, so its mixed case puts
     # the gain channel first; both coupling kinds must appear.
     _, mixed = analytic_synthesize(np.diag([2.0, 0.5]).astype(complex))

@@ -8,19 +8,24 @@ from qsynth.blocks import (
     Circuit,
     PhaseShifter,
     TwoModeSqueezer,
+    apply_element,
     circuit_from_json,
     circuit_smatrix,
     circuit_to_json,
     element_from_json,
+)
+from qsynth.mesh import reconstruct
+from qsynth.numkit import max_abs, quasiunitarity_deviation
+
+from oracles import (
+    LOSSY_BS_S_D,
+    LOSSY_BS_S_TOTAL,
     element_unitary,
     embed_element,
     lift_gain,
     lift_loss,
     lift_phase,
 )
-from qsynth.numkit import max_abs, quasiunitarity_deviation
-
-from oracles import LOSSY_BS_S_D, LOSSY_BS_S_TOTAL
 
 
 def test_lift_loss_total_attenuation_is_swap_with_sign():
@@ -139,10 +144,11 @@ def test_embed_conjugate_block_structure():
 
 
 def test_embed_rejects_mode_out_of_range():
-    with pytest.raises(ValueError):
-        embed_element(PhaseShifter(mode=3, phi=0.1), 3)
-    with pytest.raises(ValueError):
-        embed_element(BeamSplitter(mode_a=0, mode_b=5, theta=0.1), 3)
+    for e in (PhaseShifter(mode=3, phi=0.1), BeamSplitter(mode_a=0, mode_b=5, theta=0.1)):
+        with pytest.raises(ValueError):
+            apply_element(np.eye(6, dtype=complex), e, 3)
+        with pytest.raises(ValueError):
+            Circuit(n_modes=3, n_nominal=3, elements=(e,))
 
 
 def test_element_modes_must_differ():
@@ -155,6 +161,50 @@ def test_element_modes_must_differ():
 def test_element_unitary_rejects_squeezer():
     with pytest.raises(ValueError):
         element_unitary(TwoModeSqueezer(mode_a=0, mode_b=1, xi=0.5), 2)
+    with pytest.raises(ValueError):
+        apply_element(np.eye(2, dtype=complex), TwoModeSqueezer(mode_a=0, mode_b=1, xi=0.5), 2)
+
+
+def test_apply_element_rejects_wrong_row_count():
+    with pytest.raises(ValueError):
+        apply_element(np.eye(3, dtype=complex), PhaseShifter(mode=0, phi=0.1), 2)
+
+
+def _random_elements(rng, n, count, passive=False):
+    elements = []
+    for _ in range(count):
+        a, b = (int(x) for x in rng.permutation(n)[:2])
+        pick = rng.integers(0, 2 if passive else 3)
+        if pick == 0:
+            elements.append(PhaseShifter(mode=a, phi=float(rng.uniform(-4, 4))))
+        elif pick == 1:
+            elements.append(BeamSplitter(mode_a=a, mode_b=b, theta=float(rng.uniform(-4, 4))))
+        else:
+            elements.append(TwoModeSqueezer(mode_a=a, mode_b=b, xi=float(rng.uniform(0, 1))))
+    return elements
+
+
+def test_kernel_matches_dense_lift_product():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        elements = _random_elements(rng, n, int(rng.integers(1, 13)))
+        dense = np.eye(2 * n, dtype=complex)
+        for e in elements:
+            dense = embed_element(e, n) @ dense
+        s = circuit_smatrix(Circuit(n_modes=n, n_nominal=n, elements=tuple(elements)))
+        assert max_abs(s - dense) <= 1e-13
+
+
+def test_reconstruct_matches_dense_unitary_product():
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        elements = _random_elements(rng, n, int(rng.integers(1, 13)), passive=True)
+        dense = np.eye(n, dtype=complex)
+        for e in elements:
+            dense = element_unitary(e, n) @ dense
+        assert max_abs(reconstruct(elements, n) - dense) <= 1e-13
 
 
 def test_circuit_smatrix_empty():

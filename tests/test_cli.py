@@ -180,7 +180,57 @@ def test_synth_to_simulate_round_trip_mean_field(tmp_path, capsys):
 def test_global_flags_accepted(tmp_path, capsys):
     matrix = write_matrix(tmp_path / "t.json", LOSSY_BS_T)
     code = main([
-        "--tol", "1e-9", "--eps-sigma", "1e-8", "--seed", "7", "--format", "json",
+        "--tol", "1e-9", "--eps-sigma", "1e-8",
         "synth", matrix, "--netlist", str(tmp_path / "n.json"), "--report", str(tmp_path / "r.json"),
     ])
     assert code == 0
+
+
+def test_removed_global_flags_are_rejected(tmp_path, capsys):
+    matrix = write_matrix(tmp_path / "t.json", LOSSY_BS_T)
+    for flags in (["--seed", "7"], ["--format", "json"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*flags, "synth", matrix])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--tol", "-1"), ("--tol", "nan"), ("--eps-sigma", "0")])
+def test_bad_tolerance_exits_4(tmp_path, capsys, flag, value):
+    matrix = write_matrix(tmp_path / "t.json", LOSSY_BS_T)
+    assert main([flag, value, "synth", matrix]) == 4
+    assert "positive" in capsys.readouterr().err
+
+
+def test_synth_to_stdout_is_one_json_document(tmp_path, capsys):
+    matrix = write_matrix(tmp_path / "t.json", LOSSY_BS_T)
+    code, out = run(capsys, "synth", matrix)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["schema"] == "qsynth/1"
+    assert payload["netlist"]["n_modes"] == 3
+    assert payload["report"]["n_full_ancillas"] == 1
+
+
+def test_synth_one_output_path_leaves_one_document_on_stdout(tmp_path, capsys):
+    matrix = write_matrix(tmp_path / "t.json", LOSSY_BS_T)
+    netlist = tmp_path / "net.json"
+    code, out = run(capsys, "synth", matrix, "--netlist", str(netlist))
+    assert code == 0
+    assert json.loads(out)["n_full_ancillas"] == 1
+    assert json.loads(netlist.read_text())["n_modes"] == 3
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [('{"9": [0, 0]}', "predicate mode 9"), ('{"-1": [0, 0]}', "predicate mode -1"), ("[[0, 0]]", "bad predicate")],
+)
+def test_simulate_bad_predicate_exits_2(tmp_path, capsys, spec, message):
+    matrix = write_matrix(tmp_path / "t.json", LOSSY_BS_T)
+    netlist = tmp_path / "net.json"
+    main(["synth", matrix, "--netlist", str(netlist), "--report", str(tmp_path / "r.json")])
+    capsys.readouterr()
+    code = main(["simulate", str(netlist), "--input", "1,1", "--predicate", spec])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qsynth.blocks import BeamSplitter, TwoModeSqueezer, embed_element
+from qsynth.blocks import BeamSplitter, TwoModeSqueezer
 from qsynth.closedform2x2 import (
     analytic_circuit,
     analytic_params,
@@ -14,7 +14,7 @@ from qsynth.closedform2x2 import (
 from qsynth.numkit import max_abs, upper_left_block
 from qsynth.synth import KIND_GAIN, KIND_LOSS
 
-from oracles import LOSSY_BS_T
+from oracles import LOSSY_BS_T, embed_element
 
 
 def random_2x2(rng, radius=2.0):
@@ -71,6 +71,18 @@ def test_circuit_reconstructs_input():
         t = random_2x2(rng)
         _, result = analytic_synthesize(t)
         assert max_abs(upper_left_block(result.s_total, 2, 2) - t) < 1e-11
+
+
+def test_rank_one_inputs_verify():
+    rng = np.random.default_rng(64)
+    for _ in range(200):
+        col = rng.normal(size=2) + 1j * rng.normal(size=2)
+        row = rng.normal(size=2) + 1j * rng.normal(size=2)
+        t = np.outer(col, row) / 2
+        p, result = analytic_synthesize(t)
+        assert p.sigma2 < 1e-12
+        assert result.block_deviation < 1e-10
+        assert result.quasiunitarity_deviation < 1e-10
 
 
 def test_unitary_input_has_empty_modulation_stage():

@@ -16,13 +16,13 @@ from qsynth.sim import (
     postselect,
     vacuum_moments,
 )
-from qsynth.blocks import lift_gain
 from qsynth.synth import synthesize
 
 from oracles import (
     LOSSY_BS_S_TOTAL,
     all_occupations,
     fock_amplitude,
+    lift_gain,
     random_unitary,
 )
 
