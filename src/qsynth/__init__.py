@@ -14,7 +14,7 @@ from .blocks import (
     circuit_smatrix,
     circuit_to_json,
 )
-from .closedform2x2 import Params2x2, analytic_circuit, analytic_params, analytic_synthesize
+from .closedform2x2 import Params2x2, analytic_params, analytic_synthesize
 from .mesh import NotUnitaryError, mesh_verify, reck_decompose
 from .numkit import (
     SvdFactors,

@@ -87,7 +87,7 @@ def naimark_extension(povm: RankOnePovm, tol: float = 1e-10) -> np.ndarray:
     worst = max(abs(s - 1.0) for s in factors.singulars)
     if worst > tol:
         raise ValueError(f"singular values deviate from 1 by {worst:.3e}; input is not a rank-one POVM matrix")
-    u_pad, _, w_pad = pad_factors(factors, n, m)
+    u_pad, w_pad = pad_factors(factors, n, m)
     return u_pad @ w_pad
 
 

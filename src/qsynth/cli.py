@@ -236,8 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qsynth",
         description="Compile linear optical transformations with loss and gain into element netlists.",
     )
-    parser.add_argument("--tol", type=float, default=SynthesisConfig.tol, help="verification tolerance")
-    parser.add_argument("--eps-sigma", type=float, default=SynthesisConfig.eps_sigma, help="singular values this close to 1 compile to no element")
+    parser.add_argument("--tol", type=float, default=SynthesisConfig.tol, help="verification tolerance and ancilla threshold")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="matrix JSON -> netlist + verification report")
@@ -263,10 +262,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_input_value(argv: list[str]) -> list[str]:
+    """``--input -0.4,0.3`` -> ``--input=-0.4,0.3``: argparse takes a lone ``-0.4,0.3`` for an option."""
+    if "--input" not in argv[:-1]:
+        return argv
+    i = argv.index("--input")
+    return [*argv[:i], f"--input={argv[i + 1]}", *argv[i + 2:]]
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_input_value(sys.argv[1:] if argv is None else list(argv)))
     try:
-        config = SynthesisConfig(tol=args.tol, eps_sigma=args.eps_sigma)
+        config = SynthesisConfig(tol=args.tol)
         if args.command == "synth":
             return cmd_synth(args.matrix, args.netlist, args.report, config)
         if args.command == "simulate":

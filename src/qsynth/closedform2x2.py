@@ -5,30 +5,21 @@ matrix to real upper-triangular form, whose singular structure then has a
 closed form: ``T = U . D . BS(theta2) . PS_1(-xi1)`` with
 ``U = PS_1(alpha1) . PS_2(alpha2) . BS(gamma) . PS_1(beta1) . PS_2(beta2)``
 and ``D = diag(sigma1, sigma2)``, ``sigma1 >= sigma2 >= 0``.  This module
-computes the parameters, rebuilds the same circuit through the generic
-element kernel, and serves as an independent cross-check of the numeric
-pipeline.
+computes the parameters and the element lists of ``W`` and ``U``; the D stage
+and the checks are the numeric pipeline's (:func:`qsynth.synth.verified`), so
+it cross-checks the numeric factors.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-import numpy as np
-
-from .blocks import BeamSplitter, Circuit, PhaseShifter
+from .blocks import BeamSplitter, Element, PhaseShifter
 from .mesh import PRUNE_EPS, wrap_angle
-from .numkit import as_matrix, max_abs, upper_left_block
-from .synth import (
-    SynthesisConfig,
-    SynthesisError,
-    SynthesisResult,
-    classify_singulars,
-    singular_element,
-    verified,
-)
+from .numkit import as_matrix
+from .synth import SynthesisConfig, SynthesisResult, classify_singulars, verified
 
 # |cos(gamma)| may exceed 1 by rounding; anything beyond this is a logic error.
 CLAMP_TOL = 1e-12
@@ -126,77 +117,31 @@ def _clamped_unit(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def reconstruct_params(p: Params2x2) -> np.ndarray:
-    """Multiply out the parameterized chain: the matrix the parameters encode."""
-    def ps(mode: int, phi: float) -> np.ndarray:
-        out = np.eye(2, dtype=complex)
-        out[mode, mode] = cmath.exp(1j * phi)
-        return out
-
-    def bs(theta: float) -> np.ndarray:
-        c, s = math.cos(theta), math.sin(theta)
-        return np.array([[c, s], [-s, c]], dtype=complex)
-
-    u = ps(0, p.alpha1) @ ps(1, p.alpha2) @ bs(p.gamma) @ ps(0, p.beta1) @ ps(1, p.beta2)
-    d = np.diag([p.sigma1, p.sigma2]).astype(complex)
-    w = bs(p.theta2) @ ps(0, -p.xi1)
-    return u @ d @ w
+def _stage(*elements: Element) -> list[Element]:
+    """One unitary stage of the chain, without its identity elements."""
+    return [e for e in elements if abs(e.phi if isinstance(e, PhaseShifter) else e.theta) > PRUNE_EPS]
 
 
-def analytic_circuit(p: Params2x2, config: SynthesisConfig | None = None) -> SynthesisResult:
-    """Build the circuit the closed form describes and verify its product.
-
-    Uses only phase shifters, the two beam splitter rotations of the chain,
-    and one loss/gain coupling per singular value different from 1 (mode 0
-    pairs with the first ancilla, mode 1 with the next free one).  At most
-    two ancillas appear, so the scattering matrix is at most 8x8.
-    """
-    cfg = config or SynthesisConfig()
-    classification = classify_singulars((p.sigma1, p.sigma2), cfg.eps_sigma, 2)
-    if any(ch.sigma > cfg.sigma_max for ch in classification.channels):
-        raise ValueError(f"sigma1 = {p.sigma1:.3e} exceeds the gain ceiling {cfg.sigma_max:.3e}")
-
-    elements = []
-
-    def add_ps(mode: int, phi: float) -> None:
-        phi = wrap_angle(phi)
-        if abs(phi) > PRUNE_EPS:
-            elements.append(PhaseShifter(mode=mode, phi=phi))
-
-    def add_bs(theta: float) -> None:
-        if abs(theta) > PRUNE_EPS:
-            elements.append(BeamSplitter(mode_a=0, mode_b=1, theta=theta))
-
-    add_ps(0, -p.xi1)
-    add_bs(p.theta2)
-    for j, ch in enumerate(classification.channels):
-        if ch.ancilla is not None:
-            elements.append(singular_element(j, ch.ancilla, ch.sigma))
-    add_ps(1, p.beta2)
-    add_ps(0, p.beta1)
-    add_bs(p.gamma)
-    add_ps(1, p.alpha2)
-    add_ps(0, p.alpha1)
-
-    circuit = Circuit(
-        n_modes=classification.n_total,
-        n_nominal=2,
-        elements=tuple(elements),
-        full_ancillas=tuple(range(2, classification.n_total)),
-    )
-    return verified(circuit, classification, reconstruct_params(p), cfg.tol)
+def _ps(mode: int, phi: float) -> PhaseShifter:
+    return PhaseShifter(mode=mode, phi=wrap_angle(phi))
 
 
 def analytic_synthesize(t, config: SynthesisConfig | None = None) -> tuple[Params2x2, SynthesisResult]:
-    """Closed-form pipeline: parameters plus the verified circuit for ``t``."""
+    """Closed-form pipeline: parameters plus the verified circuit for ``t``.
+
+    The circuit uses only phase shifters, the two beam splitter rotations of
+    the chain, and one loss/gain coupling per singular value different from 1
+    (mode 0 pairs with the first ancilla, mode 1 with the next free one).  At
+    most two ancillas appear, so the scattering matrix is at most 8x8.
+    """
     cfg = config or SynthesisConfig()
     t = as_matrix(t, "t")
-    params = analytic_params(t)
-    result = analytic_circuit(params, cfg)
-    block_dev = max_abs(upper_left_block(result.s_total, 2, 2) - t)
-    if block_dev > cfg.tol:
-        raise SynthesisError(block_dev, result.quasiunitarity_deviation, cfg.tol)
-    return params, replace(result, block_deviation=block_dev)
+    p = analytic_params(t)
+    classification = classify_singulars((p.sigma1, p.sigma2), cfg.tol, 2)
+    w_elements = _stage(_ps(0, -p.xi1), BeamSplitter(mode_a=0, mode_b=1, theta=p.theta2))
+    u_elements = _stage(_ps(1, p.beta2), _ps(0, p.beta1), BeamSplitter(mode_a=0, mode_b=1, theta=p.gamma),
+                        _ps(1, p.alpha2), _ps(0, p.alpha1))
+    return p, verified(t, classification, w_elements, u_elements, cfg.tol)
 
 
 def params_to_json(p: Params2x2) -> dict:

@@ -33,10 +33,9 @@ from .numkit import (
     upper_left_block,
 )
 
-DEFAULT_EPS_SIGMA = 1e-9
 # Gains above this would overflow sqrt(sigma^2 - 1) bookkeeping long before
 # any physical device could realize them.
-DEFAULT_SIGMA_MAX = math.cosh(50.0)
+SIGMA_MAX = math.cosh(50.0)
 
 KIND_UNIT = "unit"
 KIND_LOSS = "loss"
@@ -45,13 +44,11 @@ KIND_GAIN = "gain"
 
 @dataclass(frozen=True)
 class SynthesisConfig:
-    tol: float = 1e-10
-    eps_sigma: float = DEFAULT_EPS_SIGMA
-    sigma_max: float = DEFAULT_SIGMA_MAX
+    tol: float = 1e-10  # bound on both verification deviations, and the ancilla threshold
 
     def __post_init__(self):
-        if not (self.tol > 0 and self.eps_sigma > 0):  # also rejects NaN
-            raise ValueError("tol and eps_sigma must be positive")
+        if not self.tol > 0:  # also rejects NaN
+            raise ValueError(f"tol must be positive, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -130,24 +127,28 @@ def count_bounds(n: int, m: int) -> CountBounds:
     )
 
 
-def classify_singulars(singulars, eps_sigma: float, n_nominal: int) -> SingularClassification:
+def classify_singulars(singulars, tol: float, n_nominal: int) -> SingularClassification:
     """Assign each nominal mode a kind (unit/loss/gain) and, if needed, an ancilla.
 
-    ``singulars`` may be shorter than ``n_nominal``; missing entries are the
-    identity padding values, exactly 1.  Ancilla indices are handed out in
-    ascending mode order starting at ``n_nominal``.
+    A mode gets an ancilla iff ``|sigma - 1| > tol``; by Cauchy-Schwarz over a
+    row of U and a column of W, dropping the other couplings moves each block
+    entry by at most ``tol``.  ``singulars`` may be shorter than ``n_nominal``;
+    missing entries are the identity padding values, exactly 1.  Ancilla
+    indices are handed out in ascending mode order starting at ``n_nominal``.
     """
     sigmas = [float(s) for s in singulars]
     if len(sigmas) > n_nominal:
         raise ValueError(f"got {len(sigmas)} singular values for {n_nominal} nominal modes")
     if any(s < 0 for s in sigmas):
         raise ValueError(f"singular values must be non-negative, got {min(sigmas)}")
+    if any(s > SIGMA_MAX for s in sigmas):
+        raise ValueError(f"singular value {max(sigmas):.3e} exceeds the gain ceiling {SIGMA_MAX:.3e}")
     sigmas += [1.0] * (n_nominal - len(sigmas))
 
     channels = []
     next_ancilla = n_nominal
     for sigma in sigmas:
-        if abs(sigma - 1.0) <= eps_sigma:
+        if abs(sigma - 1.0) <= tol:
             channels.append(ModeChannel(sigma=sigma, kind=KIND_UNIT, ancilla=None))
         else:
             kind = KIND_LOSS if sigma < 1.0 else KIND_GAIN
@@ -156,24 +157,13 @@ def classify_singulars(singulars, eps_sigma: float, n_nominal: int) -> SingularC
     return SingularClassification(n_nominal=n_nominal, channels=tuple(channels))
 
 
-def pad_factors(factors: SvdFactors, n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pad U, D, W of an n x m decomposition to max(n, m) square with identity rows/cols."""
-    n_pad = max(n, m)
-    u = _identity_pad(factors.u, n_pad)
-    w = _identity_pad(factors.w, n_pad)
-    d = np.eye(n_pad, dtype=complex)
-    for i, sigma in enumerate(factors.singulars):
-        d[i, i] = sigma
-    return u, d, w
-
-
-def _identity_pad(square: np.ndarray, n_pad: int) -> np.ndarray:
-    k = square.shape[0]
-    if k == n_pad:
-        return square.copy()
-    out = np.eye(n_pad, dtype=complex)
-    out[:k, :k] = square
-    return out
+def pad_factors(factors: SvdFactors, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pad U and W of an n x m decomposition to max(n, m) square with identity rows/cols."""
+    u = np.eye(max(n, m), dtype=complex)
+    w = np.eye(max(n, m), dtype=complex)
+    u[:n, :n] = factors.u
+    w[:m, :m] = factors.w
+    return u, w
 
 
 def singular_element(j: int, m_aj: int, sigma: float) -> Element:
@@ -211,36 +201,36 @@ def synthesize(t, config: SynthesisConfig | None = None, factors: SvdFactors | N
     else:
         _check_factors(factors, t, cfg.tol)
 
-    n_nominal = max(n, m)
-    u_pad, d_pad, w_pad = pad_factors(factors, n, m)
-    classification = classify_singulars(np.diag(d_pad).real, cfg.eps_sigma, n_nominal)
-    if any(ch.sigma > cfg.sigma_max for ch in classification.channels):
-        worst = max(ch.sigma for ch in classification.channels)
-        raise ValueError(f"singular value {worst:.3e} exceeds the gain ceiling {cfg.sigma_max:.3e}")
-
+    u_pad, w_pad = pad_factors(factors, n, m)
+    classification = classify_singulars(factors.singulars, cfg.tol, max(n, m))
     w_elements = mesh.reck_decompose(w_pad, cfg.tol)
     u_elements = mesh.reck_decompose(u_pad, cfg.tol)
+    return verified(t, classification, w_elements, u_elements, cfg.tol)
+
+
+def verified(target: np.ndarray, classification: SingularClassification, w_elements, u_elements, tol: float) -> SynthesisResult:
+    """Circuit W, D (one coupling per ancilla), U for ``target``, with its checked ``S_total``.
+
+    Raises :class:`SynthesisError` unless ``S_total`` is quasiunitary and holds
+    ``target`` in its upper-left block, both within ``tol``.
+    """
+    n, m = target.shape
+    n_nominal = classification.n_nominal
     d_elements = [
         singular_element(j, ch.ancilla, ch.sigma)
         for j, ch in enumerate(classification.channels)
         if ch.ancilla is not None
     ]
-
     circuit = Circuit(
         n_modes=classification.n_total,
         n_nominal=n_nominal,
-        elements=tuple(w_elements + d_elements + u_elements),
-        ancilla_inputs=tuple(range(m, n_nominal)) if n > m else (),
-        ancilla_outputs=tuple(range(n, n_nominal)) if m > n else (),
+        elements=(*w_elements, *d_elements, *u_elements),
+        ancilla_inputs=tuple(range(m, n_nominal)),
+        ancilla_outputs=tuple(range(n, n_nominal)),
         full_ancillas=tuple(range(n_nominal, classification.n_total)),
     )
-    return verified(circuit, classification, t, cfg.tol)
-
-
-def verified(circuit: Circuit, classification: SingularClassification, target: np.ndarray, tol: float) -> SynthesisResult:
-    """Assemble ``S_total``; raise :class:`SynthesisError` unless it is quasiunitary and holds ``target``."""
     s_total = circuit_smatrix(circuit)
-    block_dev = max_abs(upper_left_block(s_total, *target.shape) - target)
+    block_dev = max_abs(upper_left_block(s_total, n, m) - target)
     quasi_dev = quasiunitarity_deviation(s_total)
     if block_dev > tol or quasi_dev > tol:
         raise SynthesisError(block_dev, quasi_dev, tol)

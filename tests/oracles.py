@@ -4,12 +4,14 @@ Nothing here shares a code path with the package: permanents are enumerated
 over explicit permutations, unitaries come from QR orthonormalization, the
 coupling matrices are written out entry by entry, every element has a dense
 matrix lift (the definition the package's row-update kernel is checked
-against), and the lossy-beam-splitter network is a hand-checkable closed form
-in a fixed factor gauge.  Only the element dataclasses come from the package.
+against), the closed-form 2x2 parameters multiply out as dense 2x2 factors,
+and the lossy-beam-splitter network is a hand-checkable closed form in a fixed
+factor gauge.  Only the element dataclasses come from the package.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 
@@ -165,6 +167,23 @@ def lift_unitary_factor(u_piece, n_ancillas: int) -> np.ndarray:
     out[:k, :k] = u_piece
     out[n : n + k, n : n + k] = u_piece.conj()
     return out
+
+
+def reconstruct_params(p) -> np.ndarray:
+    """Multiply out a closed-form ``Params2x2`` chain: the matrix the parameters encode."""
+    def ps(mode: int, phi: float) -> np.ndarray:
+        out = np.eye(2, dtype=complex)
+        out[mode, mode] = cmath.exp(1j * phi)
+        return out
+
+    def bs(theta: float) -> np.ndarray:
+        c, s = math.cos(theta), math.sin(theta)
+        return np.array([[c, s], [-s, c]], dtype=complex)
+
+    u = ps(0, p.alpha1) @ ps(1, p.alpha2) @ bs(p.gamma) @ ps(0, p.beta1) @ ps(1, p.beta2)
+    d = np.diag([p.sigma1, p.sigma2]).astype(complex)
+    w = bs(p.theta2) @ ps(0, -p.xi1)
+    return u @ d @ w
 
 
 # --- lossy 50:50 beam splitter fixture ---------------------------------------

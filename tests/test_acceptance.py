@@ -22,9 +22,9 @@ from qsynth.numkit import (
 )
 from qsynth.sim import coherent_moments, evolve_moments, fock_evolve, passive_block
 from qsynth.synth import (
-    DEFAULT_EPS_SIGMA,
     KIND_GAIN,
     KIND_LOSS,
+    SynthesisConfig,
     count_bounds,
     singular_element,
     synthesize,
@@ -119,7 +119,7 @@ def test_criterion_4_randomized_method_suite():
         assert max_abs(upper_left_block(result.s_total, n, m) - t) < 1e-10
 
         raw_sigmas = np.linalg.svd(t, compute_uv=False)
-        expected_ancillas = int(np.sum(np.abs(raw_sigmas - 1.0) > DEFAULT_EPS_SIGMA))
+        expected_ancillas = int(np.sum(np.abs(raw_sigmas - 1.0) > SynthesisConfig().tol))
         assert result.classification.n_full_ancillas == expected_ancillas
 
         bounds = count_bounds(n, m)

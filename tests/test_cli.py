@@ -153,6 +153,12 @@ def test_analytic2x2_rejects_wrong_shape(tmp_path, capsys):
     assert main(["analytic2x2", matrix]) == 4
 
 
+def test_analytic2x2_gain_above_ceiling_exits_4(tmp_path, capsys):
+    matrix = write_matrix(tmp_path / "t.json", np.diag([1e22, 0.5]))
+    assert main(["analytic2x2", matrix]) == 4
+    assert "gain ceiling" in capsys.readouterr().err
+
+
 def test_cz_command(tmp_path, capsys):
     code, out = run(capsys, "cz")
     assert code == 0
@@ -177,10 +183,25 @@ def test_synth_to_simulate_round_trip_mean_field(tmp_path, capsys):
     assert abs(means[1] - expected[1]) < 1e-10
 
 
+@pytest.mark.parametrize("joined", [False, True])
+def test_simulate_moments_input_may_start_with_minus(tmp_path, capsys, joined):
+    matrix = write_matrix(tmp_path / "t.json", LOSSY_BS_T)
+    netlist = tmp_path / "net.json"
+    main(["synth", matrix, "--netlist", str(netlist), "--report", str(tmp_path / "r.json")])
+    capsys.readouterr()
+    spec = "-0.4+0.1i,0.3"
+    argv = ["--input=" + spec] if joined else ["--input", spec]
+    code, out = run(capsys, "simulate", str(netlist), "--mode", "moments", *argv)
+    assert code == 0
+    means = [complex(re, im) for re, im in json.loads(out)["means"]]
+    expected = LOSSY_BS_T @ np.array([-0.4 + 0.1j, 0.3])
+    assert max(abs(means[j] - expected[j]) for j in range(2)) < 1e-10
+
+
 def test_global_flags_accepted(tmp_path, capsys):
     matrix = write_matrix(tmp_path / "t.json", LOSSY_BS_T)
     code = main([
-        "--tol", "1e-9", "--eps-sigma", "1e-8",
+        "--tol", "1e-9",
         "synth", matrix, "--netlist", str(tmp_path / "n.json"), "--report", str(tmp_path / "r.json"),
     ])
     assert code == 0
@@ -188,13 +209,13 @@ def test_global_flags_accepted(tmp_path, capsys):
 
 def test_removed_global_flags_are_rejected(tmp_path, capsys):
     matrix = write_matrix(tmp_path / "t.json", LOSSY_BS_T)
-    for flags in (["--seed", "7"], ["--format", "json"]):
+    for flags in (["--seed", "7"], ["--format", "json"], ["--eps-sigma", "1e-8"]):
         with pytest.raises(SystemExit) as exc:
             main([*flags, "synth", matrix])
         assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("flag, value", [("--tol", "-1"), ("--tol", "nan"), ("--eps-sigma", "0")])
+@pytest.mark.parametrize("flag, value", [("--tol", "-1"), ("--tol", "nan"), ("--tol", "0")])
 def test_bad_tolerance_exits_4(tmp_path, capsys, flag, value):
     matrix = write_matrix(tmp_path / "t.json", LOSSY_BS_T)
     assert main([flag, value, "synth", matrix]) == 4

@@ -4,17 +4,11 @@ import numpy as np
 import pytest
 
 from qsynth.blocks import BeamSplitter, TwoModeSqueezer
-from qsynth.closedform2x2 import (
-    analytic_circuit,
-    analytic_params,
-    analytic_synthesize,
-    params_to_json,
-    reconstruct_params,
-)
+from qsynth.closedform2x2 import analytic_params, analytic_synthesize, params_to_json
 from qsynth.numkit import max_abs, upper_left_block
 from qsynth.synth import KIND_GAIN, KIND_LOSS
 
-from oracles import LOSSY_BS_T, embed_element
+from oracles import LOSSY_BS_T, embed_element, reconstruct_params
 
 
 def random_2x2(rng, radius=2.0):
@@ -69,8 +63,11 @@ def test_circuit_reconstructs_input():
     rng = np.random.default_rng(63)
     for _ in range(200):
         t = random_2x2(rng)
-        _, result = analytic_synthesize(t)
-        assert max_abs(upper_left_block(result.s_total, 2, 2) - t) < 1e-11
+        p, result = analytic_synthesize(t)
+        block = upper_left_block(result.s_total, 2, 2)
+        assert max_abs(block - t) < 1e-11
+        # The circuit realizes the parameterized chain, not just t.
+        assert max_abs(block - reconstruct_params(p)) < 1e-12
 
 
 def test_rank_one_inputs_verify():
@@ -87,8 +84,7 @@ def test_rank_one_inputs_verify():
 
 def test_unitary_input_has_empty_modulation_stage():
     t = np.array([[0, 1], [1, 0]], dtype=complex)  # swap, t11 = 0 edge case
-    p = analytic_params(t)
-    result = analytic_circuit(p)
+    _, result = analytic_synthesize(t)
     assert result.circuit.n_modes == 2
     assert result.classification.n_full_ancillas == 0
     assert all(e.mode_b < 2 for e in result.circuit.elements if isinstance(e, BeamSplitter))
@@ -143,6 +139,11 @@ def _relabel_loss():
     out[7, 5] = -r
     out[7, 7] = sigma
     return out
+
+
+def test_rejects_gain_above_ceiling():
+    with pytest.raises(ValueError, match="gain ceiling"):
+        analytic_synthesize(np.diag([1e22, 0.5]).astype(complex))
 
 
 def test_zero_matrix():

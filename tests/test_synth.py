@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsynth.blocks import BeamSplitter, TwoModeSqueezer
 from qsynth.numkit import SvdFactors, max_abs, quasiunitarity_deviation, svd, upper_left_block
@@ -9,6 +11,8 @@ from qsynth.synth import (
     KIND_GAIN,
     KIND_LOSS,
     KIND_UNIT,
+    SIGMA_MAX,
+    SynthesisConfig,
     classify_singulars,
     count_bounds,
     pad_factors,
@@ -86,9 +90,27 @@ def test_classify_rejects_negative():
         classify_singulars((-0.1,), 1e-9, 1)
 
 
+def padded_diagonal(f, n_pad):
+    """The D factor that goes with pad_factors: the singular values, then 1s."""
+    return np.diag(list(f.singulars) + [1.0] * (n_pad - len(f.singulars))).astype(complex)
+
+
+def test_classify_rejects_gain_above_ceiling():
+    with pytest.raises(ValueError, match="gain ceiling"):
+        classify_singulars((2.0 * SIGMA_MAX, 0.5), 1e-10, 2)
+
+
+def test_config_keeps_only_a_positive_tol():
+    assert list(SynthesisConfig.__dataclass_fields__) == ["tol"]
+    for bad in (0.0, -1e-10, math.nan):
+        with pytest.raises(ValueError):
+            SynthesisConfig(tol=bad)
+
+
 def test_pad_factors_square_unchanged():
     f = svd(LOSSY_BS_T)
-    u, d, w = pad_factors(f, 2, 2)
+    u, w = pad_factors(f, 2, 2)
+    d = padded_diagonal(f, 2)
     assert max_abs(u - f.u) == 0.0
     assert max_abs(w - f.w) == 0.0
     assert np.allclose(np.diag(d), f.singulars)
@@ -98,7 +120,8 @@ def test_pad_factors_wide_input_with_orthonormal_rows():
     rng = np.random.default_rng(41)
     t = random_unitary(rng, 3)[:2, :]  # 2x3 with T T^dag = I
     f = svd(t)
-    u, d, w = pad_factors(f, 2, 3)
+    u, w = pad_factors(f, 2, 3)
+    d = padded_diagonal(f, 3)
     assert max_abs(d - np.eye(3)) < 1e-12
     assert max_abs((u @ d @ w)[:2, :] - t) < 1e-12
 
@@ -106,7 +129,8 @@ def test_pad_factors_wide_input_with_orthonormal_rows():
 def test_pad_factors_tall_input():
     t = np.array([[1.0], [0.0], [0.0]], dtype=complex)
     f = svd(t)
-    u, d, w = pad_factors(f, 3, 1)
+    u, w = pad_factors(f, 3, 1)
+    d = padded_diagonal(f, 3)
     assert u.shape == d.shape == w.shape == (3, 3)
     assert max_abs((u @ d @ w)[:, :1] - t) < 1e-12
 
@@ -211,6 +235,61 @@ def test_synthesize_near_unit_sigma_compiles_to_nothing():
     t = np.diag([1.0 + 5e-11, 2.0]).astype(complex)
     r = synthesize(t)
     assert r.classification.n_full_ancillas == 1
+
+
+@pytest.mark.parametrize("offset", [5e-10, 9e-10])
+def test_synthesize_sigma_just_beyond_tol_gets_an_ancilla(offset):
+    # The ancilla threshold is the block tolerance: a singular value 5e-10 or
+    # 9e-10 from 1 gets its own coupling, so the block check holds.
+    r = synthesize(np.diag([1.0 + offset, 0.5]).astype(complex))
+    assert r.classification.channels[0].kind == KIND_GAIN
+    assert r.classification.channels[0].ancilla is not None
+    assert r.classification.n_full_ancillas == 2
+    assert r.block_deviation < 1e-10
+    assert r.quasiunitarity_deviation < 1e-10
+
+
+@pytest.mark.parametrize("offset", [5e-11, -5e-11])
+def test_synthesize_sigma_within_tol_compiles_to_no_element(offset):
+    r = synthesize(np.diag([1.0 + offset, 0.5]).astype(complex))
+    near = [j for j, ch in enumerate(r.classification.channels) if abs(ch.sigma - 1.0) < 1e-9]
+    assert len(near) == 1
+    assert r.classification.channels[near[0]].ancilla is None
+    assert r.classification.n_full_ancillas == 1
+    coupled = {e.mode_a for e in r.circuit.elements if getattr(e, "mode_b", 0) >= r.circuit.n_nominal}
+    assert near[0] not in coupled
+
+
+@st.composite
+def near_unit_spectra(draw):
+    """An n x m shape, a unitary seed, and min(n, m) singular values.
+
+    With two or more, one is ordinary (loss or gain) and the rest lie within
+    1e-8 of 1; a single one lies within 1e-8 of 1.
+    """
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    k = min(n, m)
+    offsets = [
+        draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-13.0, -8.0))
+        for _ in range(max(k - 1, 1))
+    ]
+    ordinary = [draw(st.one_of(st.floats(0.0, 0.9), st.floats(1.1, 3.0)))] if k > 1 else []
+    return n, m, draw(st.integers(0, 2**32 - 1)), ordinary + [1.0 + d for d in offsets]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(near_unit_spectra())
+def test_near_unit_spectra_verify_with_tol_as_ancilla_threshold(case):
+    n, m, seed, sigmas = case
+    rng = np.random.default_rng(seed)
+    k = min(n, m)
+    t = random_unitary(rng, n)[:, :k] @ np.diag(sigmas) @ random_unitary(rng, m)[:k, :]
+    r = synthesize(t)  # raises SynthesisError if either check fails
+    tol = SynthesisConfig().tol
+    expected = sorted(sigmas, reverse=True) + [1.0] * (max(n, m) - k)
+    for sigma, ch in zip(expected, r.classification.channels):
+        assert (ch.ancilla is not None) == (abs(sigma - 1.0) > tol)
 
 
 def test_synthesize_rejects_huge_gain():
