@@ -38,16 +38,6 @@ from .sim import (
     postselect,
     vacuum_moments,
 )
-from .synth import (
-    SingularClassification,
-    SynthesisConfig,
-    SynthesisError,
-    SynthesisResult,
-    classify_singulars,
-    count_bounds,
-    pad_factors,
-    synthesize,
-    verification_report,
-)
+from .synth import SynthesisError, SynthesisResult, couplings, pad_factors, synthesize, verification_report
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import as_matrix, max_abs, svd
+from .numkit import TOL, as_matrix, max_abs, svd
 from .sim import fock_evolve, passive_block, postselect
 from .synth import SynthesisResult, pad_factors
 
@@ -40,7 +40,7 @@ class RankOnePovm:
         return cls(dim=dim, vectors=vecs)
 
     @classmethod
-    def from_operators(cls, operators, tol: float = 1e-10) -> "RankOnePovm":
+    def from_operators(cls, operators, tol: float = TOL) -> "RankOnePovm":
         """Factor rank-one operators E_i = phi phi^dag; higher-rank elements are rejected."""
         vectors = []
         for i, op in enumerate(operators):
@@ -68,7 +68,7 @@ class RankOnePovm:
         return max_abs(t @ t.conj().T - np.eye(self.dim))
 
 
-def naimark_extension(povm: RankOnePovm, tol: float = 1e-10) -> np.ndarray:
+def naimark_extension(povm: RankOnePovm, tol: float = TOL) -> np.ndarray:
     """m x m unitary whose first n rows are the POVM matrix.
 
     Requires ``T T^dag = I`` within ``tol`` (rejected otherwise, with the
@@ -141,7 +141,7 @@ class CzVerification:
     success_probs: dict[str, float]
 
 
-def verify_cz(result: SynthesisResult, tol: float = 1e-10) -> CzVerification:
+def verify_cz(result: SynthesisResult, tol: float = TOL) -> CzVerification:
     """Fock-simulate the four computational inputs and check the CZ contract.
 
     Each input is a photon pair on one control and one target mode with

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 
 import numpy as np
@@ -16,9 +17,9 @@ import numpy as np
 from . import apps, closedform2x2, sim, synth
 from .blocks import SCHEMA, Circuit, circuit_from_json, circuit_to_json, circuit_smatrix
 from .mesh import NotUnitaryError, reck_decompose
-from .numkit import DecompositionError, matrix_from_json, matrix_to_json
+from .numkit import TOL, DecompositionError, complex_from_json, matrix_from_json, matrix_to_json
 from .sim import NotPassiveError
-from .synth import SynthesisConfig, SynthesisError
+from .synth import SynthesisError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -34,7 +35,7 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError and UnicodeDecodeError
         raise ParseFailure(f"cannot read {path}: {exc}") from exc
 
 
@@ -55,10 +56,10 @@ def _write_json(path: str | None, payload: dict) -> None:
             fh.write(text + "\n")
 
 
-def cmd_synth(matrix_file: str, out_netlist: str | None, out_report: str | None, config: SynthesisConfig) -> int:
+def cmd_synth(matrix_file: str, out_netlist: str | None, out_report: str | None, tol: float) -> int:
     """Compile a matrix file into a netlist plus a verification report (one document if both go to stdout)."""
     t = _load_matrix(matrix_file)
-    result = synth.synthesize(t, config)
+    result = synth.synthesize(t, tol)
     netlist = circuit_to_json(result.circuit)
     report = synth.verification_report(result)
     if out_netlist in (None, "-") and out_report in (None, "-"):
@@ -74,7 +75,7 @@ def cmd_simulate(
     input_spec: str,
     predicate_spec: str | None,
     mode: str,
-    config: SynthesisConfig,
+    tol: float,
 ) -> int:
     """Run a netlist: exact Fock statistics (passive only) or moment propagation."""
     netlist = _load_json(netlist_file)
@@ -95,8 +96,8 @@ def cmd_simulate(
         return EXIT_OK
 
     occupation = _parse_occupation(input_spec, circuit.n_modes)
-    block = sim.passive_block(s_total, config.tol)
-    state = sim.fock_evolve(block, occupation, config.tol)
+    block = sim.passive_block(s_total, tol)
+    state = sim.fock_evolve(block, occupation, tol)
     predicate = _parse_predicate(predicate_spec, circuit.n_modes)
     payload = {"schema": SCHEMA, "outcomes": _outcome_table(state)}
     if predicate is not None:
@@ -163,27 +164,30 @@ def _parse_predicate(spec: str | None, n_modes: int):
     return predicate
 
 
-def cmd_naimark(povm_file: str, out: str | None, config: SynthesisConfig) -> int:
+def _pairs(data, depth: int, path: str):
+    try:
+        return complex_from_json(data, depth)
+    except ValueError as exc:
+        raise ParseFailure(f"{path}: {exc}") from exc
+
+
+def cmd_naimark(povm_file: str, out: str | None, tol: float) -> int:
     """POVM JSON -> extension unitary plus its mesh netlist."""
     obj = _load_json(povm_file)
     try:
         if "vectors" in obj:
-            vectors = [[complex(re, im) for re, im in vec] for vec in obj["vectors"]]
-            povm = apps.RankOnePovm.from_vectors(vectors)
+            povm = apps.RankOnePovm.from_vectors(_pairs(obj["vectors"], 2, povm_file))
         elif "operators" in obj:
-            operators = [
-                [[complex(re, im) for re, im in row] for row in op] for op in obj["operators"]
-            ]
-            povm = apps.RankOnePovm.from_operators(operators, config.tol)
+            povm = apps.RankOnePovm.from_operators(_pairs(obj["operators"], 3, povm_file), tol)
         else:
             raise ParseFailure(f"{povm_file}: POVM JSON needs 'vectors' or 'operators'")
-        if int(obj.get("dim", povm.dim)) != povm.dim:
+        if operator.index(obj.get("dim", povm.dim)) != povm.dim:
             raise ParseFailure(f"{povm_file}: declared dim {obj['dim']} != vector length {povm.dim}")
     except (TypeError, KeyError) as exc:
         raise ParseFailure(f"{povm_file}: malformed POVM JSON: {exc}") from exc
 
-    extension = apps.naimark_extension(povm, config.tol)
-    elements = reck_decompose(extension, config.tol)
+    extension = apps.naimark_extension(povm, tol)
+    elements = reck_decompose(extension, tol)
     m = extension.shape[0]
     circuit = Circuit(
         n_modes=m,
@@ -199,10 +203,10 @@ def cmd_naimark(povm_file: str, out: str | None, config: SynthesisConfig) -> int
     return EXIT_OK
 
 
-def cmd_analytic2x2(matrix_file: str, out: str | None, config: SynthesisConfig) -> int:
+def cmd_analytic2x2(matrix_file: str, out: str | None, tol: float) -> int:
     """Closed-form decomposition of a 2x2 matrix file."""
     t = _load_matrix(matrix_file)
-    params, result = closedform2x2.analytic_synthesize(t, config)
+    params, result = closedform2x2.analytic_synthesize(t, tol)
     _write_json(out, {
         "schema": SCHEMA,
         "params": closedform2x2.params_to_json(params),
@@ -212,10 +216,10 @@ def cmd_analytic2x2(matrix_file: str, out: str | None, config: SynthesisConfig) 
     return EXIT_OK
 
 
-def cmd_cz(config: SynthesisConfig) -> int:
+def cmd_cz(tol: float) -> int:
     """Synthesize the postselected controlled-Z network and report its checks."""
-    result = synth.synthesize(apps.cz_gate_target(), config)
-    verification = apps.verify_cz(result, config.tol)
+    result = synth.synthesize(apps.cz_gate_target(), tol)
+    verification = apps.verify_cz(result, tol)
     _write_json(None, {
         "schema": SCHEMA,
         "success_prob": verification.success_prob,
@@ -224,8 +228,8 @@ def cmd_cz(config: SynthesisConfig) -> int:
         "amplitudes": {
             label: [float(a.real), float(a.imag)] for label, a in verification.amplitudes.items()
         },
-        "singular_values": [float(s) for s in result.classification.sigmas()],
-        "n_full_ancillas": result.classification.n_full_ancillas,
+        "singular_values": list(result.singulars),
+        "n_full_ancillas": len(result.circuit.full_ancillas),
         "report": synth.verification_report(result),
     })
     return EXIT_OK
@@ -236,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qsynth",
         description="Compile linear optical transformations with loss and gain into element netlists.",
     )
-    parser.add_argument("--tol", type=float, default=SynthesisConfig.tol, help="verification tolerance and ancilla threshold")
+    parser.add_argument("--tol", type=float, default=TOL, help="verification tolerance and ancilla threshold")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="matrix JSON -> netlist + verification report")
@@ -273,17 +277,18 @@ def _join_input_value(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     args = build_parser().parse_args(_join_input_value(sys.argv[1:] if argv is None else list(argv)))
     try:
-        config = SynthesisConfig(tol=args.tol)
+        if not args.tol > 0:  # also rejects NaN
+            raise ValueError(f"tol must be positive, got {args.tol}")
         if args.command == "synth":
-            return cmd_synth(args.matrix, args.netlist, args.report, config)
+            return cmd_synth(args.matrix, args.netlist, args.report, args.tol)
         if args.command == "simulate":
-            return cmd_simulate(args.netlist, args.input, args.predicate, args.mode, config)
+            return cmd_simulate(args.netlist, args.input, args.predicate, args.mode, args.tol)
         if args.command == "naimark":
-            return cmd_naimark(args.povm, args.out, config)
+            return cmd_naimark(args.povm, args.out, args.tol)
         if args.command == "analytic2x2":
-            return cmd_analytic2x2(args.matrix, args.out, config)
+            return cmd_analytic2x2(args.matrix, args.out, args.tol)
         if args.command == "cz":
-            return cmd_cz(config)
+            return cmd_cz(args.tol)
         raise AssertionError(f"unhandled command {args.command}")
     except ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from .blocks import BeamSplitter, Element, PhaseShifter
 from .mesh import PRUNE_EPS, wrap_angle
-from .numkit import as_matrix
-from .synth import SynthesisConfig, SynthesisResult, classify_singulars, verified
+from .numkit import TOL, as_matrix
+from .synth import SynthesisResult, couplings, verified
 
 # |cos(gamma)| may exceed 1 by rounding; anything beyond this is a logic error.
 CLAMP_TOL = 1e-12
@@ -71,8 +71,11 @@ def analytic_params(t) -> Params2x2:
     xi1 = _phase(t12_t)
     xi2 = _phase(t22_t)
 
-    # Real upper-triangular remainder [[a, b], [0, d]], all entries >= 0.
-    a, b, d = t11_t, abs(t12_t), abs(t22_t)
+    # Real upper-triangular remainder [[a, b], [0, d]], all entries >= 0,
+    # scaled by a power of two (exactly) so that squaring them neither
+    # overflows nor underflows; sigma1 and sigma2 are scaled back below.
+    k = math.frexp(max(t11_t, abs(t12_t), abs(t22_t)))[1]
+    a, b, d = (math.ldexp(x, -k) for x in (t11_t, abs(t12_t), abs(t22_t)))
     s = a * a + b * b + d * d
     p = (abs(b * d), abs(a * b))
     q = (a * a - d * d + b * b, a * a - d * d - b * b)
@@ -82,6 +85,7 @@ def analytic_params(t) -> Params2x2:
     # sigma1 * sigma2 = det = a * d.  Taking sigma2 from the determinant keeps
     # it exact on rank-deficient input, where (s - root) / 2 is pure rounding.
     sigma2 = min(a * d / sigma1, sigma1) if sigma1 > 0.0 else 0.0
+    sigma1, sigma2 = math.ldexp(sigma1, k), math.ldexp(sigma2, k)
 
     # Simplified form of the left unitary factor.
     mix = cmath.exp(1j * (xi2 - xi1))
@@ -126,7 +130,7 @@ def _ps(mode: int, phi: float) -> PhaseShifter:
     return PhaseShifter(mode=mode, phi=wrap_angle(phi))
 
 
-def analytic_synthesize(t, config: SynthesisConfig | None = None) -> tuple[Params2x2, SynthesisResult]:
+def analytic_synthesize(t, tol: float = TOL) -> tuple[Params2x2, SynthesisResult]:
     """Closed-form pipeline: parameters plus the verified circuit for ``t``.
 
     The circuit uses only phase shifters, the two beam splitter rotations of
@@ -134,14 +138,14 @@ def analytic_synthesize(t, config: SynthesisConfig | None = None) -> tuple[Param
     (mode 0 pairs with the first ancilla, mode 1 with the next free one).  At
     most two ancillas appear, so the scattering matrix is at most 8x8.
     """
-    cfg = config or SynthesisConfig()
     t = as_matrix(t, "t")
     p = analytic_params(t)
-    classification = classify_singulars((p.sigma1, p.sigma2), cfg.tol, 2)
+    singulars = (p.sigma1, p.sigma2)
+    d_elements = couplings(singulars, tol, 2)
     w_elements = _stage(_ps(0, -p.xi1), BeamSplitter(mode_a=0, mode_b=1, theta=p.theta2))
     u_elements = _stage(_ps(1, p.beta2), _ps(0, p.beta1), BeamSplitter(mode_a=0, mode_b=1, theta=p.gamma),
                         _ps(1, p.alpha2), _ps(0, p.alpha1))
-    return p, verified(t, classification, w_elements, u_elements, cfg.tol)
+    return p, verified(t, singulars, w_elements, d_elements, u_elements, tol)
 
 
 def params_to_json(p: Params2x2) -> dict:

@@ -16,9 +16,7 @@ import math
 import numpy as np
 
 from .blocks import BeamSplitter, Element, PhaseShifter, apply_element
-from .numkit import as_matrix, max_abs, unitarity_deviation
-
-DEFAULT_TOL = 1e-10
+from .numkit import TOL, as_matrix, max_abs, unitarity_deviation
 
 # Parameters this close to 0 (mod 2*pi for phases) produce identity elements
 # and are dropped from the netlist.
@@ -39,7 +37,7 @@ def wrap_angle(x: float) -> float:
     return math.pi - (math.pi - x) % (2.0 * math.pi)
 
 
-def reck_decompose(u, tol: float = DEFAULT_TOL) -> list[Element]:
+def reck_decompose(u, tol: float = TOL) -> list[Element]:
     """Factor a unitary into beam splitters and phase shifters, chronological order.
 
     Degenerate pivots (both entries of a rotation already ~0) yield identity

@@ -9,9 +9,13 @@ i.e. from satisfying ``S G S^dag = G`` with ``G = diag(+1...+1, -1...-1)``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+# Default bound on every verification deviation, and the ancilla threshold.
+TOL = 1e-10
 
 
 class DecompositionError(RuntimeError):
@@ -110,15 +114,31 @@ def matrix_to_json(m) -> dict:
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 
+def complex_from_json(data, depth: int = 0):
+    """Decode an ``[re, im]`` pair of numbers, or lists of them nested ``depth`` deep.
+
+    Anything else raises ValueError, so a malformed document is an input error.
+    """
+    if depth:
+        if not isinstance(data, list):
+            raise ValueError(f"expected a list of [re, im] pairs, got {type(data).__name__}")
+        return [complex_from_json(x, depth - 1) for x in data]
+    if isinstance(data, list) and len(data) == 2 and all(isinstance(x, (int, float)) for x in data):
+        try:
+            return complex(data[0], data[1])
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ValueError(f"expected an [re, im] pair of numbers, got {data!r}")
+
+
 def matrix_from_json(obj) -> np.ndarray:
     """Decode the matrix JSON format produced by :func:`matrix_to_json`."""
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
-        data = obj["data"]
+        rows = operator.index(obj["rows"])
+        cols = operator.index(obj["cols"])
+        entries = complex_from_json(obj["data"], depth=1)
     except (TypeError, KeyError) as exc:
-        raise ValueError(f"matrix JSON must contain rows/cols/data: {exc}") from exc
-    if rows < 0 or cols < 0 or len(data) != rows * cols:
-        raise ValueError(f"matrix JSON data length {len(data)} != rows*cols = {rows * cols}")
-    entries = [complex(float(pair[0]), float(pair[1])) for pair in data]
+        raise ValueError(f"matrix JSON must contain integer rows/cols and data: {exc}") from exc
+    if rows < 0 or cols < 0 or len(entries) != rows * cols:
+        raise ValueError(f"matrix JSON data length {len(entries)} != rows*cols = {rows * cols}")
     return as_matrix(np.array(entries, dtype=complex).reshape(rows, cols), "matrix JSON")

@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .numkit import as_matrix, max_abs, unitarity_deviation
+from .numkit import TOL, as_matrix, max_abs, unitarity_deviation
 
 MAX_PHOTONS = 6
 MAX_FOCK_MODES = 8
@@ -51,24 +51,24 @@ class FockState:
         return sum(abs(a) ** 2 for occ, a in self.amplitudes.items() if predicate(occ))
 
 
-def passive_block(s_total, tol: float = 1e-10) -> np.ndarray:
+def passive_block(s_total, tol: float = TOL) -> np.ndarray:
     """Extract the N x N annihilation block; error if the network is active."""
     s = as_matrix(s_total, "s_total")
     rows, cols = s.shape
     if rows != cols or rows % 2 != 0:
         raise ValueError(f"s_total must be square with even dimension, got {rows}x{cols}")
     n = rows // 2
-    off = np.abs(np.block([[np.zeros((n, n)), s[:n, n:]], [s[n:, :n], np.zeros((n, n))]]))
+    off = np.abs(s)
+    off[:n, :n] = 0.0
+    off[n:, n:] = 0.0
     worst = float(off.max()) if off.size else 0.0
     if worst > tol:
         r, c = np.unravel_index(int(off.argmax()), off.shape)
-        # Map back to coordinates in s_total.
-        r, c = (int(r), int(c) + n) if r < n else (int(r) + n, int(c))
-        raise NotPassiveError(worst, r, c)
+        raise NotPassiveError(worst, int(r), int(c))
     return s[:n, :n].copy()
 
 
-def fock_evolve(a, occupation, tol: float = 1e-10) -> FockState:
+def fock_evolve(a, occupation, tol: float = TOL) -> FockState:
     """Evolve a Fock input through a passive n x n unitary.
 
     Expands the product of transformed creation operators over the vacuum;

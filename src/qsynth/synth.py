@@ -25,6 +25,7 @@ from .blocks import (
     circuit_smatrix,
 )
 from .numkit import (
+    TOL,
     SvdFactors,
     as_matrix,
     max_abs,
@@ -37,68 +38,14 @@ from .numkit import (
 # any physical device could realize them.
 SIGMA_MAX = math.cosh(50.0)
 
-KIND_UNIT = "unit"
-KIND_LOSS = "loss"
-KIND_GAIN = "gain"
-
-
-@dataclass(frozen=True)
-class SynthesisConfig:
-    tol: float = 1e-10  # bound on both verification deviations, and the ancilla threshold
-
-    def __post_init__(self):
-        if not self.tol > 0:  # also rejects NaN
-            raise ValueError(f"tol must be positive, got {self.tol}")
-
-
-@dataclass(frozen=True)
-class ModeChannel:
-    """Classification of one nominal mode: its singular value and ancilla, if any."""
-
-    sigma: float
-    kind: str
-    ancilla: int | None
-
-
-@dataclass(frozen=True)
-class SingularClassification:
-    n_nominal: int
-    channels: tuple[ModeChannel, ...]
-
-    @property
-    def n_full_ancillas(self) -> int:
-        return sum(1 for ch in self.channels if ch.ancilla is not None)
-
-    @property
-    def n_total(self) -> int:
-        return self.n_nominal + self.n_full_ancillas
-
-    def sigmas(self) -> tuple[float, ...]:
-        return tuple(ch.sigma for ch in self.channels)
-
-
-@dataclass(frozen=True)
-class ElementCounts:
-    beam_splitters: int
-    phase_shifters: int
-    squeezers: int
-
-
-@dataclass(frozen=True)
-class CountBounds:
-    """Worst-case element counts for an n x m transformation."""
-
-    max_bs: int
-    max_ps: int
-    max_d: int
-
 
 @dataclass(frozen=True)
 class SynthesisResult:
+    """The verified circuit, its ``S_total``, the input's ``min(n, m)`` singular values and both deviations."""
+
     circuit: Circuit
     s_total: np.ndarray
-    classification: SingularClassification
-    counts: ElementCounts
+    singulars: tuple[float, ...]
     block_deviation: float
     quasiunitarity_deviation: float
 
@@ -116,26 +63,17 @@ class SynthesisError(RuntimeError):
         self.quasi_deviation = quasi_deviation
 
 
-def count_bounds(n: int, m: int) -> CountBounds:
-    """Element-count ceilings for an n x m input (D-stage elements counted in max_d)."""
-    if n < 1 or m < 1:
-        raise ValueError(f"dimensions must be >= 1, got {n}x{m}")
-    return CountBounds(
-        max_bs=n * (n - 1) // 2 + m * (m - 1) // 2,
-        max_ps=n * (n + 1) // 2 + m * (m + 1) // 2,
-        max_d=min(n, m),
-    )
+def couplings(singulars, tol: float, n_nominal: int) -> list[Element]:
+    """The D stage: one loss or gain coupling per singular value more than ``tol`` from 1.
 
-
-def classify_singulars(singulars, tol: float, n_nominal: int) -> SingularClassification:
-    """Assign each nominal mode a kind (unit/loss/gain) and, if needed, an ancilla.
-
-    A mode gets an ancilla iff ``|sigma - 1| > tol``; by Cauchy-Schwarz over a
-    row of U and a column of W, dropping the other couplings moves each block
-    entry by at most ``tol``.  ``singulars`` may be shorter than ``n_nominal``;
-    missing entries are the identity padding values, exactly 1.  Ancilla
-    indices are handed out in ascending mode order starting at ``n_nominal``.
+    Mode ``j`` is coupled iff ``|sigma_j - 1| > tol``; by Cauchy-Schwarz over a
+    row of U and a column of W, leaving the other modes uncoupled moves each
+    block entry by at most ``tol``.  ``singulars`` may be shorter than
+    ``n_nominal``; missing entries are the identity padding values, exactly 1.
+    Ancillas are numbered in ascending mode order starting at ``n_nominal``.
     """
+    if not tol > 0:  # also rejects NaN
+        raise ValueError(f"tol must be positive, got {tol}")
     sigmas = [float(s) for s in singulars]
     if len(sigmas) > n_nominal:
         raise ValueError(f"got {len(sigmas)} singular values for {n_nominal} nominal modes")
@@ -143,18 +81,8 @@ def classify_singulars(singulars, tol: float, n_nominal: int) -> SingularClassif
         raise ValueError(f"singular values must be non-negative, got {min(sigmas)}")
     if any(s > SIGMA_MAX for s in sigmas):
         raise ValueError(f"singular value {max(sigmas):.3e} exceeds the gain ceiling {SIGMA_MAX:.3e}")
-    sigmas += [1.0] * (n_nominal - len(sigmas))
-
-    channels = []
-    next_ancilla = n_nominal
-    for sigma in sigmas:
-        if abs(sigma - 1.0) <= tol:
-            channels.append(ModeChannel(sigma=sigma, kind=KIND_UNIT, ancilla=None))
-        else:
-            kind = KIND_LOSS if sigma < 1.0 else KIND_GAIN
-            channels.append(ModeChannel(sigma=sigma, kind=kind, ancilla=next_ancilla))
-            next_ancilla += 1
-    return SingularClassification(n_nominal=n_nominal, channels=tuple(channels))
+    coupled = [(j, sigma) for j, sigma in enumerate(sigmas) if abs(sigma - 1.0) > tol]
+    return [singular_element(j, n_nominal + k, sigma) for k, (j, sigma) in enumerate(coupled)]
 
 
 def pad_factors(factors: SvdFactors, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -173,24 +101,15 @@ def singular_element(j: int, m_aj: int, sigma: float) -> Element:
     return TwoModeSqueezer(mode_a=j, mode_b=m_aj, xi=math.acosh(sigma))
 
 
-def count_elements(circuit: Circuit) -> ElementCounts:
-    return ElementCounts(
-        beam_splitters=sum(1 for e in circuit.elements if isinstance(e, BeamSplitter)),
-        phase_shifters=sum(1 for e in circuit.elements if isinstance(e, PhaseShifter)),
-        squeezers=sum(1 for e in circuit.elements if isinstance(e, TwoModeSqueezer)),
-    )
-
-
-def synthesize(t, config: SynthesisConfig | None = None, factors: SvdFactors | None = None) -> SynthesisResult:
+def synthesize(t, tol: float = TOL, factors: SvdFactors | None = None) -> SynthesisResult:
     """Compile ``t`` into a circuit and its 2N x 2N scattering matrix.
 
     ``factors`` lets callers inject a pre-computed decomposition (useful for
-    reproducing a fixed factor gauge); it must reconstruct ``t`` within the
-    configured tolerance.  The returned matrix has ``t`` as its upper-left
-    block and is quasiunitary; both deviations are re-measured and a
-    :class:`SynthesisError` is raised if either exceeds ``config.tol``.
+    reproducing a fixed factor gauge); it must reconstruct ``t`` within
+    ``tol``.  The returned matrix has ``t`` as its upper-left block and is
+    quasiunitary; both deviations are re-measured and a
+    :class:`SynthesisError` is raised if either exceeds ``tol``.
     """
-    cfg = config or SynthesisConfig()
     t = as_matrix(t, "t")
     n, m = t.shape
     if n < 1 or m < 1:
@@ -199,35 +118,31 @@ def synthesize(t, config: SynthesisConfig | None = None, factors: SvdFactors | N
     if factors is None:
         factors = svd(t)
     else:
-        _check_factors(factors, t, cfg.tol)
+        _check_factors(factors, t, tol)
 
+    d_elements = couplings(factors.singulars, tol, max(n, m))
     u_pad, w_pad = pad_factors(factors, n, m)
-    classification = classify_singulars(factors.singulars, cfg.tol, max(n, m))
-    w_elements = mesh.reck_decompose(w_pad, cfg.tol)
-    u_elements = mesh.reck_decompose(u_pad, cfg.tol)
-    return verified(t, classification, w_elements, u_elements, cfg.tol)
+    w_elements = mesh.reck_decompose(w_pad, tol)
+    u_elements = mesh.reck_decompose(u_pad, tol)
+    return verified(t, factors.singulars, w_elements, d_elements, u_elements, tol)
 
 
-def verified(target: np.ndarray, classification: SingularClassification, w_elements, u_elements, tol: float) -> SynthesisResult:
-    """Circuit W, D (one coupling per ancilla), U for ``target``, with its checked ``S_total``.
+def verified(target: np.ndarray, singulars, w_elements, d_elements, u_elements, tol: float) -> SynthesisResult:
+    """Circuit W, D, U for ``target`` (one ancilla per D coupling), with its checked ``S_total``.
 
     Raises :class:`SynthesisError` unless ``S_total`` is quasiunitary and holds
     ``target`` in its upper-left block, both within ``tol``.
     """
     n, m = target.shape
-    n_nominal = classification.n_nominal
-    d_elements = [
-        singular_element(j, ch.ancilla, ch.sigma)
-        for j, ch in enumerate(classification.channels)
-        if ch.ancilla is not None
-    ]
+    n_nominal = max(n, m)
+    n_modes = n_nominal + len(d_elements)
     circuit = Circuit(
-        n_modes=classification.n_total,
+        n_modes=n_modes,
         n_nominal=n_nominal,
         elements=(*w_elements, *d_elements, *u_elements),
         ancilla_inputs=tuple(range(m, n_nominal)),
         ancilla_outputs=tuple(range(n, n_nominal)),
-        full_ancillas=tuple(range(n_nominal, classification.n_total)),
+        full_ancillas=tuple(range(n_nominal, n_modes)),
     )
     s_total = circuit_smatrix(circuit)
     block_dev = max_abs(upper_left_block(s_total, n, m) - target)
@@ -237,8 +152,7 @@ def verified(target: np.ndarray, classification: SingularClassification, w_eleme
     return SynthesisResult(
         circuit=circuit,
         s_total=s_total,
-        classification=classification,
-        counts=count_elements(circuit),
+        singulars=tuple(float(s) for s in singulars),
         block_deviation=block_dev,
         quasiunitarity_deviation=quasi_dev,
     )
@@ -261,21 +175,16 @@ def _check_factors(factors: SvdFactors, t: np.ndarray, tol: float) -> None:
 
 def verification_report(result: SynthesisResult) -> dict:
     """JSON-ready verification summary of a synthesis result."""
-    # Padding entries of the classification are exactly 1; the input's own
-    # singular values are the first min(n, m).
-    c = result.circuit
-    n = c.n_nominal - len(c.ancilla_inputs)
-    m = c.n_nominal - len(c.ancilla_outputs)
-    sigmas = result.classification.sigmas()[: min(n, m)]
+    elements = result.circuit.elements
     return {
         "schema": "qsynth/1",
         "quasiunitarity_deviation": result.quasiunitarity_deviation,
         "block_deviation": result.block_deviation,
-        "n_full_ancillas": result.classification.n_full_ancillas,
+        "n_full_ancillas": len(result.circuit.full_ancillas),
         "counts": {
-            "beam_splitters": result.counts.beam_splitters,
-            "phase_shifters": result.counts.phase_shifters,
-            "squeezers": result.counts.squeezers,
+            "beam_splitters": sum(isinstance(e, BeamSplitter) for e in elements),
+            "phase_shifters": sum(isinstance(e, PhaseShifter) for e in elements),
+            "squeezers": sum(isinstance(e, TwoModeSqueezer) for e in elements),
         },
-        "singular_values": [float(s) for s in sigmas],
+        "singular_values": list(result.singulars),
     }

@@ -5,8 +5,10 @@ over explicit permutations, unitaries come from QR orthonormalization, the
 coupling matrices are written out entry by entry, every element has a dense
 matrix lift (the definition the package's row-update kernel is checked
 against), the closed-form 2x2 parameters multiply out as dense 2x2 factors,
-and the lossy-beam-splitter network is a hand-checkable closed form in a fixed
-factor gauge.  Only the element dataclasses come from the package.
+the lossy-beam-splitter network is a hand-checkable closed form in a fixed
+factor gauge, and element counts, their worst-case bounds and each mode's
+channel kind are read off element lists.  Only the element dataclasses come
+from the package.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -247,6 +250,57 @@ LOSSY_BS_S_TOTAL = np.array(
     ],
     dtype=complex,
 )
+
+
+# --- element counts and the D stage, read off an element list ---------------
+
+
+@dataclass(frozen=True)
+class CountBounds:
+    """Worst-case element counts for an n x m transformation."""
+
+    max_bs: int
+    max_ps: int
+    max_d: int
+
+
+def count_bounds(n: int, m: int) -> CountBounds:
+    """Element-count ceilings for an n x m input (D-stage elements counted in max_d)."""
+    if n < 1 or m < 1:
+        raise ValueError(f"dimensions must be >= 1, got {n}x{m}")
+    return CountBounds(
+        max_bs=n * (n - 1) // 2 + m * (m - 1) // 2,
+        max_ps=n * (n + 1) // 2 + m * (m + 1) // 2,
+        max_d=min(n, m),
+    )
+
+
+def element_counts(elements) -> dict:
+    """Beam splitters, phase shifters and squeezers in an element list."""
+    return {
+        "beam_splitters": sum(1 for e in elements if isinstance(e, BeamSplitter)),
+        "phase_shifters": sum(1 for e in elements if isinstance(e, PhaseShifter)),
+        "squeezers": sum(1 for e in elements if isinstance(e, TwoModeSqueezer)),
+    }
+
+
+def channels(elements, n_nominal: int) -> list[tuple[str, int | None]]:
+    """``(kind, ancilla)`` of each nominal mode, read off the D-stage couplings in ``elements``.
+
+    A D-stage coupling joins a nominal mode to an ancilla (a mode index
+    ``>= n_nominal``): a beam splitter is a loss channel, a squeezer a gain
+    channel.  A mode with no coupling is a unit channel without an ancilla.
+    """
+    out: list[tuple[str, int | None]] = [("unit", None)] * n_nominal
+    for e in elements:
+        if not isinstance(e, PhaseShifter) and e.mode_b >= n_nominal:
+            out[e.mode_a] = ("gain" if isinstance(e, TwoModeSqueezer) else "loss", e.mode_b)
+    return out
+
+
+def circuit_kinds(circuit) -> list[str]:
+    """The kind of each nominal mode of a synthesized circuit."""
+    return [kind for kind, _ in channels(circuit.elements, circuit.n_nominal)]
 
 
 # --- 8x8 single-channel couplings, written out literally ----------------------

@@ -15,20 +15,14 @@ from qsynth.blocks import BeamSplitter, PhaseShifter, TwoModeSqueezer
 from qsynth.closedform2x2 import analytic_params, analytic_synthesize
 from qsynth.mesh import mesh_verify, reck_decompose
 from qsynth.numkit import (
+    TOL,
     SvdFactors,
     max_abs,
     quasiunitarity_deviation,
     upper_left_block,
 )
 from qsynth.sim import coherent_moments, evolve_moments, fock_evolve, passive_block
-from qsynth.synth import (
-    KIND_GAIN,
-    KIND_LOSS,
-    SynthesisConfig,
-    count_bounds,
-    singular_element,
-    synthesize,
-)
+from qsynth.synth import singular_element, synthesize
 from qsynth.apps import RankOnePovm
 
 from oracles import (
@@ -37,6 +31,9 @@ from oracles import (
     LOSSY_BS_T,
     LOSSY_BS_U,
     LOSSY_BS_W,
+    circuit_kinds,
+    count_bounds,
+    element_counts,
     embed_element,
     gain_coupling_8x8,
     loss_coupling_8x8,
@@ -94,10 +91,10 @@ def test_criterion_2_two_photon_statistics():
 @criterion("postselected controlled-Z gate", budget_s=5.0)
 def test_criterion_3_cz_gate():
     result = synthesize(cz_gate_target())
-    sigmas = result.classification.sigmas()
+    sigmas = result.singulars
     expected = (1.0, 1.0, math.sqrt(1 / 3), math.sqrt(1 / 3))
     assert max(abs(a - b) for a, b in zip(sigmas, expected)) < 1e-10
-    assert result.classification.n_full_ancillas == 2
+    assert len(result.circuit.full_ancillas) == 2
     verification = verify_cz(result)
     assert verification.phase_pattern == (-1, 1, 1, 1)
     for prob in verification.success_probs.values():
@@ -119,17 +116,19 @@ def test_criterion_4_randomized_method_suite():
         assert max_abs(upper_left_block(result.s_total, n, m) - t) < 1e-10
 
         raw_sigmas = np.linalg.svd(t, compute_uv=False)
-        expected_ancillas = int(np.sum(np.abs(raw_sigmas - 1.0) > SynthesisConfig().tol))
-        assert result.classification.n_full_ancillas == expected_ancillas
+        expected_ancillas = int(np.sum(np.abs(raw_sigmas - 1.0) > TOL))
+        assert len(result.circuit.full_ancillas) == expected_ancillas
 
         bounds = count_bounds(n, m)
-        n_loss = sum(1 for ch in result.classification.channels if ch.kind == KIND_LOSS)
+        counts = element_counts(result.circuit.elements)
+        kinds = circuit_kinds(result.circuit)
+        n_loss = kinds.count("loss")
         seen_loss += n_loss
-        seen_gain += sum(1 for ch in result.classification.channels if ch.kind == KIND_GAIN)
-        assert result.counts.beam_splitters - n_loss <= bounds.max_bs
-        assert result.counts.phase_shifters <= bounds.max_ps
-        assert result.counts.squeezers + n_loss <= bounds.max_d
-        assert result.counts.squeezers <= min(n, m)
+        seen_gain += kinds.count("gain")
+        assert counts["beam_splitters"] - n_loss <= bounds.max_bs
+        assert counts["phase_shifters"] <= bounds.max_ps
+        assert counts["squeezers"] + n_loss <= bounds.max_d
+        assert counts["squeezers"] <= min(n, m)
     # The sweep must actually exercise both attenuation and amplification.
     assert seen_loss > 0 and seen_gain > 0
 
@@ -172,8 +171,7 @@ def test_criterion_6_analytic_vs_numeric_2x2():
     # The analytic route orders singulars descending, so its mixed case puts
     # the gain channel first; both coupling kinds must appear.
     _, mixed = analytic_synthesize(np.diag([2.0, 0.5]).astype(complex))
-    kinds = [ch.kind for ch in mixed.classification.channels]
-    assert kinds == [KIND_GAIN, KIND_LOSS]
+    assert circuit_kinds(mixed.circuit) == ["gain", "loss"]
 
 
 @criterion("mesh round-trip (200 unitaries)", budget_s=30.0)

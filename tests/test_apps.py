@@ -14,7 +14,7 @@ from qsynth.numkit import max_abs, svd, unitarity_deviation
 from qsynth.sim import NotPassiveError
 from qsynth.synth import synthesize
 
-from oracles import random_unitary
+from oracles import element_counts, random_unitary
 
 
 def trine_povm() -> RankOnePovm:
@@ -111,9 +111,9 @@ def test_cz_target_values():
 
 def test_cz_network_verifies():
     result = synthesize(cz_gate_target())
-    assert result.classification.n_full_ancillas == 2
+    assert len(result.circuit.full_ancillas) == 2
     assert result.circuit.n_modes == 6
-    assert result.counts.squeezers == 0
+    assert element_counts(result.circuit.elements)["squeezers"] == 0
     v = verify_cz(result)
     assert v.success_prob == pytest.approx(1.0 / 9.0, abs=1e-10)
     assert v.phase_pattern == (-1, 1, 1, 1)

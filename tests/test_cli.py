@@ -1,8 +1,12 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsynth.cli import main
 from qsynth.numkit import matrix_from_json, matrix_to_json
@@ -51,6 +55,31 @@ def test_synth_malformed_json_exits_2(tmp_path, capsys):
     good_json_bad_matrix = tmp_path / "bad2.json"
     good_json_bad_matrix.write_text(json.dumps({"rows": 2, "cols": 2, "data": [[1, 0]]}))
     assert main(["synth", str(good_json_bad_matrix)]) == 2
+
+
+@pytest.mark.parametrize("entry", [[1], 5, [None, 0], [1, 2, 3], "x"])
+@pytest.mark.parametrize("command", ["synth", "analytic2x2"])
+def test_matrix_with_a_bad_pair_exits_2(tmp_path, capsys, command, entry):
+    matrix = tmp_path / "t.json"
+    matrix.write_text(json.dumps({"rows": 2, "cols": 2, "data": [[1, 0], entry, [0, 0], [1, 0]]}))
+    assert main([command, str(matrix)]) == 2
+    assert "[re, im] pair" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"dim": 1, "vectors": [[[1, 0, 0]]]},
+        {"dim": 1, "vectors": [[[1]]]},
+        {"dim": 1, "operators": [[[[1, 0, 0]]]]},
+        {"dim": "abc", "vectors": [[[1, 0]]]},
+        {"dim": 1.5, "vectors": [[[1, 0]]]},
+    ],
+)
+def test_naimark_malformed_povm_exits_2(tmp_path, capsys, doc):
+    povm_file = tmp_path / "povm.json"
+    povm_file.write_text(json.dumps(doc))
+    assert main(["naimark", str(povm_file)]) == 2
 
 
 def test_simulate_lossy_bs_fock(tmp_path, capsys):
@@ -255,3 +284,80 @@ def test_simulate_bad_predicate_exits_2(tmp_path, capsys, spec, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+# --- malformed documents, generated -------------------------------------------
+
+NUMBER = st.one_of(st.integers(-3, 3), st.floats(-2.0, 2.0))
+PAIR = st.lists(NUMBER, min_size=2, max_size=2)
+NOT_A_LIST = st.one_of(NUMBER, st.text(max_size=3), st.none(), st.dictionaries(st.text(max_size=2), NUMBER, max_size=2))
+BAD_PAIR = st.one_of(
+    st.lists(NUMBER, max_size=4).filter(lambda pair: len(pair) != 2),
+    NOT_A_LIST,
+    st.tuples(st.one_of(st.none(), st.text(max_size=2), PAIR), NUMBER).map(list),
+    st.tuples(NUMBER, st.one_of(st.none(), st.text(max_size=2), PAIR)).map(list),
+)
+NOT_AN_INTEGER = st.one_of(
+    st.text(max_size=3), st.none(), st.floats().filter(lambda x: not x.is_integer()), st.lists(st.integers(0, 3), max_size=2)
+)
+NOT_AN_OBJECT = st.one_of(NUMBER, st.text(max_size=3), st.none(), st.lists(NUMBER, max_size=3))
+
+
+def _corrupt_one(draw, doc: dict, grid: list, keys: dict) -> object:
+    """``doc`` with exactly one defect: a bad pair in ``grid``, a bad value for one of ``keys``, or a missing key."""
+    how = draw(st.sampled_from(("pair", "key", "missing", "document")))
+    if how == "pair":
+        path = draw(st.sampled_from(grid))
+        *outer, last = path
+        target = doc
+        for i in outer:
+            target = target[i]
+        target[last] = draw(BAD_PAIR)
+    elif how == "key":
+        key = draw(st.sampled_from(sorted(keys)))
+        doc[key] = draw(keys[key])
+    elif how == "missing":
+        del doc[draw(st.sampled_from(sorted(set(doc) & {"rows", "cols", "data", "vectors", "operators"})))]
+    else:
+        return draw(NOT_AN_OBJECT)
+    return doc
+
+
+@st.composite
+def malformed_matrix(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    doc = {"rows": rows, "cols": cols, "data": draw(st.lists(PAIR, min_size=rows * cols, max_size=rows * cols))}
+    grid = [("data", i) for i in range(rows * cols)]
+    keys = {
+        "rows": st.one_of(NOT_AN_INTEGER, st.integers(-4, 6).filter(lambda r: r != rows)),
+        "cols": st.one_of(NOT_AN_INTEGER, st.integers(-4, 6).filter(lambda c: c != cols)),
+        "data": NOT_A_LIST,
+    }
+    return draw(st.sampled_from(("synth", "analytic2x2"))), _corrupt_one(draw, doc, grid, keys)
+
+
+@st.composite
+def malformed_povm(draw):
+    dim, outcomes = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        vectors = [draw(st.lists(PAIR, min_size=dim, max_size=dim)) for _ in range(outcomes)]
+        doc = {"dim": dim, "vectors": vectors}
+        grid = [("vectors", k, i) for k in range(outcomes) for i in range(dim)]
+        # Vectors that decode are a valid POVM input, so a bad dim is the only defect.
+        keys = {"dim": st.one_of(NOT_AN_INTEGER, st.integers(-4, 6).filter(lambda d: d != dim)), "vectors": NOT_A_LIST}
+    else:
+        ops = [[draw(st.lists(PAIR, min_size=dim, max_size=dim)) for _ in range(dim)] for _ in range(outcomes)]
+        doc = {"dim": dim, "operators": ops}
+        grid = [("operators", k, i, j) for k in range(outcomes) for i in range(dim) for j in range(dim)]
+        keys = {"operators": NOT_A_LIST}
+    return "naimark", _corrupt_one(draw, doc, grid, keys)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(malformed_matrix(), malformed_povm()))
+def test_malformed_documents_exit_2(case):
+    command, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 2

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,9 +7,7 @@ import pytest
 from qsynth.blocks import BeamSplitter, TwoModeSqueezer
 from qsynth.closedform2x2 import analytic_params, analytic_synthesize, params_to_json
 from qsynth.numkit import max_abs, upper_left_block
-from qsynth.synth import KIND_GAIN, KIND_LOSS
-
-from oracles import LOSSY_BS_T, embed_element, reconstruct_params
+from oracles import LOSSY_BS_T, circuit_kinds, embed_element, reconstruct_params
 
 
 def random_2x2(rng, radius=2.0):
@@ -86,7 +85,7 @@ def test_unitary_input_has_empty_modulation_stage():
     t = np.array([[0, 1], [1, 0]], dtype=complex)  # swap, t11 = 0 edge case
     _, result = analytic_synthesize(t)
     assert result.circuit.n_modes == 2
-    assert result.classification.n_full_ancillas == 0
+    assert len(result.circuit.full_ancillas) == 0
     assert all(e.mode_b < 2 for e in result.circuit.elements if isinstance(e, BeamSplitter))
     assert max_abs(upper_left_block(result.s_total, 2, 2) - t) < 1e-12
 
@@ -96,8 +95,7 @@ def test_mixed_case_uses_both_coupling_patterns():
     p, result = analytic_synthesize(t)
     assert p.sigma1 == pytest.approx(2.0)
     assert p.sigma2 == pytest.approx(0.5)
-    kinds = [ch.kind for ch in result.classification.channels]
-    assert kinds == [KIND_GAIN, KIND_LOSS]
+    assert circuit_kinds(result.circuit) == ["gain", "loss"]
     assert result.circuit.n_modes == 4
 
     gain = [e for e in result.circuit.elements if isinstance(e, TwoModeSqueezer)]
@@ -181,6 +179,38 @@ def test_triangular_chain_identity():
             @ ps(0, -p.xi1)
         )
         assert max_abs(chain - t) < 1e-11
+
+
+def test_huge_entries_report_the_true_singular_value():
+    # Squaring 1e200 would overflow: the ceiling error must name 1.000e+200, not inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"1\.000e\+200"):
+            analytic_synthesize(np.diag([1e200, 1.0]))
+
+
+def test_tiny_entries_keep_their_singular_values():
+    # Squaring 1e-170 would underflow to 0.
+    p = analytic_params(np.diag([1e-170, 2e-170]))
+    assert p.sigma1 == pytest.approx(2e-170, rel=1e-14, abs=0.0)
+    assert p.sigma2 == pytest.approx(1e-170, rel=1e-14, abs=0.0)
+    t = np.array([[1e-170, 1e-170j], [0.0, -2e-170]])
+    p = analytic_params(t)
+    assert [p.sigma1, p.sigma2] == pytest.approx(np.linalg.svd(t, compute_uv=False), rel=1e-12, abs=0.0)
+
+
+def test_power_of_two_scaling_leaves_params_unchanged():
+    # Scaling t by 2^j scales sigma1 and sigma2 by 2^j and leaves every angle bitwise equal.
+    rng = np.random.default_rng(65)
+    for _ in range(200):
+        t = random_2x2(rng)
+        p = analytic_params(t)
+        for j in (-600, -30, 30, 600):
+            q = analytic_params(t * 2.0**j)
+            assert (math.ldexp(p.sigma1, j), math.ldexp(p.sigma2, j)) == (q.sigma1, q.sigma2)
+            assert [getattr(p, f) for f in p.__dataclass_fields__ if not f.startswith("sigma")] == [
+                getattr(q, f) for f in q.__dataclass_fields__ if not f.startswith("sigma")
+            ]
 
 
 def test_params_json():

@@ -4,6 +4,7 @@ import pytest
 from qsynth.numkit import (
     SvdFactors,
     as_matrix,
+    complex_from_json,
     g_metric,
     matrix_from_json,
     matrix_to_json,
@@ -178,3 +179,28 @@ def test_matrix_json_rejects_malformed():
         matrix_from_json({"rows": 2, "data": []})
     with pytest.raises(ValueError):
         matrix_from_json(["not", "a", "matrix"])
+
+
+@pytest.mark.parametrize(
+    "data",
+    [[1], [1, 2, 3], 5, "12", None, [None, 0], ["1", 0], [[1], 0], {"re": 1, "im": 0}, [10**400, 0]],
+)
+def test_pair_decoder_rejects_anything_but_two_numbers(data):
+    with pytest.raises(ValueError):
+        complex_from_json(data)
+    with pytest.raises(ValueError):
+        matrix_from_json({"rows": 1, "cols": 1, "data": [data]})
+
+
+def test_pair_decoder_nests():
+    assert complex_from_json([1, -2.5]) == 1 - 2.5j
+    assert complex_from_json([[[1, 0], [0, 1]], []], depth=2) == [[1, 1j], []]
+    for bad in ([1, 0], [[1, 0], 5]):  # depth 2 needs a list of lists of pairs
+        with pytest.raises(ValueError):
+            complex_from_json(bad, depth=2)
+
+
+@pytest.mark.parametrize("rows, cols", [(-1, -1), (2.0, 1), ("2", 1), (None, 1), (True, 3)])
+def test_matrix_json_rejects_bad_shape(rows, cols):
+    with pytest.raises(ValueError):
+        matrix_from_json({"rows": rows, "cols": cols, "data": [[1, 0], [0, 1]]})

@@ -43,6 +43,17 @@ def test_passive_block_rejects_gain():
     assert info.value.max_entry == pytest.approx(math.sqrt(3.0))
 
 
+@pytest.mark.parametrize("row, col, value", [(1, 2, 0.3), (3, 0, 0.4)])
+def test_passive_block_reports_position_in_s_total(row, col, value):
+    # One entry in the upper-right, then the lower-left off-diagonal block.
+    s = np.eye(4, dtype=complex)
+    s[row, col] = value
+    with pytest.raises(NotPassiveError) as info:
+        passive_block(s)
+    assert info.value.position == (row, col)
+    assert info.value.max_entry == pytest.approx(value)
+
+
 def test_fock_identity_passthrough():
     state = fock_evolve(np.eye(3), (2, 0, 1))
     assert state.amplitudes == {(2, 0, 1): pytest.approx(1.0)}

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -6,15 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsynth.blocks import BeamSplitter, TwoModeSqueezer
-from qsynth.numkit import SvdFactors, max_abs, quasiunitarity_deviation, svd, upper_left_block
+from qsynth.closedform2x2 import analytic_synthesize
+from qsynth.numkit import TOL, SvdFactors, max_abs, quasiunitarity_deviation, svd, upper_left_block
 from qsynth.synth import (
-    KIND_GAIN,
-    KIND_LOSS,
-    KIND_UNIT,
     SIGMA_MAX,
-    SynthesisConfig,
-    classify_singulars,
-    count_bounds,
+    couplings,
     pad_factors,
     singular_element,
     synthesize,
@@ -31,6 +28,10 @@ from oracles import (
     LOSSY_BS_T,
     LOSSY_BS_U,
     LOSSY_BS_W,
+    channels,
+    circuit_kinds,
+    count_bounds,
+    element_counts,
     embed_element,
     gain_coupling_8x8,
     lift_unitary_factor,
@@ -59,35 +60,36 @@ def test_count_bounds_rejects_degenerate():
 
 
 def test_classify_lossy_bs():
-    c = classify_singulars((1.0, 0.0), 1e-9, 2)
-    assert c.n_full_ancillas == 1
-    assert c.n_total == 3
-    assert c.channels[0].kind == KIND_UNIT and c.channels[0].ancilla is None
-    assert c.channels[1].kind == KIND_LOSS and c.channels[1].ancilla == 2
+    d = couplings((1.0, 0.0), 1e-9, 2)
+    assert len(d) == 1
+    assert 2 + len(d) == 3
+    assert channels(d, 2) == [("unit", None), ("loss", 2)]
+    assert d == [singular_element(1, 2, 0.0)]
 
 
 def test_classify_cz_singulars():
     sigmas = (1.0, 1.0, math.sqrt(1 / 3), math.sqrt(1 / 3))
-    c = classify_singulars(sigmas, 1e-9, 4)
-    assert c.n_full_ancillas == 2
-    assert c.n_total == 6
-    assert [ch.ancilla for ch in c.channels] == [None, None, 4, 5]
+    d = couplings(sigmas, 1e-9, 4)
+    assert len(d) == 2
+    assert 4 + len(d) == 6
+    assert [ancilla for _, ancilla in channels(d, 4)] == [None, None, 4, 5]
 
 
 def test_classify_threshold_boundary():
     eps = 1e-6
-    c = classify_singulars((1.0 + eps / 2, 1.0 - eps / 2), eps, 2)
-    assert all(ch.kind == KIND_UNIT for ch in c.channels)
+    d = couplings((1.0 + eps / 2, 1.0 - eps / 2), eps, 2)
+    assert d == []
+    assert all(kind == "unit" for kind, _ in channels(d, 2))
 
 
 def test_classify_pads_with_unit_values():
-    c = classify_singulars((0.5,), 1e-9, 3)
-    assert [ch.kind for ch in c.channels] == [KIND_LOSS, KIND_UNIT, KIND_UNIT]
+    d = couplings((0.5,), 1e-9, 3)
+    assert [kind for kind, _ in channels(d, 3)] == ["loss", "unit", "unit"]
 
 
 def test_classify_rejects_negative():
     with pytest.raises(ValueError):
-        classify_singulars((-0.1,), 1e-9, 1)
+        couplings((-0.1,), 1e-9, 1)
 
 
 def padded_diagonal(f, n_pad):
@@ -97,14 +99,20 @@ def padded_diagonal(f, n_pad):
 
 def test_classify_rejects_gain_above_ceiling():
     with pytest.raises(ValueError, match="gain ceiling"):
-        classify_singulars((2.0 * SIGMA_MAX, 0.5), 1e-10, 2)
+        couplings((2.0 * SIGMA_MAX, 0.5), 1e-10, 2)
 
 
-def test_config_keeps_only_a_positive_tol():
-    assert list(SynthesisConfig.__dataclass_fields__) == ["tol"]
+def test_synthesis_keeps_only_a_positive_tol():
+    assert list(inspect.signature(synthesize).parameters) == ["t", "tol", "factors"]
+    assert list(inspect.signature(analytic_synthesize).parameters) == ["t", "tol"]
+    assert inspect.signature(synthesize).parameters["tol"].default == TOL == 1e-10
     for bad in (0.0, -1e-10, math.nan):
-        with pytest.raises(ValueError):
-            SynthesisConfig(tol=bad)
+        with pytest.raises(ValueError, match="positive"):
+            couplings((0.5,), bad, 1)
+        with pytest.raises(ValueError, match="positive"):
+            synthesize(LOSSY_BS_T, bad)
+        with pytest.raises(ValueError, match="positive"):
+            analytic_synthesize(LOSSY_BS_T, bad)
 
 
 def test_pad_factors_square_unchanged():
@@ -174,11 +182,11 @@ def test_lift_singular_matches_8x8_coupling_fixtures():
 
 def test_synthesize_lossy_bs_free_svd():
     r = synthesize(LOSSY_BS_T)
-    assert r.classification.n_full_ancillas == 1
+    assert len(r.circuit.full_ancillas) == 1
     assert r.circuit.n_modes == 3
     assert r.block_deviation < 1e-10
     assert r.quasiunitarity_deviation < 1e-10
-    assert r.counts.squeezers == 0
+    assert element_counts(r.circuit.elements)["squeezers"] == 0
 
 
 def test_synthesize_lossy_bs_with_injected_factors():
@@ -191,8 +199,8 @@ def test_synthesize_unitary_reduces_to_mesh():
     rng = np.random.default_rng(43)
     u = random_unitary(rng, 4)
     r = synthesize(u)
-    assert r.classification.n_full_ancillas == 0
-    assert r.counts.squeezers == 0
+    assert len(r.circuit.full_ancillas) == 0
+    assert element_counts(r.circuit.elements)["squeezers"] == 0
     assert r.circuit.n_modes == 4
     assert max_abs(r.s_total[:4, :4] - u) < 1e-11
 
@@ -200,10 +208,10 @@ def test_synthesize_unitary_reduces_to_mesh():
 def test_synthesize_mixed_loss_and_gain_diagonal():
     r = synthesize(np.diag([0.5, 2.0]).astype(complex))
     assert r.circuit.n_modes == 4
-    kinds = sorted(ch.kind for ch in r.classification.channels)
-    assert kinds == [KIND_GAIN, KIND_LOSS]
+    kinds = sorted(circuit_kinds(r.circuit))
+    assert kinds == ["gain", "loss"]
     # Descending singulars put the gain channel on mode 0.
-    assert r.classification.channels[0].kind == KIND_GAIN
+    assert circuit_kinds(r.circuit)[0] == "gain"
     d_elements = [e for e in r.circuit.elements if isinstance(e, TwoModeSqueezer)]
     assert d_elements == [TwoModeSqueezer(mode_a=0, mode_b=2, xi=pytest.approx(math.acosh(2.0)))]
     loss_elements = [
@@ -234,7 +242,7 @@ def test_synthesize_tall_input_records_input_ancillas():
 def test_synthesize_near_unit_sigma_compiles_to_nothing():
     t = np.diag([1.0 + 5e-11, 2.0]).astype(complex)
     r = synthesize(t)
-    assert r.classification.n_full_ancillas == 1
+    assert len(r.circuit.full_ancillas) == 1
 
 
 @pytest.mark.parametrize("offset", [5e-10, 9e-10])
@@ -242,9 +250,10 @@ def test_synthesize_sigma_just_beyond_tol_gets_an_ancilla(offset):
     # The ancilla threshold is the block tolerance: a singular value 5e-10 or
     # 9e-10 from 1 gets its own coupling, so the block check holds.
     r = synthesize(np.diag([1.0 + offset, 0.5]).astype(complex))
-    assert r.classification.channels[0].kind == KIND_GAIN
-    assert r.classification.channels[0].ancilla is not None
-    assert r.classification.n_full_ancillas == 2
+    kind, ancilla = channels(r.circuit.elements, r.circuit.n_nominal)[0]
+    assert kind == "gain"
+    assert ancilla is not None
+    assert len(r.circuit.full_ancillas) == 2
     assert r.block_deviation < 1e-10
     assert r.quasiunitarity_deviation < 1e-10
 
@@ -252,10 +261,10 @@ def test_synthesize_sigma_just_beyond_tol_gets_an_ancilla(offset):
 @pytest.mark.parametrize("offset", [5e-11, -5e-11])
 def test_synthesize_sigma_within_tol_compiles_to_no_element(offset):
     r = synthesize(np.diag([1.0 + offset, 0.5]).astype(complex))
-    near = [j for j, ch in enumerate(r.classification.channels) if abs(ch.sigma - 1.0) < 1e-9]
+    near = [j for j, sigma in enumerate(r.singulars) if abs(sigma - 1.0) < 1e-9]
     assert len(near) == 1
-    assert r.classification.channels[near[0]].ancilla is None
-    assert r.classification.n_full_ancillas == 1
+    assert channels(r.circuit.elements, r.circuit.n_nominal)[near[0]] == ("unit", None)
+    assert len(r.circuit.full_ancillas) == 1
     coupled = {e.mode_a for e in r.circuit.elements if getattr(e, "mode_b", 0) >= r.circuit.n_nominal}
     assert near[0] not in coupled
 
@@ -286,10 +295,9 @@ def test_near_unit_spectra_verify_with_tol_as_ancilla_threshold(case):
     k = min(n, m)
     t = random_unitary(rng, n)[:, :k] @ np.diag(sigmas) @ random_unitary(rng, m)[:k, :]
     r = synthesize(t)  # raises SynthesisError if either check fails
-    tol = SynthesisConfig().tol
     expected = sorted(sigmas, reverse=True) + [1.0] * (max(n, m) - k)
-    for sigma, ch in zip(expected, r.classification.channels):
-        assert (ch.ancilla is not None) == (abs(sigma - 1.0) > tol)
+    for sigma, (_, ancilla) in zip(expected, channels(r.circuit.elements, r.circuit.n_nominal)):
+        assert (ancilla is not None) == (abs(sigma - 1.0) > TOL)
 
 
 def test_synthesize_rejects_huge_gain():
@@ -329,18 +337,19 @@ def test_synthesize_respects_element_bounds():
         t = rng.uniform(0.4, 2.2) * (rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))) / max(n, m)
         r = synthesize(t)
         bounds = count_bounds(n, m)
-        n_loss = sum(1 for ch in r.classification.channels if ch.kind == KIND_LOSS)
-        assert r.counts.beam_splitters - n_loss <= bounds.max_bs
-        assert r.counts.phase_shifters <= bounds.max_ps
-        assert r.counts.squeezers + n_loss <= bounds.max_d
-        assert r.counts.squeezers <= min(n, m)
+        counts = element_counts(r.circuit.elements)
+        n_loss = circuit_kinds(r.circuit).count("loss")
+        assert counts["beam_splitters"] - n_loss <= bounds.max_bs
+        assert counts["phase_shifters"] <= bounds.max_ps
+        assert counts["squeezers"] + n_loss <= bounds.max_d
+        assert counts["squeezers"] <= min(n, m)
 
 
 def test_synthesize_1x1_channels():
     r = synthesize(np.array([[0.0]], dtype=complex))
     assert [type(e) for e in r.circuit.elements] == [BeamSplitter]
     r = synthesize(np.array([[-2.0]], dtype=complex))
-    assert r.classification.channels[0].kind == KIND_GAIN
+    assert circuit_kinds(r.circuit)[0] == "gain"
     assert max_abs(upper_left_block(r.s_total, 1, 1) - [[-2.0]]) < 1e-12
 
 
@@ -350,6 +359,7 @@ def test_verification_report_contents():
     assert report["schema"] == "qsynth/1"
     assert report["n_full_ancillas"] == 1
     assert report["counts"]["squeezers"] == 0
+    assert report["counts"] == element_counts(r.circuit.elements)
     assert np.allclose(report["singular_values"], [1.0, 0.0], atol=1e-12)
     assert report["quasiunitarity_deviation"] < 1e-10
     assert report["block_deviation"] < 1e-10
