@@ -9,21 +9,18 @@ from .blocks import (
     Element,
     PhaseShifter,
     TwoModeSqueezer,
-    apply_element,
     circuit_from_json,
     circuit_smatrix,
     circuit_to_json,
 )
 from .closedform2x2 import Params2x2, analytic_params, analytic_synthesize
-from .mesh import NotUnitaryError, mesh_verify, reck_decompose
+from .mesh import NotUnitaryError, reck_decompose
 from .numkit import (
     SvdFactors,
-    g_metric,
     matrix_from_json,
     matrix_to_json,
     quasiunitarity_deviation,
     svd,
-    upper_left_block,
 )
 from .apps import RankOnePovm, cz_gate_target, naimark_extension, povm_probabilities, verify_cz
 from .sim import (
@@ -34,9 +31,7 @@ from .sim import (
     evolve_moments,
     fock_evolve,
     passive_block,
-    physicality_residual,
     postselect,
-    vacuum_moments,
 )
 from .synth import SynthesisError, SynthesisResult, couplings, pad_factors, synthesize, verification_report
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -92,21 +93,24 @@ class Circuit:
             raise ValueError("padding ancillas must lie inside the nominal range")
         if any(not (self.n_nominal <= i < self.n_modes) for i in full):
             raise ValueError("full ancillas must lie above the nominal range")
-        for e in self.elements:
-            if any(not (0 <= m < self.n_modes) for m in element_modes(e)):
-                raise ValueError(f"element {e} references a mode >= n_modes = {self.n_modes}")
+        check_modes(self.elements, self.n_modes)
 
 
-def apply_element(s: np.ndarray, e: Element, n_modes: int) -> np.ndarray:
+def check_modes(elements, n_modes: int) -> None:
+    """Raise ValueError unless every element's modes lie in ``0..n_modes-1``."""
+    for e in elements:
+        if any(not (0 <= m < n_modes) for m in element_modes(e)):
+            raise ValueError(f"element {e} references a mode outside 0..{n_modes - 1}")
+
+
+def _apply(s: np.ndarray, e: Element, n_modes: int) -> None:
     """Left-multiply ``s`` (2N rows, or N rows for a passive network) by ``e`` in place.
 
     Only the rows of the element's modes change, plus their creation partners
-    ``p + N`` when ``s`` has 2N rows; a squeezer needs those partners.
+    ``p + N`` when ``s`` has 2N rows; a squeezer needs those partners.  Callers
+    check the element list once: modes in range, and no squeezer on N rows.
     """
-    _check_modes(e, n_modes)
     n = n_modes
-    if s.shape[0] not in (n, 2 * n):
-        raise ValueError(f"matrix has {s.shape[0]} rows, expected {n} or {2 * n}")
     lifted = s.shape[0] == 2 * n
     if isinstance(e, PhaseShifter):
         rot = cmath.exp(1j * e.phi)
@@ -118,13 +122,10 @@ def apply_element(s: np.ndarray, e: Element, n_modes: int) -> np.ndarray:
         _mix_rows(s, e.mode_a, e.mode_b, c, sn, -sn, c)
         if lifted:
             _mix_rows(s, e.mode_a + n, e.mode_b + n, c, sn, -sn, c)
-    elif not lifted:
-        raise ValueError("a two-mode squeezer has no single-particle unitary")
     else:
         ch, sh = math.cosh(e.xi), math.sinh(e.xi)
         _mix_rows(s, e.mode_a, e.mode_b + n, ch, sh, sh, ch)
         _mix_rows(s, e.mode_b, e.mode_a + n, ch, sh, sh, ch)
-    return s
 
 
 def _mix_rows(s: np.ndarray, i: int, j: int, m00: float, m01: float, m10: float, m11: float) -> None:
@@ -136,13 +137,8 @@ def circuit_smatrix(c: Circuit) -> np.ndarray:
     """2N x 2N scattering matrix of the circuit: its elements applied in order."""
     s = np.eye(2 * c.n_modes, dtype=complex)
     for e in c.elements:
-        apply_element(s, e, c.n_modes)
+        _apply(s, e, c.n_modes)
     return s
-
-
-def _check_modes(e: Element, n_modes: int) -> None:
-    if any(not (0 <= m < n_modes) for m in element_modes(e)):
-        raise ValueError(f"element {e} references a mode outside 0..{n_modes - 1}")
 
 
 # --- netlist JSON -----------------------------------------------------------
@@ -166,18 +162,26 @@ def element_to_json(e: Element) -> dict:
     return {"type": "tms", "modes": [e.mode_a, e.mode_b], "xi": e.xi}
 
 
+def _finite(x) -> float:
+    """A finite JSON number as a float; anything else raises ValueError."""
+    # math.isfinite raises OverflowError for an int beyond the float range.
+    if not isinstance(x, (int, float)) or not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {x!r}")
+    return float(x)
+
+
 def element_from_json(obj) -> Element:
+    """Decode one element; modes must be JSON integers and angles finite JSON numbers."""
     try:
         kind = obj["type"]
         if kind == "ps":
-            return PhaseShifter(mode=int(obj["mode"]), phi=float(obj["phi"]))
-        if kind == "bs":
-            a, b = obj["modes"]
-            return BeamSplitter(mode_a=int(a), mode_b=int(b), theta=float(obj["theta"]))
-        if kind == "tms":
-            a, b = obj["modes"]
-            return TwoModeSqueezer(mode_a=int(a), mode_b=int(b), xi=float(obj["xi"]))
-    except (TypeError, KeyError, ValueError) as exc:
+            return PhaseShifter(mode=operator.index(obj["mode"]), phi=_finite(obj["phi"]))
+        if kind in ("bs", "tms"):
+            a, b = map(operator.index, obj["modes"])
+            if kind == "bs":
+                return BeamSplitter(mode_a=a, mode_b=b, theta=_finite(obj["theta"]))
+            return TwoModeSqueezer(mode_a=a, mode_b=b, xi=_finite(obj["xi"]))
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed element JSON {obj!r}: {exc}") from exc
     raise ValueError(f"unknown element type {kind!r}")
 
@@ -194,15 +198,22 @@ def circuit_to_json(c: Circuit) -> dict:
     }
 
 
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
 def circuit_from_json(obj) -> Circuit:
+    """Decode a netlist; counts and indices must be JSON integers and every list a JSON list."""
     try:
         return Circuit(
-            n_modes=int(obj["n_modes"]),
-            n_nominal=int(obj["n_nominal"]),
-            elements=tuple(element_from_json(e) for e in obj["elements"]),
-            ancilla_inputs=tuple(int(i) for i in obj.get("ancilla_inputs", [])),
-            ancilla_outputs=tuple(int(i) for i in obj.get("ancilla_outputs", [])),
-            full_ancillas=tuple(int(i) for i in obj.get("full_ancillas", [])),
+            n_modes=operator.index(obj["n_modes"]),
+            n_nominal=operator.index(obj["n_nominal"]),
+            elements=tuple(element_from_json(e) for e in _list(obj["elements"])),
+            ancilla_inputs=tuple(map(operator.index, _list(obj.get("ancilla_inputs", [])))),
+            ancilla_outputs=tuple(map(operator.index, _list(obj.get("ancilla_outputs", [])))),
+            full_ancillas=tuple(map(operator.index, _list(obj.get("full_ancillas", [])))),
         )
     except (TypeError, KeyError) as exc:
         raise ValueError(f"malformed netlist JSON: {exc}") from exc

@@ -16,7 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .blocks import BeamSplitter, Element, PhaseShifter
+from .blocks import SCHEMA, BeamSplitter, Element, PhaseShifter
 from .mesh import PRUNE_EPS, wrap_angle
 from .numkit import TOL, as_matrix
 from .synth import SynthesisResult, couplings, verified
@@ -150,5 +150,5 @@ def analytic_synthesize(t, tol: float = TOL) -> tuple[Params2x2, SynthesisResult
 
 def params_to_json(p: Params2x2) -> dict:
     out = {name: float(getattr(p, name)) for name in p.__dataclass_fields__}
-    out["schema"] = "qsynth/1"
+    out["schema"] = SCHEMA
     return out

@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from .blocks import BeamSplitter, Element, PhaseShifter, apply_element
-from .numkit import TOL, as_matrix, max_abs, unitarity_deviation
+from .blocks import BeamSplitter, Element, PhaseShifter, TwoModeSqueezer, _apply, check_modes
+from .numkit import TOL, as_matrix, unitarity_deviation
 
 # Parameters this close to 0 (mod 2*pi for phases) produce identity elements
 # and are dropped from the netlist.
@@ -100,14 +100,12 @@ def reck_decompose(u, tol: float = TOL) -> list[Element]:
 
 
 def reconstruct(elements, n_modes: int) -> np.ndarray:
-    """n x n unitary implemented by the element list (last element leftmost)."""
+    """n x n unitary implemented by a passive element list (last element leftmost)."""
+    elements = tuple(elements)
+    check_modes(elements, n_modes)
+    if any(isinstance(e, TwoModeSqueezer) for e in elements):
+        raise ValueError("a two-mode squeezer has no single-particle unitary")
     m = np.eye(n_modes, dtype=complex)
     for e in elements:
-        apply_element(m, e, n_modes)
+        _apply(m, e, n_modes)
     return m
-
-
-def mesh_verify(elements, u) -> float:
-    """Max entry deviation between the reconstructed element product and ``u``."""
-    u = as_matrix(u, "u")
-    return max_abs(reconstruct(elements, u.shape[0]) - u)

@@ -38,21 +38,14 @@ def max_abs(m) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
-def g_metric(n_modes: int) -> np.ndarray:
-    """The 2N x 2N diagonal metric with +1 on the first N entries, -1 on the rest."""
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    return np.diag(np.concatenate([np.ones(n_modes), -np.ones(n_modes)])).astype(complex)
-
-
 def quasiunitarity_deviation(s) -> float:
     """Max entry magnitude of ``S G S^dag - G``; zero iff ``S`` is quasiunitary."""
     s = as_matrix(s, "s")
     rows, cols = s.shape
     if rows != cols or rows % 2 != 0:
         raise ValueError(f"s must be square with even dimension, got {rows}x{cols}")
-    g = g_metric(rows // 2)
-    return max_abs(s @ g @ s.conj().T - g)
+    g = np.repeat([1.0, -1.0], rows // 2)  # the diagonal of G
+    return max_abs((s * g) @ s.conj().T - np.diag(g))
 
 
 def unitarity_deviation(u) -> float:
@@ -61,14 +54,6 @@ def unitarity_deviation(u) -> float:
     if u.shape[0] != u.shape[1]:
         raise ValueError(f"u must be square, got {u.shape}")
     return max_abs(u.conj().T @ u - np.eye(u.shape[0]))
-
-
-def upper_left_block(s, n: int, m: int) -> np.ndarray:
-    """The n x m submatrix in the upper-left corner of ``s``."""
-    s = as_matrix(s, "s")
-    if not (0 <= n <= s.shape[0] and 0 <= m <= s.shape[1]):
-        raise ValueError(f"block {n}x{m} out of range for {s.shape[0]}x{s.shape[1]} matrix")
-    return s[:n, :m].copy()
 
 
 @dataclass(frozen=True)

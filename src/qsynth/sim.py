@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
-from .numkit import TOL, as_matrix, max_abs, unitarity_deviation
+from .numkit import TOL, as_matrix, unitarity_deviation
 
 MAX_PHOTONS = 6
 MAX_FOCK_MODES = 8
@@ -40,15 +40,6 @@ class FockState:
 
     n_modes: int
     amplitudes: dict[tuple[int, ...], complex]
-
-    def norm_squared(self) -> float:
-        return sum(abs(a) ** 2 for a in self.amplitudes.values())
-
-    def probability(self, occupation: Iterable[int]) -> float:
-        return abs(self.amplitudes.get(tuple(occupation), 0.0)) ** 2
-
-    def probability_where(self, predicate: Callable[[tuple[int, ...]], bool]) -> float:
-        return sum(abs(a) ** 2 for occ, a in self.amplitudes.items() if predicate(occ))
 
 
 def passive_block(s_total, tol: float = TOL) -> np.ndarray:
@@ -143,14 +134,6 @@ class GaussianMoments:
     mean: np.ndarray
     second: np.ndarray
 
-    @property
-    def n_modes(self) -> int:
-        return len(self.mean) // 2
-
-
-def vacuum_moments(n_modes: int) -> GaussianMoments:
-    return coherent_moments(np.zeros(n_modes, dtype=complex))
-
 
 def coherent_moments(alpha) -> GaussianMoments:
     """Moments of a product coherent state with amplitudes ``alpha`` (vacuum noise)."""
@@ -173,24 +156,3 @@ def evolve_moments(s_total, moments: GaussianMoments) -> GaussianMoments:
         )
     return GaussianMoments(mean=s @ moments.mean, second=s @ moments.second @ s.conj().T)
 
-
-def physicality_residual(moments: GaussianMoments) -> float:
-    """How far the stored second moments are from the bosonic-commutator structure.
-
-    For any physical state the matrix ``<dA_i dA_j^dag>`` is Hermitian, its
-    upper-right ``<da da>`` block is symmetric, and its lower-right
-    ``<da^dag da>`` block equals the transpose of the upper-left block minus
-    the identity (the ``[a, a^dag] = 1`` reordering).  Quasiunitary evolution
-    with conjugate-structured blocks preserves all three, so the residual is
-    an invariant of the propagation.
-    """
-    sigma = moments.second
-    n = moments.n_modes
-    p = sigma[:n, :n]
-    q = sigma[:n, n:]
-    s_blk = sigma[n:, n:]
-    return max(
-        max_abs(sigma - sigma.conj().T),
-        max_abs(q - q.T),
-        max_abs(s_blk - (p.T - np.eye(n))),
-    )

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import mesh
 from .blocks import (
+    SCHEMA,
     BeamSplitter,
     Circuit,
     Element,
@@ -31,7 +32,6 @@ from .numkit import (
     max_abs,
     quasiunitarity_deviation,
     svd,
-    upper_left_block,
 )
 
 # Gains above this would overflow sqrt(sigma^2 - 1) bookkeeping long before
@@ -145,7 +145,7 @@ def verified(target: np.ndarray, singulars, w_elements, d_elements, u_elements, 
         full_ancillas=tuple(range(n_nominal, n_modes)),
     )
     s_total = circuit_smatrix(circuit)
-    block_dev = max_abs(upper_left_block(s_total, n, m) - target)
+    block_dev = max_abs(s_total[:n, :m] - target)
     quasi_dev = quasiunitarity_deviation(s_total)
     if block_dev > tol or quasi_dev > tol:
         raise SynthesisError(block_dev, quasi_dev, tol)
@@ -177,7 +177,7 @@ def verification_report(result: SynthesisResult) -> dict:
     """JSON-ready verification summary of a synthesis result."""
     elements = result.circuit.elements
     return {
-        "schema": "qsynth/1",
+        "schema": SCHEMA,
         "quasiunitarity_deviation": result.quasiunitarity_deviation,
         "block_deviation": result.block_deviation,
         "n_full_ancillas": len(result.circuit.full_ancillas),

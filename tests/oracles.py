@@ -8,7 +8,9 @@ against), the closed-form 2x2 parameters multiply out as dense 2x2 factors,
 the lossy-beam-splitter network is a hand-checkable closed form in a fixed
 factor gauge, and element counts, their worst-case bounds and each mode's
 channel kind are read off element lists.  Only the element dataclasses come
-from the package.
+from the package, apart from the last section: measurements the tests take of
+the package's own output (Fock probabilities, moment physicality, and the
+mesh error of ``mesh.reconstruct``).
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from qsynth.blocks import BeamSplitter, PhaseShifter, TwoModeSqueezer
+from qsynth.mesh import reconstruct
+from qsynth.numkit import as_matrix, max_abs
+from qsynth.sim import GaussianMoments, coherent_moments
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -334,3 +339,50 @@ def gain_coupling_8x8(sigma: float) -> np.ndarray:
     out[7, 1] = r
     out[7, 7] = sigma
     return out
+
+
+# --- measurements of package output -------------------------------------------
+
+
+def norm_squared(state) -> float:
+    return sum(abs(a) ** 2 for a in state.amplitudes.values())
+
+
+def probability(state, occupation) -> float:
+    return abs(state.amplitudes.get(tuple(occupation), 0.0)) ** 2
+
+
+def probability_where(state, predicate) -> float:
+    return sum(abs(a) ** 2 for occ, a in state.amplitudes.items() if predicate(occ))
+
+
+def vacuum_moments(n_modes: int) -> GaussianMoments:
+    return coherent_moments(np.zeros(n_modes, dtype=complex))
+
+
+def physicality_residual(moments: GaussianMoments) -> float:
+    """How far the stored second moments are from the bosonic-commutator structure.
+
+    For any physical state the matrix ``<dA_i dA_j^dag>`` is Hermitian, its
+    upper-right ``<da da>`` block is symmetric, and its lower-right
+    ``<da^dag da>`` block equals the transpose of the upper-left block minus
+    the identity (the ``[a, a^dag] = 1`` reordering).  Quasiunitary evolution
+    with conjugate-structured blocks preserves all three, so the residual is
+    an invariant of the propagation.
+    """
+    sigma = moments.second
+    n = len(moments.mean) // 2
+    p = sigma[:n, :n]
+    q = sigma[:n, n:]
+    s_blk = sigma[n:, n:]
+    return max(
+        max_abs(sigma - sigma.conj().T),
+        max_abs(q - q.T),
+        max_abs(s_blk - (p.T - np.eye(n))),
+    )
+
+
+def mesh_verify(elements, u) -> float:
+    """Max entry deviation between the reconstructed element product and ``u``."""
+    u = as_matrix(u, "u")
+    return max_abs(reconstruct(elements, u.shape[0]) - u)

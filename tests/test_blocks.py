@@ -8,7 +8,6 @@ from qsynth.blocks import (
     Circuit,
     PhaseShifter,
     TwoModeSqueezer,
-    apply_element,
     circuit_from_json,
     circuit_smatrix,
     circuit_to_json,
@@ -144,11 +143,20 @@ def test_embed_conjugate_block_structure():
 
 
 def test_embed_rejects_mode_out_of_range():
-    for e in (PhaseShifter(mode=3, phi=0.1), BeamSplitter(mode_a=0, mode_b=5, theta=0.1)):
+    # -1 would otherwise index the last row.
+    bad = (
+        PhaseShifter(mode=3, phi=0.1),
+        BeamSplitter(mode_a=0, mode_b=5, theta=0.1),
+        PhaseShifter(mode=-1, phi=0.1),
+        BeamSplitter(mode_a=-1, mode_b=1, theta=0.1),
+    )
+    for e in bad:
         with pytest.raises(ValueError):
-            apply_element(np.eye(6, dtype=complex), e, 3)
+            reconstruct([PhaseShifter(mode=0, phi=0.2), e], 3)
         with pytest.raises(ValueError):
             Circuit(n_modes=3, n_nominal=3, elements=(e,))
+    with pytest.raises(ValueError):
+        Circuit(n_modes=3, n_nominal=3, elements=(TwoModeSqueezer(mode_a=-1, mode_b=0, xi=0.5),))
 
 
 def test_element_modes_must_differ():
@@ -162,12 +170,7 @@ def test_element_unitary_rejects_squeezer():
     with pytest.raises(ValueError):
         element_unitary(TwoModeSqueezer(mode_a=0, mode_b=1, xi=0.5), 2)
     with pytest.raises(ValueError):
-        apply_element(np.eye(2, dtype=complex), TwoModeSqueezer(mode_a=0, mode_b=1, xi=0.5), 2)
-
-
-def test_apply_element_rejects_wrong_row_count():
-    with pytest.raises(ValueError):
-        apply_element(np.eye(3, dtype=complex), PhaseShifter(mode=0, phi=0.1), 2)
+        reconstruct([BeamSplitter(0, 1, 0.1), TwoModeSqueezer(mode_a=0, mode_b=1, xi=0.5)], 2)
 
 
 def _random_elements(rng, n, count, passive=False):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsynth.blocks import circuit_from_json
 from qsynth.cli import main
 from qsynth.numkit import matrix_from_json, matrix_to_json
 
@@ -361,3 +362,109 @@ def test_malformed_documents_exit_2(case):
         path = Path(tmp) / "doc.json"
         path.write_text(json.dumps(doc))
         assert main([command, str(path)]) == 2
+
+
+# --- malformed netlists ---------------------------------------------------------
+
+NOT_AN_ANGLE = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, 10**400]),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(NUMBER, max_size=2),
+)
+NOT_A_TYPE = st.one_of(st.text(max_size=3).filter(lambda t: t not in ("ps", "bs", "tms")), st.none(), NUMBER)
+
+
+@st.composite
+def valid_netlist(draw):
+    n_nominal, n_full = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    n_modes = n_nominal + n_full
+    padding = draw(st.permutations(range(1, n_nominal)))
+    split = draw(st.integers(0, len(padding)))
+    elements = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("ps", "bs", "tms") if n_modes > 1 else ("ps",)))
+        if kind == "ps":
+            elements.append({"type": "ps", "mode": draw(st.integers(0, n_modes - 1)), "phi": draw(st.floats(-4, 4))})
+        else:
+            a, b = draw(st.permutations(range(n_modes)))[:2]
+            angle, values = ("theta", st.floats(-4, 4)) if kind == "bs" else ("xi", st.floats(0, 1))
+            elements.append({"type": kind, "modes": [a, b], angle: draw(values)})
+    return {
+        "schema": "qsynth/1",
+        "n_modes": n_modes,
+        "n_nominal": n_nominal,
+        "ancilla_inputs": padding[:split],
+        "ancilla_outputs": padding[split:],
+        "full_ancillas": list(range(n_nominal, n_modes)),
+        "elements": elements,
+    }
+
+
+@st.composite
+def malformed_netlist(draw):
+    """A valid netlist (the first item) and a copy with exactly one defect."""
+    base = draw(valid_netlist())
+    doc = json.loads(json.dumps(base))
+    elements = doc["elements"]
+    k = draw(st.integers(0, len(elements) - 1))
+    element = elements[k]
+    angle = {"ps": "phi", "bs": "theta", "tms": "xi"}[element["type"]]
+    how = draw(st.sampled_from(("integer", "angle", "missing", "type", "list", "document")))
+    if how == "integer":
+        places = [(doc, "n_modes"), (doc, "n_nominal")]
+        places += [(element, "mode")] if "mode" in element else [(element["modes"], 0), (element["modes"], 1)]
+        for key in ("ancilla_inputs", "ancilla_outputs", "full_ancillas"):
+            places += [(doc[key], i) for i in range(len(doc[key]))]
+        target, key = draw(st.sampled_from(places))
+        target[key] = draw(NOT_AN_INTEGER)
+    elif how == "angle":
+        element[angle] = draw(NOT_AN_ANGLE)
+    elif how == "missing":
+        places = [(doc, "n_modes"), (doc, "n_nominal"), (doc, "elements")] + [(element, key) for key in element]
+        target, key = draw(st.sampled_from(places))
+        del target[key]
+    elif how == "type":
+        element["type"] = draw(NOT_A_TYPE)
+    elif how == "list":
+        key = draw(st.sampled_from(("elements", "ancilla_inputs", "ancilla_outputs", "full_ancillas")))
+        doc[key] = draw(NOT_A_LIST)
+    else:
+        doc = draw(NOT_AN_OBJECT)
+    return base, doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(malformed_netlist())
+def test_malformed_netlists_exit_2(case):
+    base, doc = case
+    circuit_from_json(base)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--input", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_modes", 3.5),
+        ("n_modes", "3"),
+        ("modes", [0.5, 1]),
+        ("full_ancillas", [2.7]),
+        ("theta", "0.3"),
+        ("theta", "1e400"),
+    ],
+)
+def test_netlist_fields_are_not_coerced(tmp_path, capsys, field, value):
+    net = {"n_modes": 3, "n_nominal": 2, "full_ancillas": [2]}
+    net["elements"] = [{"type": "bs", "modes": [0, 1], "theta": 0.3}]
+    if field in ("modes", "theta"):
+        net["elements"][0][field] = value
+    else:
+        net[field] = value
+    path = tmp_path / "net.json"
+    # "1e400" is written as a bare JSON number, which decodes to infinity.
+    path.write_text(json.dumps(net).replace('"1e400"', "1e400"))
+    assert main(["simulate", str(path), "--input", "1"]) == 2
+    assert "error:" in capsys.readouterr().err

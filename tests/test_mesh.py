@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from qsynth.blocks import BeamSplitter, PhaseShifter
-from qsynth.mesh import NotUnitaryError, mesh_verify, reck_decompose, reconstruct
+from qsynth.mesh import NotUnitaryError, reck_decompose, reconstruct
 from qsynth.numkit import max_abs
 
-from oracles import LOSSY_BS_U, random_unitary
+from oracles import LOSSY_BS_U, mesh_verify, random_unitary
 
 
 def bs_count(elements):

@@ -5,17 +5,15 @@ from qsynth.numkit import (
     SvdFactors,
     as_matrix,
     complex_from_json,
-    g_metric,
     matrix_from_json,
     matrix_to_json,
     max_abs,
     quasiunitarity_deviation,
     svd,
     unitarity_deviation,
-    upper_left_block,
 )
 
-from oracles import LOSSY_BS_S_TOTAL, LOSSY_BS_T, random_unitary
+from oracles import LOSSY_BS_T, random_unitary
 
 
 def test_as_matrix_rejects_non_finite():
@@ -78,29 +76,6 @@ def test_svd_factors_diagonal_matrix_rectangular():
     assert d[0, 0] == 2.0 and d[1, 1] == 1.0 and d[2, 0] == 0.0
 
 
-@pytest.mark.parametrize(
-    "n, expected",
-    [
-        (1, [1, -1]),
-        (2, [1, 1, -1, -1]),
-        (3, [1, 1, 1, -1, -1, -1]),
-    ],
-)
-def test_g_metric_diagonal(n, expected):
-    assert np.allclose(g_metric(n), np.diag(expected))
-
-
-def test_g_metric_squares_to_identity():
-    for n in range(1, 6):
-        g = g_metric(n)
-        assert max_abs(g @ g - np.eye(2 * n)) == 0.0
-
-
-def test_g_metric_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        g_metric(0)
-
-
 def test_quasiunitarity_identity_is_zero():
     assert quasiunitarity_deviation(np.eye(4)) == 0.0
 
@@ -152,17 +127,6 @@ def test_quasiunitary_closed_under_products():
             mats.append(embed_element(e, n))
         product = mats[0] @ mats[1]
         assert quasiunitarity_deviation(product) < 2 * n * 1e-15
-
-
-def test_upper_left_block_examples():
-    assert max_abs(upper_left_block(LOSSY_BS_S_TOTAL, 2, 2) - LOSSY_BS_T) == 0.0
-    assert upper_left_block(np.eye(4), 0, 0).shape == (0, 0)
-    assert np.allclose(upper_left_block(np.eye(6), 2, 3), [[1, 0, 0], [0, 1, 0]])
-
-
-def test_upper_left_block_out_of_range():
-    with pytest.raises(ValueError):
-        upper_left_block(np.eye(2), 3, 1)
 
 
 def test_matrix_json_round_trip():

@@ -12,9 +12,7 @@ from qsynth.sim import (
     evolve_moments,
     fock_evolve,
     passive_block,
-    physicality_residual,
     postselect,
-    vacuum_moments,
 )
 from qsynth.synth import synthesize
 
@@ -23,7 +21,12 @@ from oracles import (
     all_occupations,
     fock_amplitude,
     lift_gain,
+    norm_squared,
+    physicality_residual,
+    probability,
+    probability_where,
     random_unitary,
+    vacuum_moments,
 )
 
 LOSSY_BS_BLOCK = LOSSY_BS_S_TOTAL[:3, :3]
@@ -61,17 +64,17 @@ def test_fock_identity_passthrough():
 
 def test_fock_lossy_bs_two_photon_statistics():
     state = fock_evolve(LOSSY_BS_BLOCK, (1, 1, 0))
-    assert state.probability((1, 1, 0)) == pytest.approx(0.25, abs=1e-12)
-    assert state.probability((0, 0, 2)) == pytest.approx(0.5, abs=1e-12)
-    assert state.probability_where(lambda o: o[0] + o[1] == 1) < 1e-24
+    assert probability(state, (1, 1, 0)) == pytest.approx(0.25, abs=1e-12)
+    assert probability(state, (0, 0, 2)) == pytest.approx(0.5, abs=1e-12)
+    assert probability_where(state, lambda o: o[0] + o[1] == 1) < 1e-24
 
 
 def test_fock_hong_ou_mandel():
     c = s = 1 / math.sqrt(2)
     bs = np.array([[c, s], [-s, c]], dtype=complex)
     state = fock_evolve(bs, (1, 1))
-    assert state.probability((1, 1)) < 1e-24
-    assert state.probability((2, 0)) == pytest.approx(0.5, abs=1e-12)
+    assert probability(state, (1, 1)) < 1e-24
+    assert probability(state, (2, 0)) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_fock_agrees_with_permanent_oracle():
@@ -91,7 +94,7 @@ def test_fock_preserves_norm_and_photon_number():
     rng = np.random.default_rng(52)
     a = random_unitary(rng, 5)
     state = fock_evolve(a, (2, 0, 1, 0, 1))
-    assert state.norm_squared() == pytest.approx(1.0, abs=1e-10)
+    assert norm_squared(state) == pytest.approx(1.0, abs=1e-10)
     assert all(sum(occ) == 4 for occ in state.amplitudes)
 
 
@@ -117,7 +120,7 @@ def test_postselect_lossy_bs_nominal_survival():
     state = fock_evolve(LOSSY_BS_BLOCK, (1, 1, 0))
     kept, prob = postselect(state, lambda occ: occ[0] + occ[1] == 2)
     assert prob == pytest.approx(0.5, abs=1e-10)
-    assert kept.norm_squared() == pytest.approx(1.0, abs=1e-10)
+    assert norm_squared(kept) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_postselect_zero_mass_raises():
