@@ -8,7 +8,9 @@ product therefore runs last-to-first.
 
 The 2N x 2N scattering matrix of a circuit acts on the operator vector
 ``(a_1 .. a_N, a_1^dag .. a_N^dag)``: mode ``p`` couples to row/column ``p``
-(annihilation) and ``p + N`` (creation).  Mode indices are 0-based.
+(annihilation) and ``p + N`` (creation).  Mode indices are 0-based.  It has
+the form ``[[A, B], [B*, A*]]``, so only the ``N x 2N`` top half ``[A, B]`` is
+multiplied out; the bottom half is its conjugate with the halves swapped.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+
+XI_MAX = 50.0  # the largest |xi| of a squeezer; cosh(XI_MAX) ~ 2.6e21 is the gain ceiling
 
 
 @dataclass(frozen=True)
@@ -48,6 +52,8 @@ class TwoModeSqueezer:
     def __post_init__(self):
         if self.mode_a == self.mode_b:
             raise ValueError("squeezer modes must be distinct")
+        if not abs(self.xi) <= XI_MAX:
+            raise ValueError(f"squeezer xi {self.xi} exceeds the ceiling {XI_MAX}")
 
 
 Element = Union[PhaseShifter, BeamSplitter, TwoModeSqueezer]
@@ -103,42 +109,30 @@ def check_modes(elements, n_modes: int) -> None:
             raise ValueError(f"element {e} references a mode outside 0..{n_modes - 1}")
 
 
-def _apply(s: np.ndarray, e: Element, n_modes: int) -> None:
-    """Left-multiply ``s`` (2N rows, or N rows for a passive network) by ``e`` in place.
+def _apply(s: np.ndarray, e: Element) -> None:
+    """Left-multiply the top half ``[A, B]`` of ``S`` (one row per mode) by ``e`` in place.
 
-    Only the rows of the element's modes change, plus their creation partners
-    ``p + N`` when ``s`` has 2N rows; a squeezer needs those partners.  Callers
-    check the element list once: modes in range, and no squeezer on N rows.
+    Only the element's rows change; a squeezer reads its partner rows ``p + N``
+    as its top rows conjugated with halves swapped.  Callers check the element
+    list once: modes in range, and no squeezer on an ``N x N`` passive product.
     """
-    n = n_modes
-    lifted = s.shape[0] == 2 * n
     if isinstance(e, PhaseShifter):
-        rot = cmath.exp(1j * e.phi)
-        s[e.mode] *= rot
-        if lifted:
-            s[e.mode + n] *= rot.conjugate()
+        s[e.mode] *= cmath.exp(1j * e.phi)
     elif isinstance(e, BeamSplitter):
-        c, sn = math.cos(e.theta), math.sin(e.theta)
-        _mix_rows(s, e.mode_a, e.mode_b, c, sn, -sn, c)
-        if lifted:
-            _mix_rows(s, e.mode_a + n, e.mode_b + n, c, sn, -sn, c)
+        a, b, c, sn = e.mode_a, e.mode_b, math.cos(e.theta), math.sin(e.theta)
+        s[a], s[b] = c * s[a] + sn * s[b], -sn * s[a] + c * s[b]
     else:
-        ch, sh = math.cosh(e.xi), math.sinh(e.xi)
-        _mix_rows(s, e.mode_a, e.mode_b + n, ch, sh, sh, ch)
-        _mix_rows(s, e.mode_b, e.mode_a + n, ch, sh, sh, ch)
-
-
-def _mix_rows(s: np.ndarray, i: int, j: int, m00: float, m01: float, m10: float, m11: float) -> None:
-    """Replace rows ``i, j`` of ``s`` by ``[[m00, m01], [m10, m11]]`` times them."""
-    s[i], s[j] = m00 * s[i] + m01 * s[j], m10 * s[i] + m11 * s[j]
+        rows = [e.mode_a, e.mode_b]
+        partners = np.roll(s[rows[::-1]].conj(), s.shape[0], axis=1)
+        s[rows] = math.cosh(e.xi) * s[rows] + math.sinh(e.xi) * partners
 
 
 def circuit_smatrix(c: Circuit) -> np.ndarray:
-    """2N x 2N scattering matrix of the circuit: its elements applied in order."""
-    s = np.eye(2 * c.n_modes, dtype=complex)
+    """2N x 2N scattering matrix of the circuit: its elements applied in order to the top half."""
+    top = np.eye(c.n_modes, 2 * c.n_modes, dtype=complex)
     for e in c.elements:
-        _apply(s, e, c.n_modes)
-    return s
+        _apply(top, e)
+    return np.vstack((top, np.roll(top.conj(), c.n_modes, axis=1)))
 
 
 # --- netlist JSON -----------------------------------------------------------

@@ -277,8 +277,8 @@ def _join_input_value(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     args = build_parser().parse_args(_join_input_value(sys.argv[1:] if argv is None else list(argv)))
     try:
-        if not args.tol > 0:  # also rejects NaN
-            raise ValueError(f"tol must be positive, got {args.tol}")
+        if not 0 < args.tol < 1:  # also rejects NaN
+            raise ValueError(f"tol must be positive and below 1, got {args.tol}")
         if args.command == "synth":
             return cmd_synth(args.matrix, args.netlist, args.report, args.tol)
         if args.command == "simulate":

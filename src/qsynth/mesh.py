@@ -107,5 +107,5 @@ def reconstruct(elements, n_modes: int) -> np.ndarray:
         raise ValueError("a two-mode squeezer has no single-particle unitary")
     m = np.eye(n_modes, dtype=complex)
     for e in elements:
-        _apply(m, e, n_modes)
+        _apply(m, e)
     return m

@@ -18,6 +18,7 @@ import numpy as np
 from . import mesh
 from .blocks import (
     SCHEMA,
+    XI_MAX,
     BeamSplitter,
     Circuit,
     Element,
@@ -34,9 +35,8 @@ from .numkit import (
     svd,
 )
 
-# Gains above this would overflow sqrt(sigma^2 - 1) bookkeeping long before
-# any physical device could realize them.
-SIGMA_MAX = math.cosh(50.0)
+# The gain of a squeezer at the ceiling; acosh(SIGMA_MAX) == XI_MAX exactly.
+SIGMA_MAX = math.cosh(XI_MAX)
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,8 @@ def couplings(singulars, tol: float, n_nominal: int) -> list[Element]:
     ``n_nominal``; missing entries are the identity padding values, exactly 1.
     Ancillas are numbered in ascending mode order starting at ``n_nominal``.
     """
-    if not tol > 0:  # also rejects NaN
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < 1:  # also rejects NaN
+        raise ValueError(f"tol must be positive and below 1, got {tol}")
     sigmas = [float(s) for s in singulars]
     if len(sigmas) > n_nominal:
         raise ValueError(f"got {len(sigmas)} singular values for {n_nominal} nominal modes")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qsynth.blocks import (
+    XI_MAX,
     BeamSplitter,
     Circuit,
     PhaseShifter,
@@ -15,6 +16,7 @@ from qsynth.blocks import (
 )
 from qsynth.mesh import reconstruct
 from qsynth.numkit import max_abs, quasiunitarity_deviation
+from qsynth.synth import SIGMA_MAX, singular_element, synthesize
 
 from oracles import (
     LOSSY_BS_S_D,
@@ -166,6 +168,14 @@ def test_element_modes_must_differ():
         TwoModeSqueezer(mode_a=0, mode_b=0, xi=0.1)
 
 
+def test_squeezer_xi_is_bounded_by_the_gain_ceiling():
+    for xi in (XI_MAX + 0.5, -711.0, 1e300, math.inf, math.nan):
+        with pytest.raises(ValueError, match="ceiling"):
+            TwoModeSqueezer(mode_a=0, mode_b=1, xi=xi)
+    assert TwoModeSqueezer(mode_a=0, mode_b=1, xi=-XI_MAX).xi == -XI_MAX
+    assert singular_element(0, 1, SIGMA_MAX) == TwoModeSqueezer(mode_a=0, mode_b=1, xi=XI_MAX)
+
+
 def test_element_unitary_rejects_squeezer():
     with pytest.raises(ValueError):
         element_unitary(TwoModeSqueezer(mode_a=0, mode_b=1, xi=0.5), 2)
@@ -183,7 +193,7 @@ def _random_elements(rng, n, count, passive=False):
         elif pick == 1:
             elements.append(BeamSplitter(mode_a=a, mode_b=b, theta=float(rng.uniform(-4, 4))))
         else:
-            elements.append(TwoModeSqueezer(mode_a=a, mode_b=b, xi=float(rng.uniform(0, 1))))
+            elements.append(TwoModeSqueezer(mode_a=a, mode_b=b, xi=float(rng.uniform(-1, 1))))
     return elements
 
 
@@ -197,6 +207,25 @@ def test_kernel_matches_dense_lift_product():
             dense = embed_element(e, n) @ dense
         s = circuit_smatrix(Circuit(n_modes=n, n_nominal=n, elements=tuple(elements)))
         assert max_abs(s - dense) <= 1e-13
+
+
+def _bottom_is_conjugated_top(s):
+    n = s.shape[0] // 2
+    return np.array_equal(s[n:], np.roll(s[:n].conj(), n, axis=1))
+
+
+def test_smatrix_bottom_half_is_conjugated_top_half():
+    # S = [[A, B], [B*, A*]] holds exactly, not just to rounding: only the
+    # top half is multiplied out.
+    rng = np.random.default_rng(25)
+    for _ in range(100):
+        n = int(rng.integers(2, 7))
+        elements = _random_elements(rng, n, int(rng.integers(1, 13)))
+        assert _bottom_is_conjugated_top(circuit_smatrix(Circuit(n_modes=n, n_nominal=n, elements=tuple(elements))))
+    for _ in range(20):
+        n, m = (int(x) for x in rng.integers(1, 5, size=2))
+        t = rng.uniform(0.2, 2.5) * (rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m)))
+        assert _bottom_is_conjugated_top(synthesize(t).s_total)
 
 
 def test_reconstruct_matches_dense_unitary_product():

@@ -189,6 +189,38 @@ def test_analytic2x2_gain_above_ceiling_exits_4(tmp_path, capsys):
     assert "gain ceiling" in capsys.readouterr().err
 
 
+def test_synth_verification_failure_exits_3(tmp_path, capsys):
+    # The absolute quasiunitarity bound fails on high gain from sigma ~ 1e3;
+    # a bound that scales with |S|^2 would move this case to exit 0.
+    matrix = write_matrix(tmp_path / "t.json", np.diag([1e4, 0.5]))
+    assert main(["synth", matrix]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert all(word in captured.err for word in ("block deviation", "quasiunitarity deviation", "tol"))
+
+
+def _squeezer_netlist(path, xi):
+    element = {"type": "tms", "modes": [0, 1], "xi": xi}
+    path.write_text(json.dumps({"n_modes": 2, "n_nominal": 1, "full_ancillas": [1], "elements": [element]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("mode", ["fock", "moments"])
+@pytest.mark.parametrize("xi", [50.5, 711.0, -711.0, 1e300])
+def test_simulate_squeezer_beyond_ceiling_exits_2(tmp_path, capsys, mode, xi):
+    netlist = _squeezer_netlist(tmp_path / "net.json", xi)
+    assert main(["simulate", netlist, "--mode", mode, "--input", "1"]) == 2
+    assert "ceiling" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("xi", [50.0, -50.0])
+def test_simulate_squeezer_at_ceiling_runs(tmp_path, capsys, xi):
+    netlist = _squeezer_netlist(tmp_path / "net.json", xi)
+    code, out = run(capsys, "simulate", netlist, "--mode", "moments", "--input", "1")
+    assert code == 0
+    assert json.loads(out)["means"][0] == [math.cosh(50.0), 0.0]
+
+
 def test_cz_command(tmp_path, capsys):
     code, out = run(capsys, "cz")
     assert code == 0
@@ -245,7 +277,9 @@ def test_removed_global_flags_are_rejected(tmp_path, capsys):
         assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("flag, value", [("--tol", "-1"), ("--tol", "nan"), ("--tol", "0")])
+@pytest.mark.parametrize(
+    "flag, value", [("--tol", "-1"), ("--tol", "nan"), ("--tol", "0"), ("--tol", "inf"), ("--tol", "1")]
+)
 def test_bad_tolerance_exits_4(tmp_path, capsys, flag, value):
     matrix = write_matrix(tmp_path / "t.json", LOSSY_BS_T)
     assert main([flag, value, "synth", matrix]) == 4
