@@ -27,7 +27,7 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     m = np.asarray(values, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -35,7 +35,7 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
 def max_abs(m) -> float:
     """Largest entry magnitude; 0 for an empty array."""
     m = np.asarray(m)
-    return float(np.max(np.abs(m))) if m.size else 0.0
+    return float(np.abs(m).max()) if m.size else 0.0
 
 
 def quasiunitarity_deviation(s) -> float:
@@ -53,7 +53,9 @@ def unitarity_deviation(u) -> float:
     u = as_matrix(u, "u")
     if u.shape[0] != u.shape[1]:
         raise ValueError(f"u must be square, got {u.shape}")
-    return max_abs(u.conj().T @ u - np.eye(u.shape[0]))
+    gram = u.conj().T @ u
+    gram.flat[:: len(gram) + 1] -= 1.0
+    return max_abs(gram)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,10 @@ against), the closed-form 2x2 parameters multiply out as dense 2x2 factors,
 the lossy-beam-splitter network is a hand-checkable closed form in a fixed
 factor gauge, and element counts, their worst-case bounds and each mode's
 channel kind are read off element lists.  Only the element dataclasses come
-from the package, apart from the last section: measurements the tests take of
-the package's own output (Fock probabilities, moment physicality, and the
-mesh error of ``mesh.reconstruct``).
+from the package, apart from the last two sections: measurements the tests take
+of the package's own output (Fock probabilities, moment physicality, and the
+mesh error of ``mesh.reconstruct``), and the step-by-step Givens nulling loop
+that ``mesh.reck_decompose`` replaced, kept as its reference.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from qsynth.blocks import BeamSplitter, PhaseShifter, TwoModeSqueezer
-from qsynth.mesh import reconstruct
-from qsynth.numkit import as_matrix, max_abs
+from qsynth.mesh import PRUNE_EPS, NotUnitaryError, reconstruct, wrap_angle
+from qsynth.numkit import TOL, as_matrix, max_abs, unitarity_deviation
 from qsynth.sim import GaussianMoments, coherent_moments
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -386,3 +387,65 @@ def mesh_verify(elements, u) -> float:
     """Max entry deviation between the reconstructed element product and ``u``."""
     u = as_matrix(u, "u")
     return max_abs(reconstruct(elements, u.shape[0]) - u)
+
+
+# --- reference Reck nulling -------------------------------------------------
+#
+# The scalar loop: N(N-1)/2 Givens steps, each a left multiplication of two
+# full rows.  Same pruning threshold and phase wrapping as the package, so
+# both must emit the same elements.
+
+
+def reck_reference(u, tol: float = TOL) -> list:
+    """Reck factorization of ``u`` by one Python Givens step per nulled entry."""
+    u = as_matrix(u, "u")
+    if u.shape[0] != u.shape[1]:
+        raise ValueError(f"u must be square, got {u.shape}")
+    deviation = unitarity_deviation(u)
+    if deviation > tol:
+        raise NotUnitaryError(deviation, tol)
+
+    n = u.shape[0]
+    work = u.copy()
+    # Each step L = BS(a,b,theta) @ PS(a,phi) (a left multiplication) nulls
+    # work[b, c] against the pivot work[a, c] with a = c.
+    steps: list[tuple[int, int, float, float]] = []
+    for c in range(n - 1):
+        a = c
+        for b in range(c + 1, n):
+            pivot = work[a, c]
+            target = work[b, c]
+            phi = cmath.phase(target) - cmath.phase(pivot)
+            theta = math.atan2(abs(target), abs(pivot))
+            rot = np.exp(1j * phi)
+            cos_t, sin_t = math.cos(theta), math.sin(theta)
+            row_a = rot * cos_t * work[a, :] + sin_t * work[b, :]
+            row_b = -rot * sin_t * work[a, :] + cos_t * work[b, :]
+            work[a, :] = row_a
+            work[b, :] = row_b
+            steps.append((a, b, theta, phi))
+    lam = [cmath.phase(work[j, j]) for j in range(n)]
+
+    # u = L_1^dag ... L_K^dag Lambda with L^dag = PS(a, pi - phi) BS(theta) PS(a, pi),
+    # so chronologically: Lambda phases, then steps in reverse.  Adjacent phases
+    # on the same mode are accumulated and flushed lazily just before a beam
+    # splitter touches that mode.
+    pending = list(lam)
+    elements: list = []
+
+    def flush(mode: int) -> None:
+        phi = wrap_angle(pending[mode])
+        pending[mode] = 0.0
+        if abs(phi) > PRUNE_EPS:
+            elements.append(PhaseShifter(mode=mode, phi=phi))
+
+    for a, b, theta, phi in reversed(steps):
+        pending[a] += math.pi
+        if theta > PRUNE_EPS:
+            flush(a)
+            flush(b)
+            elements.append(BeamSplitter(mode_a=a, mode_b=b, theta=theta))
+        pending[a] += math.pi - phi
+    for mode in range(n):
+        flush(mode)
+    return elements

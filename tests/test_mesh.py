@@ -1,14 +1,20 @@
 import cmath
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qsynth.blocks import BeamSplitter, PhaseShifter
+from qsynth.apps import RankOnePovm, cz_gate_target, naimark_extension
+from qsynth.blocks import BeamSplitter, PhaseShifter, element_modes
 from qsynth.mesh import NotUnitaryError, reck_decompose, reconstruct
-from qsynth.numkit import max_abs
+from qsynth.numkit import max_abs, svd
+from qsynth.synth import pad_factors
 
-from oracles import LOSSY_BS_U, mesh_verify, random_unitary
+from oracles import LOSSY_BS_U, count_bounds, mesh_verify, random_unitary, reck_reference
 
 
 def bs_count(elements):
@@ -118,3 +124,159 @@ def test_reconstruct_respects_chronological_order():
     c, s = math.cos(0.5), math.sin(0.5)
     bs = np.array([[c, s], [-s, c]], dtype=complex)
     assert max_abs(direct - bs @ ps) < 1e-15
+
+
+# --- parity with the step-by-step reference loop ----------------------------
+
+
+def assert_matches_reference(u, noise: float = 0.0):
+    """Same element types, modes and count as ``oracles.reck_reference``; angles within 1e-13.
+
+    With ``noise`` > 0, phase shifters with ``|phi| <= noise`` are dropped from
+    both lists first (rounding noise can put such a phase on either side of
+    the pruning threshold), and the other phases agree within ``noise``.
+    """
+    elements = reck_decompose(u)
+    assert mesh_verify(elements, u) <= 1e-13
+    got = [e for e in elements if not (isinstance(e, PhaseShifter) and abs(e.phi) <= noise)]
+    want = [e for e in reck_reference(u) if not (isinstance(e, PhaseShifter) and abs(e.phi) <= noise)]
+    assert [(type(e), element_modes(e)) for e in got] == [(type(e), element_modes(e)) for e in want]
+    for g, w in zip(got, want):
+        if isinstance(g, BeamSplitter):
+            assert abs(g.theta - w.theta) <= 1e-13
+            assert 0.0 <= g.theta <= math.pi / 2
+        else:
+            assert abs(math.remainder(g.phi - w.phi, 2 * math.pi)) <= max(noise, 1e-13)
+
+
+def test_parity_haar_up_to_40():
+    rng = np.random.default_rng(81)
+    for n in range(1, 41):
+        assert_matches_reference(random_unitary(rng, n))
+
+
+def test_parity_identity_permutations_and_anti_diagonal():
+    rng = np.random.default_rng(82)
+    for n in range(1, 9):
+        eye = np.eye(n, dtype=complex)
+        assert_matches_reference(eye)
+        assert_matches_reference(eye[::-1].copy())
+        perms = itertools.permutations(range(n)) if n <= 4 else (rng.permutation(n) for _ in range(30))
+        for perm in perms:
+            assert_matches_reference(eye[list(perm)])
+
+
+def test_parity_block_matrices():
+    rng = np.random.default_rng(83)
+    for n in range(2, 9):
+        for k in range(1, n):
+            a, b = random_unitary(rng, k), random_unitary(rng, n - k)
+            direct_sum = np.zeros((n, n), dtype=complex)
+            direct_sum[:k, :k] = a
+            direct_sum[k:, k:] = b
+            assert_matches_reference(direct_sum)
+    for k in range(1, 5):
+        for copies in range(1, 4):
+            u = random_unitary(rng, k)
+            assert_matches_reference(np.kron(u, np.eye(copies)))
+            assert_matches_reference(np.kron(np.eye(copies), u))
+
+
+def test_parity_padded_factors():
+    rng = np.random.default_rng(84)
+    for n in range(1, 9):
+        for m in range(1, 9):
+            t = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+            for factor in pad_factors(svd(t), n, m):
+                assert_matches_reference(factor)
+
+
+def test_parity_real_padded_factors_up_to_noise_phases():
+    # Real factors stay real in the closed form up to the rounding of sums of
+    # pi, while the reference's rotations by exp(1j * pi) leave imaginary parts
+    # of ~1e-16, and so phases of up to ~1e-12, some of them above the pruning
+    # threshold.  Apart from those the lists agree, and the closed form never
+    # emits more elements.
+    rng = np.random.default_rng(85)
+    for n in range(1, 9):
+        for m in range(1, 9):
+            for factor in pad_factors(svd(rng.normal(size=(n, m))), n, m):
+                assert_matches_reference(factor, noise=1e-11)
+                assert len(reck_decompose(factor)) <= len(reck_reference(factor))
+
+
+def test_parity_naimark_extensions():
+    rng = np.random.default_rng(86)
+    for n in range(1, 6):
+        for m in range(n, 10):
+            vectors = random_unitary(rng, m)[:n]
+            assert_matches_reference(naimark_extension(RankOnePovm.from_vectors(list(vectors.T))))
+
+
+def test_parity_cz_factors_with_negative_zero():
+    # The first entry of the W factor below is -0.0, whose phase is pi: the
+    # column starts with an exact zero and the pivot row must lose that phase.
+    w = np.array([[-0.0, -0.0, -1, -0.0], [-1, -0.0, -0.0, -0.0], [-0.0, -0.0, -0.0, -1], [0, 1, 0, 0]], dtype=complex)
+    assert cmath.phase(w[0, 0]) == math.pi
+    assert_matches_reference(w)
+    for t in (cz_gate_target(), np.exp(0.7j) * cz_gate_target()):
+        for factor in pad_factors(svd(t), 4, 4):
+            assert_matches_reference(factor)
+
+
+def test_tiny_leading_entries():
+    # Running norms of 1e-170 multiply to below the float range; the row
+    # coefficients must not divide by their product.
+    rng = np.random.default_rng(88)
+    for tiny in (1e-150, 1e-170, 1e-300):
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        m[:, 0] = [tiny, tiny, tiny, 1.0]
+        assert_matches_reference(np.linalg.qr(m)[0])
+
+
+def test_parameters_are_python_floats():
+    rng = np.random.default_rng(87)
+    for u in (random_unitary(rng, 5), np.eye(3)[[2, 0, 1]], pad_factors(svd(rng.normal(size=(2, 4))), 2, 4)[0]):
+        for e in reck_decompose(u):
+            assert type(e.theta if isinstance(e, BeamSplitter) else e.phi) is float
+
+
+def test_empty_matrix_gives_empty_list():
+    assert reck_decompose(np.zeros((0, 0))) == []
+
+
+@st.composite
+def structured_unitaries(draw):
+    """P (U_a + U_b) D: a permuted direct sum of two Haar blocks times diagonal phases.
+
+    Every zero entry is set to an exact +0.0 or -0.0 in each part, and the
+    phases include 0, pi/2 and pi, whose exponentials carry rounding noise.
+    """
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(0, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = np.zeros((n, n), dtype=complex)
+    if k:
+        u[:k, :k] = random_unitary(rng, k)
+    if k < n:
+        u[k:, k:] = random_unitary(rng, n - k)
+    phases = [draw(st.sampled_from((0.0, math.pi / 2, math.pi, -1.3))) for _ in range(n)]
+    u = u[list(draw(st.permutations(range(n))))] @ np.diag(np.exp(1j * np.array(phases)))
+    zeros = u == 0
+    signs = rng.choice([0.0, -0.0], size=(2, int(zeros.sum())))
+    u.real[zeros] = signs[0]
+    u.imag[zeros] = signs[1]
+    return u
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(structured_unitaries())
+def test_structured_unitaries_round_trip(u):
+    n = u.shape[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        elements = reck_decompose(u)
+    assert mesh_verify(elements, u) <= 1e-12
+    bounds = count_bounds(n, n)  # two meshes of n modes
+    assert 2 * sum(isinstance(e, BeamSplitter) for e in elements) <= bounds.max_bs
+    assert 2 * sum(isinstance(e, PhaseShifter) for e in elements) <= bounds.max_ps
