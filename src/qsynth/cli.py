@@ -1,4 +1,5 @@
-"""Command-line front end: JSON files in, JSON files/stdout out.
+"""Command-line front end: JSON files in, JSON files/stdout out, one compact
+JSON document per line.
 
 Exit codes: 0 success, 2 unreadable or malformed input, 3 verification
 failure, 4 domain error (non-passive network in Fock mode, incomplete POVM,
@@ -8,8 +9,11 @@ empty postselection, out-of-range parameters).
 from __future__ import annotations
 
 import argparse
+import cmath
+import functools
 import json
 import operator
+import re
 import sys
 
 import numpy as np
@@ -48,7 +52,11 @@ def _load_matrix(path: str) -> np.ndarray:
 
 
 def _write_json(path: str | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2)
+    """One compact line per document: without ``indent``, ``json`` uses its C encoder."""
+    try:
+        text = json.dumps(payload, allow_nan=False)
+    except ValueError as exc:  # NaN or infinity is not JSON
+        raise ValueError(f"result is not finite: {exc}") from exc
     if path is None or path == "-":
         print(text)
     else:
@@ -87,7 +95,8 @@ def cmd_simulate(
 
     if mode == "moments":
         alpha = _parse_complex_list(input_spec, circuit.n_modes)
-        moments = sim.evolve_moments(s_total, sim.coherent_moments(alpha))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails in _write_json
+            moments = sim.evolve_moments(s_total, sim.coherent_moments(alpha))
         means = moments.mean[: circuit.n_modes]
         _write_json(None, {
             "schema": SCHEMA,
@@ -96,9 +105,9 @@ def cmd_simulate(
         return EXIT_OK
 
     occupation = _parse_occupation(input_spec, circuit.n_modes)
+    predicate = _parse_predicate(predicate_spec, circuit.n_modes)
     block = sim.passive_block(s_total, tol)
     state = sim.fock_evolve(block, occupation, tol)
-    predicate = _parse_predicate(predicate_spec, circuit.n_modes)
     payload = {"schema": SCHEMA, "outcomes": _outcome_table(state)}
     if predicate is not None:
         conditioned, success = sim.postselect(state, predicate)
@@ -123,21 +132,27 @@ def _outcome_table(state: sim.FockState) -> list[dict]:
     return rows
 
 
+_COUNT = re.compile(r"[0-9]+")
+_MODE = re.compile(r"-?[0-9]+")
+
+
 def _parse_occupation(spec: str, n_modes: int) -> tuple[int, ...]:
-    try:
-        counts = [int(x) for x in spec.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise ParseFailure(f"bad occupation {spec!r}: {exc}") from exc
+    """Comma-separated photon counts: non-negative decimal integers only (``int`` would take ``1_0``)."""
+    counts = [x.strip() for x in spec.split(",")]
+    if not all(map(_COUNT.fullmatch, counts)):
+        raise ParseFailure(f"bad occupation {spec!r}: counts must be non-negative decimal integers")
     if len(counts) > n_modes:
         raise ParseFailure(f"occupation lists {len(counts)} modes, netlist has {n_modes}")
-    return tuple(counts + [0] * (n_modes - len(counts)))
+    return tuple(map(int, counts)) + (0,) * (n_modes - len(counts))
 
 
 def _parse_complex_list(spec: str, n_modes: int) -> np.ndarray:
     try:
-        values = [complex(x.strip().replace("i", "j")) for x in spec.split(",") if x.strip() != ""]
+        values = [complex(x.strip().replace("i", "j")) for x in spec.split(",")]
     except ValueError as exc:
         raise ParseFailure(f"bad amplitude list {spec!r}: {exc}") from exc
+    if not all(map(cmath.isfinite, values)):
+        raise ParseFailure(f"bad amplitude list {spec!r}: amplitudes must be finite")
     if len(values) > n_modes:
         raise ParseFailure(f"amplitude list has {len(values)} modes, netlist has {n_modes}")
     out = np.zeros(n_modes, dtype=complex)
@@ -146,12 +161,17 @@ def _parse_complex_list(spec: str, n_modes: int) -> np.ndarray:
 
 
 def _parse_predicate(spec: str | None, n_modes: int):
-    """Per-mode photon-count windows: JSON object mode -> [min, max]."""
+    """Per-mode photon-count windows: JSON object mode -> [min, max], both JSON integers."""
     if spec is None:
         return None
     try:
         obj = json.loads(spec)
-        windows = {int(mode): (int(lo), int(hi)) for mode, (lo, hi) in obj.items()}
+        windows = {}
+        for mode, window in obj.items():
+            if not _MODE.fullmatch(mode) or not isinstance(window, list):
+                raise ValueError(f"want a decimal mode and a [min, max] list, got {mode!r}: {window!r}")
+            lo, hi = map(operator.index, window)
+            windows[int(mode)] = (lo, hi)
     except (AttributeError, TypeError, ValueError) as exc:
         raise ParseFailure(f"bad predicate {spec!r}: {exc}") from exc
     for mode in windows:
@@ -235,7 +255,9 @@ def cmd_cz(tol: float) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: ``main`` reuses it on every call."""
     parser = argparse.ArgumentParser(
         prog="qsynth",
         description="Compile linear optical transformations with loss and gain into element netlists.",

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsynth.blocks import circuit_from_json
-from qsynth.cli import main
+from qsynth.cli import build_parser, main
 from qsynth.numkit import matrix_from_json, matrix_to_json
 
 from oracles import LOSSY_BS_T
@@ -502,3 +505,199 @@ def test_netlist_fields_are_not_coerced(tmp_path, capsys, field, value):
     path.write_text(json.dumps(net).replace('"1e400"', "1e400"))
     assert main(["simulate", str(path), "--input", "1"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# --- output format and parser reuse ---------------------------------------------
+
+
+def _reject_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+def assert_one_document(text: str) -> dict:
+    """``text`` is one newline-terminated line holding one strict JSON document."""
+    assert text.endswith("\n") and text.count("\n") == 1, text[:200]
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def _beam_splitter_netlist(tmp_path) -> str:
+    path = tmp_path / "bs.json"
+    element = {"type": "bs", "modes": [0, 1], "theta": math.pi / 4}
+    path.write_text(json.dumps({"n_modes": 2, "n_nominal": 2, "elements": [element]}))
+    return str(path)
+
+
+def _povm_file(tmp_path) -> str:
+    path = tmp_path / "povm.json"
+    vectors = [[[math.sqrt(2 / 3) * math.cos(2 * math.pi * i / 3), 0.0],
+                [math.sqrt(2 / 3) * math.sin(2 * math.pi * i / 3), 0.0]] for i in range(3)]
+    path.write_text(json.dumps({"dim": 2, "vectors": vectors}))
+    return str(path)
+
+
+def _call(argv, capsys) -> tuple:
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_repeated_calls_reuse_the_parser_and_repeat_their_output(tmp_path, capsys):
+    matrix = write_matrix(tmp_path / "t.json", LOSSY_BS_T)
+    net, rep = tmp_path / "net.json", tmp_path / "rep.json"
+    calls = [
+        ["synth", matrix, "--netlist", str(net), "--report", str(rep)],
+        ["--tol", "1e-9", "synth", matrix],
+        ["synth"],  # usage error: the matrix argument is missing
+        ["simulate", str(net), "--input", "1,1", "--predicate", '{"2": [0, 0]}'],
+        ["simulate", str(net), "--mode", "moments", "--input", "-0.4+0.1i,0.3"],
+        ["nonsense", matrix],  # usage error: unknown command
+        ["cz"],
+    ]
+
+    def session():
+        results = [_call(argv, capsys) for argv in calls]
+        return results, net.read_bytes(), rep.read_bytes()
+
+    first = session()
+    assert [code for code, _, _ in first[0]] == [0, 0, 2, 0, 0, 2, 0]
+    assert first == session()
+
+
+def test_every_command_writes_one_compact_document_per_output(tmp_path, capsys):
+    matrix = write_matrix(tmp_path / "t.json", LOSSY_BS_T)
+    two = write_matrix(tmp_path / "two.json", np.array([[0.3 + 0.4j, -0.2], [0.1j, 1.7]]))
+    net = str(tmp_path / "net.json")
+    assert main(["synth", matrix, "--netlist", net, "--report", str(tmp_path / "rep.json")]) == 0
+    netlist, report, out = tmp_path / "n.json", tmp_path / "r.json", tmp_path / "o.json"
+    stdout_calls = [
+        ["synth", matrix],
+        ["synth", matrix, "--report", "-"],
+        ["simulate", net, "--input", "1,1", "--predicate", '{"2": [0, 0]}'],
+        ["simulate", net, "--mode", "moments", "--input", "0.4+0.1i,-0.3"],
+        ["naimark", _povm_file(tmp_path)],
+        ["analytic2x2", two],
+        ["cz"],
+    ]
+    for argv in stdout_calls:
+        code, stdout, _ = _call(argv, capsys)
+        assert code == 0, argv
+        assert assert_one_document(stdout)["schema"] == "qsynth/1"
+
+    file_calls = [
+        (["synth", matrix, "--netlist", str(netlist), "--report", str(report)], (netlist, report), False),
+        (["synth", matrix, "--netlist", str(netlist)], (netlist,), True),
+        (["naimark", _povm_file(tmp_path), "--out", str(out)], (out,), False),
+        (["analytic2x2", two, "--out", str(out)], (out,), False),
+    ]
+    for argv, paths, report_on_stdout in file_calls:
+        code, stdout, _ = _call(argv, capsys)
+        assert code == 0, argv
+        if report_on_stdout:
+            assert assert_one_document(stdout)["n_full_ancillas"] == 1
+        else:
+            assert stdout == ""
+        for path in paths:
+            assert_one_document(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "spec", ['{"0": [0.5, 1.9]}', '{"0": ["0", "1"]}', '{"0": [0, 1, 2]}', '{"0": 1}', '{"0": null}',
+             '{"1_0": [0, 1]}', '{" 0": [0, 1]}', '{"0.0": [0, 1]}']
+)
+def test_predicate_windows_must_be_json_integers(tmp_path, capsys, spec):
+    net = _beam_splitter_netlist(tmp_path)
+    code, stdout, err = _call(["simulate", net, "--input", "1,1", "--predicate", spec], capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: bad predicate") and err.count("\n") == 1
+
+
+def test_bad_predicate_is_reported_before_the_network_is_run(tmp_path, capsys):
+    # An active network would exit 4 in Fock mode; the malformed predicate is found first.
+    netlist = _squeezer_netlist(tmp_path / "net.json", 0.5)
+    code, _, err = _call(["simulate", netlist, "--input", "1", "--predicate", '{"0": [0.5, 1]}'], capsys)
+    assert code == 2 and err.startswith("error: bad predicate")
+
+
+def test_integer_predicate_window_selects_its_outcomes(tmp_path, capsys):
+    # Hong-Ou-Mandel: 1,1 leaves as (2, 0) or (0, 2); at most one photon in mode 0 keeps (0, 2).
+    net = _beam_splitter_netlist(tmp_path)
+    code, stdout, _ = _call(["simulate", net, "--input", "1,1", "--predicate", '{"0": [0, 1]}'], capsys)
+    assert code == 0
+    payload = assert_one_document(stdout)
+    assert payload["success_prob"] == pytest.approx(0.5, abs=1e-12)
+    assert [row["occupation"] for row in payload["postselected"]] == [[0, 2]]
+
+
+@pytest.mark.parametrize("spec", ["nan,1", "1e400,0", "1,-1e999", "1+nani", "0.5,nanj", "1,,1", "1,"])
+def test_moments_reject_non_finite_or_missing_amplitudes(tmp_path, capsys, spec):
+    net = _beam_splitter_netlist(tmp_path)
+    code, stdout, err = _call(["simulate", net, "--mode", "moments", f"--input={spec}"], capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: bad amplitude list") and err.count("\n") == 1
+
+
+def test_moments_that_overflow_exit_4_without_printing(tmp_path, capsys):
+    netlist = _squeezer_netlist(tmp_path / "net.json", 50.0)
+    code, stdout, err = _call(["simulate", netlist, "--mode", "moments", "--input=1e300"], capsys)
+    assert code == 4 and stdout == ""
+    assert err.startswith("error: result is not finite") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", ["-1,1", "1_0", "+1", "1.0", "0x1", "\uff11", "1e0", "one", "1,,1", "1,", ""])
+def test_occupations_must_be_non_negative_decimal_integers(tmp_path, capsys, spec):
+    net = _beam_splitter_netlist(tmp_path)
+    code, stdout, err = _call(["simulate", net, f"--input={spec}"], capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: bad occupation") and err.count("\n") == 1
+
+
+def test_occupation_tolerates_spaces_and_pads_with_vacuum(tmp_path, capsys):
+    net = _beam_splitter_netlist(tmp_path)
+    padded = _call(["simulate", net, "--input", " 1 "], capsys)
+    assert padded[0] == 0
+    assert padded == _call(["simulate", net, "--input", "1, 0"], capsys)
+
+
+def test_photon_and_mode_caps_still_exit_4(tmp_path, capsys):
+    code, _, err = _call(["simulate", _beam_splitter_netlist(tmp_path), "--input", "7"], capsys)
+    assert code == 4 and "at most 6 photons" in err
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"n_modes": 9, "n_nominal": 9, "elements": []}))
+    code, _, err = _call(["simulate", str(wide), "--input", "1"], capsys)
+    assert code == 4 and "at most 8 modes" in err
+
+
+# --- the installed entry point, run as a process ----------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_module(*argv) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "qsynth.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    cz = _run_module("cz")
+    assert cz.returncode == 0, cz.stderr
+    assert assert_one_document(cz.stdout)["phase_pattern"] == [-1, 1, 1, 1]
+    assert cz.stderr == ""
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"rows": 2, "cols": 2, "data": [[1, 0]]}))
+    malformed = _run_module("synth", str(bad))
+    assert malformed.returncode == 2 and malformed.stdout == ""
+    assert malformed.stderr.startswith("error: ")
+
+    unknown = _run_module("nonsense")
+    assert unknown.returncode == 2 and unknown.stdout == ""
+    assert "invalid choice" in unknown.stderr
