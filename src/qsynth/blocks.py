@@ -1,6 +1,7 @@
 """Elementary optical elements and the kernel that applies them to a matrix.
 
-An element is one of three frozen dataclasses: a phase shifter on a single
+An element is one of three slotted frozen dataclasses (no per-instance
+``__dict__``, cheap to build positionally): a phase shifter on a single
 mode, a beam splitter (real rotation ``[[cos t, sin t], [-sin t, cos t]]``)
 between two modes, or a two-mode squeezer with gain ``cosh(xi)``.  A circuit
 is an ordered element list applied first-to-last; the corresponding matrix
@@ -26,13 +27,13 @@ import numpy as np
 XI_MAX = 50.0  # the largest |xi| of a squeezer; cosh(XI_MAX) ~ 2.6e21 is the gain ceiling
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseShifter:
     mode: int
     phi: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BeamSplitter:
     mode_a: int
     mode_b: int
@@ -43,7 +44,7 @@ class BeamSplitter:
             raise ValueError("beam splitter modes must be distinct")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwoModeSqueezer:
     mode_a: int
     mode_b: int
@@ -57,12 +58,6 @@ class TwoModeSqueezer:
 
 
 Element = Union[PhaseShifter, BeamSplitter, TwoModeSqueezer]
-
-
-def element_modes(e: Element) -> tuple[int, ...]:
-    if isinstance(e, PhaseShifter):
-        return (e.mode,)
-    return (e.mode_a, e.mode_b)
 
 
 @dataclass(frozen=True)
@@ -105,7 +100,11 @@ class Circuit:
 def check_modes(elements, n_modes: int) -> None:
     """Raise ValueError unless every element's modes lie in ``0..n_modes-1``."""
     for e in elements:
-        if any(not (0 <= m < n_modes) for m in element_modes(e)):
+        if isinstance(e, PhaseShifter):
+            ok = 0 <= e.mode < n_modes
+        else:
+            ok = 0 <= e.mode_a < n_modes and 0 <= e.mode_b < n_modes
+        if not ok:
             raise ValueError(f"element {e} references a mode outside 0..{n_modes - 1}")
 
 
@@ -119,11 +118,17 @@ def _apply(s: np.ndarray, e: Element) -> None:
     if isinstance(e, PhaseShifter):
         s[e.mode] *= cmath.exp(1j * e.phi)
     elif isinstance(e, BeamSplitter):
-        a, b, c, sn = e.mode_a, e.mode_b, math.cos(e.theta), math.sin(e.theta)
-        s[a], s[b] = c * s[a] + sn * s[b], -sn * s[a] + c * s[b]
+        c, sn = math.cos(e.theta), math.sin(e.theta)
+        row_a, row_b = s[e.mode_a], s[e.mode_b]
+        new_a = c * row_a + sn * row_b
+        row_b *= c
+        row_b += -sn * row_a  # = -sn * a + c * b: IEEE addition commutes exactly
+        row_a[...] = new_a
     else:
+        n = s.shape[0]
         rows = [e.mode_a, e.mode_b]
-        partners = np.roll(s[rows[::-1]].conj(), s.shape[0], axis=1)
+        flipped = s[rows[::-1]].conj()
+        partners = np.concatenate((flipped[:, n:], flipped[:, :n]), axis=1)
         s[rows] = math.cosh(e.xi) * s[rows] + math.sinh(e.xi) * partners
 
 

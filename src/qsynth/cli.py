@@ -1,9 +1,9 @@
 """Command-line front end: JSON files in, JSON files/stdout out, one compact
 JSON document per line.
 
-Exit codes: 0 success, 2 unreadable or malformed input, 3 verification
-failure, 4 domain error (non-passive network in Fock mode, incomplete POVM,
-empty postselection, out-of-range parameters).
+Exit codes: 0 success, 2 unreadable or malformed input, or unwritable
+output, 3 verification failure, 4 domain error (non-passive network in Fock
+mode, incomplete POVM, empty postselection, out-of-range parameters).
 """
 
 from __future__ import annotations
@@ -35,6 +35,10 @@ class ParseFailure(Exception):
     """Input file could not be read or decoded."""
 
 
+class WriteFailure(Exception):
+    """Output could not be written."""
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -57,11 +61,15 @@ def _write_json(path: str | None, payload: dict) -> None:
         text = json.dumps(payload, allow_nan=False)
     except ValueError as exc:  # NaN or infinity is not JSON
         raise ValueError(f"result is not finite: {exc}") from exc
-    if path is None or path == "-":
-        print(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    try:
+        if path is None or path == "-":
+            print(text)
+            sys.stdout.flush()  # a full device fails here, not at interpreter exit
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+    except OSError as exc:
+        raise WriteFailure(f"cannot write {path or 'stdout'}: {exc}") from exc
 
 
 def cmd_synth(matrix_file: str, out_netlist: str | None, out_report: str | None, tol: float) -> int:
@@ -312,7 +320,7 @@ def main(argv=None) -> int:
         if args.command == "cz":
             return cmd_cz(args.tol)
         raise AssertionError(f"unhandled command {args.command}")
-    except ParseFailure as exc:
+    except (ParseFailure, WriteFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (SynthesisError, DecompositionError) as exc:

@@ -19,6 +19,12 @@ step ``b`` is ``acc_{b-1}`` normalized (Cauchy-Schwarz), up to its phase.
 Those rows form the next trailing block; the pivot row ends as a phase times
 ``e_c`` and drops out.  So a column costs a fixed number of array operations,
 and the angles of all columns are taken at once at the end.
+
+Emission is one pass over the steps in reverse.  It merges adjacent phases
+on a mode, keeping the multiples of pi apart as a parity so that they cancel
+exactly, and records the kept parameters in plain lists.  The elements are
+then built positionally from those lists, so a step costs a few list
+operations plus the construction of its (slotted, frozen) elements.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from .numkit import TOL, unitarity_deviation
 # Parameters this close to 0 (mod 2*pi for phases) produce identity elements
 # and are dropped from the netlist.
 PRUNE_EPS = 1e-14
+_PI, _TWO_PI = math.pi, 2.0 * math.pi  # for wrap_angle, inlined in _emit
 
 
 class NotUnitaryError(ValueError):
@@ -92,48 +99,78 @@ def reck_decompose(u, tol: float = TOL) -> list[Element]:
         return []
 
     # Step (a=c, b) is L = BS(a,b,theta) @ PS(a,phi), a left multiplication
-    # that nulls work[b, c] against the pivot work[c, c].
-    targets, pivots, lasts = [], [], []
-    rhos = [np.empty(0)]  # keeps the concatenation valid for n = 1, which has no steps
-    for _ in range(n - 1):
+    # that nulls work[b, c] against the pivot work[c, c].  Row c of ``xs`` holds
+    # column c's ``x`` in entries c..n-1 (the 1x1 block left at the end is
+    # xs[-1, -1]) and row c of ``rhos`` its running norms, so step (c, b) has
+    # target xs[c, b] and pivot xs[c, b-1], and its angles are entry [c][b-1]
+    # of the (n, n-1) arrays below (entries with b <= c are unused).  Column
+    # c's pivot ends as e^{i angle(x_last)}, the residual phase of mode c.
+    xs = np.zeros((n, n), dtype=complex)
+    rhos = np.zeros((n, n))
+    for c in range(n - 1):
         x = m[:, 0]
         rho = np.hypot.accumulate(np.abs(x))
-        targets.append(x[1:])
-        pivots.append(x[:-1])
-        rhos.append(rho[:-1])
-        lasts.append(x[-1:])
+        xs[c, c:] = x
+        rhos[c, c:] = rho
         m = _next_block(m, x, rho)
-    lasts.append(m[0])
-    n_steps = n * (n - 1) // 2
-    x_all = np.concatenate(targets + pivots + lasts)
-    angles = np.angle(x_all)
-    thetas = np.arctan2(np.abs(x_all[:n_steps]), np.concatenate(rhos))
-    phis = angles[:n_steps] - angles[n_steps : 2 * n_steps]
-    steps = zip([(c, b) for c in range(n - 1) for b in range(c + 1, n)], thetas.tolist(), phis.tolist())
+    xs[-1, -1] = m[0, 0]
+    angles = np.angle(xs)
+    thetas = np.arctan2(np.abs(xs[:, 1:]), rhos[:, :-1])
+    phis = angles[:, 1:] - angles[:, :-1]
+    return _emit(n, angles[:, -1].tolist(), thetas.tolist(), phis.tolist())
 
-    # u = L_1^dag ... L_K^dag Lambda with L^dag = PS(a, pi - phi) BS(theta) PS(a, pi),
-    # so chronologically: Lambda phases, then steps in reverse.  Adjacent phases
-    # on the same mode are accumulated and flushed lazily just before a beam
-    # splitter touches that mode.  Column c's pivot ends as e^{i angle(x_last)}.
-    pending = angles[2 * n_steps :].tolist()
-    elements: list[Element] = []
 
-    def flush(mode: int) -> None:
-        phi = wrap_angle(pending[mode])
-        pending[mode] = 0.0
-        if abs(phi) > PRUNE_EPS:
-            elements.append(PhaseShifter(mode=mode, phi=phi))
+def _emit(n: int, lam: list[float], thetas: list[list[float]], phis: list[list[float]]) -> list[Element]:
+    """Chronological elements of the steps (c, b), c < b, and the residual phases ``lam``.
 
-    for (a, b), theta, phi in reversed(list(steps)):
-        pending[a] += math.pi
-        if theta > PRUNE_EPS:
-            flush(a)
-            flush(b)
-            elements.append(BeamSplitter(mode_a=a, mode_b=b, theta=theta))
-        pending[a] += math.pi - phi
-    for mode in range(n):
-        flush(mode)
-    return elements
+    Step (c, b) has angles ``thetas[c][b-1]`` and ``phis[c][b-1]``.
+    u = L_1^dag ... L_K^dag Lambda with L^dag = PS(a, pi - phi) BS(theta) PS(a, pi),
+    so chronologically: Lambda phases, then steps in reverse.  Adjacent phases
+    on the same mode are accumulated and flushed (wrapped to (-pi, pi], and
+    kept unless ~0) just before a beam splitter touches that mode.  The
+    multiples of pi are kept apart as a parity per mode, so that pairs of them
+    cancel exactly instead of leaving rounding just above ``PRUNE_EPS``.  One
+    pass records the kept parameters in plain lists; the elements are built
+    from them at the end.
+    """
+    pending = list(lam)  # Lambda phases and the -phi of each step, without the pi's
+    odd = [False] * n  # an odd number of pi's is owed to the mode
+    ps_modes, ps_phis, bs_a, bs_b, bs_thetas = [], [], [], [], []
+    is_bs = []
+    for a in range(n - 2, -1, -1):
+        p_a, odd_a = pending[a], odd[a]
+        for b, theta, phi in zip(range(n - 1, a, -1), reversed(thetas[a]), reversed(phis[a])):
+            if theta <= PRUNE_EPS:  # no beam splitter: pi + (pi - phi) leaves the parity as it is
+                p_a -= phi
+                continue
+            # The step's own pi and an owed one make 2 pi, which drops out.
+            p = _PI - (_PI - (p_a if odd_a else p_a + _PI)) % _TWO_PI
+            if not -PRUNE_EPS <= p <= PRUNE_EPS:
+                ps_modes.append(a)
+                ps_phis.append(p)
+                is_bs.append(False)
+            if pending[b] or odd[b]:  # else the flush is wrap(0) = 0
+                p = _PI - (_PI - (pending[b] + _PI if odd[b] else pending[b])) % _TWO_PI
+                if not -PRUNE_EPS <= p <= PRUNE_EPS:
+                    ps_modes.append(b)
+                    ps_phis.append(p)
+                    is_bs.append(False)
+                pending[b], odd[b] = 0.0, False
+            bs_a.append(a)
+            bs_b.append(b)
+            bs_thetas.append(theta)
+            is_bs.append(True)
+            p_a, odd_a = -phi, True
+        pending[a], odd[a] = p_a, odd_a
+    for mode, p in enumerate(pending):
+        p = _PI - (_PI - (p + _PI if odd[mode] else p)) % _TWO_PI
+        if not -PRUNE_EPS <= p <= PRUNE_EPS:
+            ps_modes.append(mode)
+            ps_phis.append(p)
+            is_bs.append(False)
+    next_ps = map(PhaseShifter, ps_modes, ps_phis).__next__
+    next_bs = map(BeamSplitter, bs_a, bs_b, bs_thetas).__next__
+    return [next_bs() if k else next_ps() for k in is_bs]
 
 
 def reconstruct(elements, n_modes: int) -> np.ndarray:

@@ -119,9 +119,12 @@ def embed_element(e, n_modes: int) -> np.ndarray:
     return out
 
 
+def element_modes(e) -> tuple[int, ...]:
+    return (e.mode,) if isinstance(e, PhaseShifter) else (e.mode_a, e.mode_b)
+
+
 def _check_modes(e, n_modes: int) -> None:
-    modes = (e.mode,) if isinstance(e, PhaseShifter) else (e.mode_a, e.mode_b)
-    if any(not (0 <= m < n_modes) for m in modes):
+    if any(not (0 <= m < n_modes) for m in element_modes(e)):
         raise ValueError(f"element {e} references a mode outside 0..{n_modes - 1}")
 
 
@@ -398,6 +401,11 @@ def mesh_verify(elements, u) -> float:
 
 def reck_reference(u, tol: float = TOL) -> list:
     """Reck factorization of ``u`` by one Python Givens step per nulled entry."""
+    return emit_reference(*reck_angles(u, tol))
+
+
+def reck_angles(u, tol: float = TOL):
+    """``(n, lam, thetas, phis)`` of the Givens loop; step (a, b) has ``thetas[a][b-1]``, ``phis[a][b-1]``."""
     u = as_matrix(u, "u")
     if u.shape[0] != u.shape[1]:
         raise ValueError(f"u must be square, got {u.shape}")
@@ -425,27 +433,43 @@ def reck_reference(u, tol: float = TOL) -> list:
             work[b, :] = row_b
             steps.append((a, b, theta, phi))
     lam = [cmath.phase(work[j, j]) for j in range(n)]
+    thetas = [[0.0] * (n - 1) for _ in range(n)]
+    phis = [[0.0] * (n - 1) for _ in range(n)]
+    for a, b, theta, phi in steps:
+        thetas[a][b - 1], phis[a][b - 1] = theta, phi
+    return n, lam, thetas, phis
 
-    # u = L_1^dag ... L_K^dag Lambda with L^dag = PS(a, pi - phi) BS(theta) PS(a, pi),
-    # so chronologically: Lambda phases, then steps in reverse.  Adjacent phases
-    # on the same mode are accumulated and flushed lazily just before a beam
-    # splitter touches that mode.
+
+def emit_reference(n: int, lam, thetas, phis) -> list:
+    """Elements of the steps ``(a, b, thetas[a][b-1], phis[a][b-1])``, a < b, and residual phases ``lam``.
+
+    u = L_1^dag ... L_K^dag Lambda with L^dag = PS(a, pi - phi) BS(theta) PS(a, pi),
+    so chronologically: Lambda phases, then steps in reverse.  Adjacent phases
+    on the same mode are accumulated and flushed lazily just before a beam
+    splitter touches that mode.  The pi's are counted apart, as a parity per
+    mode, so that two of them cancel exactly.
+    """
+    steps = [(a, b) for a in range(n - 1) for b in range(a + 1, n)]
     pending = list(lam)
+    pis = [0] * n
     elements: list = []
 
     def flush(mode: int) -> None:
-        phi = wrap_angle(pending[mode])
+        phi = wrap_angle(pending[mode] + math.pi * (pis[mode] % 2))
         pending[mode] = 0.0
+        pis[mode] = 0
         if abs(phi) > PRUNE_EPS:
             elements.append(PhaseShifter(mode=mode, phi=phi))
 
-    for a, b, theta, phi in reversed(steps):
-        pending[a] += math.pi
+    for a, b in reversed(steps):
+        theta, phi = thetas[a][b - 1], phis[a][b - 1]
+        pis[a] += 1
         if theta > PRUNE_EPS:
             flush(a)
             flush(b)
             elements.append(BeamSplitter(mode_a=a, mode_b=b, theta=theta))
-        pending[a] += math.pi - phi
+        pis[a] += 1
+        pending[a] -= phi
     for mode in range(n):
         flush(mode)
     return elements

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from qsynth.blocks import (
     TwoModeSqueezer,
     circuit_from_json,
     circuit_smatrix,
+    check_modes,
     circuit_to_json,
     element_from_json,
 )
@@ -282,6 +285,56 @@ def test_circuit_concatenation_composes_products():
     s2 = circuit_smatrix(Circuit(n_modes=n, n_nominal=n, elements=second))
     s12 = circuit_smatrix(Circuit(n_modes=n, n_nominal=n, elements=first + second))
     assert max_abs(s12 - s2 @ s1) < 1e-14
+
+
+def test_elements_are_slotted_and_frozen():
+    for e, field in (
+        (PhaseShifter(0, 0.5), "phi"),
+        (BeamSplitter(0, 1, 0.5), "theta"),
+        (TwoModeSqueezer(0, 1, 0.5), "xi"),
+    ):
+        assert not hasattr(e, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(e, field, 0.25)
+        # A new name fails too; a slotted frozen dataclass raises TypeError
+        # there on Python 3.11 rather than FrozenInstanceError.
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            e.extra = 1
+
+
+def test_element_equality_hash_and_repr():
+    assert BeamSplitter(0, 1, 0.3) != TwoModeSqueezer(0, 1, 0.3)
+    assert BeamSplitter(0, 1, 0.3) == BeamSplitter(mode_a=0, mode_b=1, theta=0.3)
+    assert BeamSplitter(0, 1, 0.3) != BeamSplitter(1, 0, 0.3)
+    for a, b in (
+        (PhaseShifter(2, -1.5), PhaseShifter(mode=2, phi=-1.5)),
+        (BeamSplitter(0, 1, 0.3), BeamSplitter(mode_a=0, mode_b=1, theta=0.3)),
+        (TwoModeSqueezer(1, 3, 0.7), TwoModeSqueezer(mode_a=1, mode_b=3, xi=0.7)),
+    ):
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+    assert repr(PhaseShifter(2, -1.5)) == "PhaseShifter(mode=2, phi=-1.5)"
+    assert repr(BeamSplitter(0, 1, 0.3)) == "BeamSplitter(mode_a=0, mode_b=1, theta=0.3)"
+    assert repr(TwoModeSqueezer(1, 3, 0.7)) == "TwoModeSqueezer(mode_a=1, mode_b=3, xi=0.7)"
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        PhaseShifter(-1, 0.1),
+        PhaseShifter(3, 0.1),
+        BeamSplitter(-1, 1, 0.1),
+        BeamSplitter(0, 3, 0.1),
+        TwoModeSqueezer(-1, 0, 0.1),
+        TwoModeSqueezer(2, 3, 0.1),
+    ],
+)
+def test_check_modes_rejects_each_kind_out_of_range(bad):
+    ok = [PhaseShifter(0, 0.2), BeamSplitter(0, 2, 0.1), TwoModeSqueezer(1, 2, 0.1)]
+    check_modes(ok, 3)
+    message = f"element {bad} references a mode outside 0..2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_modes([*ok, bad], 3)
 
 
 def test_circuit_validation():

@@ -701,3 +701,31 @@ def test_module_entry_point_exit_codes(tmp_path):
     unknown = _run_module("nonsense")
     assert unknown.returncode == 2 and unknown.stdout == ""
     assert "invalid choice" in unknown.stderr
+
+
+# --- unwritable output ------------------------------------------------------------
+
+
+def test_output_path_in_missing_directory_exits_2(tmp_path, capsys):
+    matrix = write_matrix(tmp_path / "t.json", LOSSY_BS_T)
+    missing = tmp_path / "missing" / "net.json"
+    code = main(["synth", matrix, "--netlist", str(missing), "--report", str(tmp_path / "r.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert not missing.parent.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_2_with_one_line_error():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qsynth.cli", "cz"],
+            env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write stdout") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr

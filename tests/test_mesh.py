@@ -9,12 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsynth.apps import RankOnePovm, cz_gate_target, naimark_extension
-from qsynth.blocks import BeamSplitter, PhaseShifter, element_modes
-from qsynth.mesh import NotUnitaryError, reck_decompose, reconstruct
+from qsynth.blocks import BeamSplitter, PhaseShifter
+from qsynth.mesh import NotUnitaryError, _emit, reck_decompose, reconstruct
 from qsynth.numkit import max_abs, svd
 from qsynth.synth import pad_factors
 
-from oracles import LOSSY_BS_U, count_bounds, mesh_verify, random_unitary, reck_reference
+from oracles import (
+    LOSSY_BS_U,
+    count_bounds,
+    element_modes,
+    emit_reference,
+    mesh_verify,
+    random_unitary,
+    reck_angles,
+    reck_reference,
+)
 
 
 def bs_count(elements):
@@ -222,6 +231,52 @@ def test_parity_cz_factors_with_negative_zero():
     for t in (cz_gate_target(), np.exp(0.7j) * cz_gate_target()):
         for factor in pad_factors(svd(t), 4, 4):
             assert_matches_reference(factor)
+
+
+def test_emission_matches_reference_exactly():
+    # The emission half alone, on the same angles: the two must agree to the
+    # bit, also with steps of theta = 0 (no beam splitter) at random places
+    # and with angles that are exact multiples of pi / 2.
+    rng = np.random.default_rng(89)
+
+    def quarter(size):
+        return (rng.integers(-4, 5, size=size) * (math.pi / 2)).tolist()
+
+    for n in range(1, 13):
+        for _ in range(4):
+            _, lam, thetas, phis = reck_angles(random_unitary(rng, n))
+            cases = [(lam, thetas, phis)]
+            cases.append((quarter(n), [quarter(n - 1) for _ in range(n)], [quarter(n - 1) for _ in range(n)]))
+            forced = [[0.0 if rng.random() < 0.3 else t for t in row] for row in thetas]
+            cases.append((lam, forced, phis))
+            cases.append((quarter(n), [[0.0 if rng.random() < 0.5 else math.pi / 2 for _ in row] for row in thetas], phis))
+            for args in cases:
+                assert _emit(n, *args) == emit_reference(n, *args)
+
+
+def _tiny_phases(elements):
+    return [e for e in elements if isinstance(e, PhaseShifter) and abs(e.phi) < 1e-12]
+
+
+def test_no_identity_phases_from_rounded_multiples_of_pi():
+    # Multiples of pi are owed as a parity per mode, so they cancel exactly
+    # instead of leaving ~1e-14 of rounding above PRUNE_EPS.  This phased
+    # permutation, whose zeros carry signs, emitted PhaseShifter(1, -1.07e-14)
+    # when the multiples of pi were summed as floats.
+    perm = [8, 5, 1, 6, 3, 2, 4, 0, 7]
+    quarters = np.array([2, 2, 1, 0, 0, 1, 2, 0, 0])
+    u = np.eye(9)[perm] * np.exp(0.5j * math.pi * quarters)
+    assert mesh_verify(reck_decompose(u), u) < 1e-15
+    assert not _tiny_phases(reck_decompose(u))
+    rng = np.random.default_rng(90)
+    for n in range(1, 9):
+        for m in range(1, 9):
+            for factor in pad_factors(svd(rng.normal(size=(n, m))), n, m):
+                assert not _tiny_phases(reck_decompose(factor))
+    for _ in range(100):
+        n = int(rng.integers(2, 13))
+        u = np.eye(n)[rng.permutation(n)] * np.exp(0.5j * math.pi * rng.integers(-1, 3, size=n))
+        assert not _tiny_phases(reck_decompose(u))
 
 
 def test_tiny_leading_entries():
