@@ -1,6 +1,9 @@
 """Command-line front end: JSON files in, JSON files/stdout out, one compact
 JSON document per line.
 
+Each ``cmd_*`` computes and returns its documents as ``{path: payload}`` (``None`` or
+``-`` is stdout); ``main`` hands them to ``_write``, the one writer, and maps errors to exit codes.
+
 Exit codes: 0 success, 2 unreadable or malformed input, or unwritable
 output, 3 verification failure, 4 domain error (non-passive network in Fock
 mode, incomplete POVM, empty postselection, out-of-range parameters).
@@ -10,20 +13,21 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import functools
 import json
 import operator
+import os
 import re
+import stat
 import sys
 
 import numpy as np
 
 from . import apps, closedform2x2, sim, synth
-from .blocks import SCHEMA, Circuit, circuit_from_json, circuit_to_json, circuit_smatrix
-from .mesh import NotUnitaryError, reck_decompose
+from .blocks import SCHEMA, circuit_from_json, circuit_to_json, circuit_smatrix
+from .mesh import reck_decompose
 from .numkit import TOL, DecompositionError, complex_from_json, matrix_from_json, matrix_to_json
-from .sim import NotPassiveError
-from .synth import SynthesisError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -32,140 +36,132 @@ EXIT_DOMAIN = 4
 
 
 class ParseFailure(Exception):
-    """Input file could not be read or decoded."""
+    """Input file could not be read or decoded, or an output could not be written."""
 
 
-class WriteFailure(Exception):
-    """Output could not be written."""
-
-
-def _load_json(path: str):
+def _load(path: str, decode):
+    """``decode`` of the JSON document in ``path``; a ``ValueError`` it raises is an input error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError and UnicodeDecodeError
         raise ParseFailure(f"cannot read {path}: {exc}") from exc
-
-
-def _load_matrix(path: str) -> np.ndarray:
-    obj = _load_json(path)
     try:
-        return matrix_from_json(obj)
+        return decode(obj)
     except ValueError as exc:
         raise ParseFailure(f"{path}: {exc}") from exc
 
 
-def _write_json(path: str | None, payload: dict) -> None:
-    """One compact line per document: without ``indent``, ``json`` uses its C encoder."""
+def _write(docs: dict) -> None:
+    """Write all of ``docs`` or none: all are encoded first, one compact line each with ``schema``
+    first; each file is written beside its target and renamed onto it only after stdout is written,
+    a device or FIFO in place, last."""
     try:
-        text = json.dumps(payload, allow_nan=False)
+        texts = {path: json.dumps({"schema": SCHEMA, **doc}, allow_nan=False) + "\n" for path, doc in docs.items()}
     except ValueError as exc:  # NaN or infinity is not JSON
         raise ValueError(f"result is not finite: {exc}") from exc
+    stdout = texts.pop(None, "") + texts.pop("-", "")
+    staged, in_place = [], []
     try:
-        if path is None or path == "-":
-            print(text)
-            sys.stdout.flush()  # a full device fails here, not at interpreter exit
-        else:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+        for shown, text in texts.items():
+            mode = os.stat(shown).st_mode if os.path.exists(shown) else None
+            if mode is not None and not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):  # a device or FIFO
+                in_place.append((shown, text))
+                continue
+            target = os.path.realpath(shown) if os.path.islink(shown) else shown  # a symlink keeps its link
+            temp = f"{target}.{os.getpid()}-{len(staged)}.tmp"
+            with open(temp, "x", encoding="utf-8") as fh:  # a new file gets its mode from the umask
+                staged.append((shown, temp, target))
+                fh.write(text)
+            if mode is not None:
+                open(shown, "a").close()  # fails where open(shown, "w") would: a directory, a read-only file
+                os.chmod(temp, stat.S_IMODE(mode))
+        shown = "stdout"
+        print(stdout, end="", flush=True)  # a full device fails here, not at interpreter exit
+        for shown, temp, target in staged:
+            with contextlib.suppress(FileNotFoundError):  # ext4 flushes the new data on a rename over a file
+                os.unlink(target)
+            os.replace(temp, target)
+        for shown, text in in_place:
+            with open(shown, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except OSError as exc:
-        raise WriteFailure(f"cannot write {path or 'stdout'}: {exc}") from exc
+        for _, temp, _ in staged:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        if exc.filename is not None:  # name the target, never a temporary file
+            exc = type(exc)(exc.errno, exc.strerror, shown)
+        raise ParseFailure(f"cannot write {shown}: {exc}") from exc
 
 
-def cmd_synth(matrix_file: str, out_netlist: str | None, out_report: str | None, tol: float) -> int:
+def cmd_synth(args) -> dict:
     """Compile a matrix file into a netlist plus a verification report (one document if both go to stdout)."""
-    t = _load_matrix(matrix_file)
-    result = synth.synthesize(t, tol)
+    result = synth.synthesize(_load(args.matrix, matrix_from_json), args.tol)
     netlist = circuit_to_json(result.circuit)
     report = synth.verification_report(result)
-    if out_netlist in (None, "-") and out_report in (None, "-"):
-        _write_json(None, {"schema": SCHEMA, "netlist": netlist, "report": report})
-    else:
-        _write_json(out_netlist, netlist)
-        _write_json(out_report, report)
-    return EXIT_OK
+    if args.netlist in (None, "-") and args.report in (None, "-"):
+        return {None: {"netlist": netlist, "report": report}}
+    return {args.netlist: netlist, args.report: report}
 
 
-def cmd_simulate(
-    netlist_file: str,
-    input_spec: str,
-    predicate_spec: str | None,
-    mode: str,
-    tol: float,
-) -> int:
+def cmd_simulate(args) -> dict:
     """Run a netlist: exact Fock statistics (passive only) or moment propagation."""
-    netlist = _load_json(netlist_file)
-    try:
-        circuit = circuit_from_json(netlist)
-    except ValueError as exc:
-        raise ParseFailure(f"{netlist_file}: {exc}") from exc
+    circuit = _load(args.netlist, circuit_from_json)
     s_total = circuit_smatrix(circuit)
 
-    if mode == "moments":
-        alpha = _parse_complex_list(input_spec, circuit.n_modes)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails in _write_json
+    if args.mode == "moments":
+        alpha = np.array(_parse_list(args.input, circuit.n_modes, _amplitudes, "amplitude list", "has"), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails in _write
             moments = sim.evolve_moments(s_total, sim.coherent_moments(alpha))
         means = moments.mean[: circuit.n_modes]
-        _write_json(None, {
-            "schema": SCHEMA,
-            "means": [[float(z.real), float(z.imag)] for z in means],
-        })
-        return EXIT_OK
+        return {None: {"means": [[float(z.real), float(z.imag)] for z in means]}}
 
-    occupation = _parse_occupation(input_spec, circuit.n_modes)
-    predicate = _parse_predicate(predicate_spec, circuit.n_modes)
-    block = sim.passive_block(s_total, tol)
-    state = sim.fock_evolve(block, occupation, tol)
-    payload = {"schema": SCHEMA, "outcomes": _outcome_table(state)}
+    occupation = tuple(_parse_list(args.input, circuit.n_modes, _counts, "occupation", "lists"))
+    predicate = _parse_predicate(args.predicate, circuit.n_modes)
+    block = sim.passive_block(s_total, args.tol)
+    state = sim.fock_evolve(block, occupation, args.tol)
+    payload = {"outcomes": _outcome_table(state)}
     if predicate is not None:
         conditioned, success = sim.postselect(state, predicate)
         payload["success_prob"] = success
         payload["postselected"] = _outcome_table(conditioned)
-    _write_json(None, payload)
-    return EXIT_OK
+    return {None: payload}
 
 
 def _outcome_table(state: sim.FockState) -> list[dict]:
-    rows = []
-    for occ in sorted(state.amplitudes):
-        amp = state.amplitudes[occ]
-        rows.append(
-            {
-                "occupation": list(occ),
-                "re": float(amp.real),
-                "im": float(amp.imag),
-                "prob": float(abs(amp) ** 2),
-            }
-        )
-    return rows
+    return [
+        {"occupation": list(occ), "re": float(amp.real), "im": float(amp.imag), "prob": float(abs(amp) ** 2)}
+        for occ, amp in sorted(state.amplitudes.items())
+    ]
 
 
 _COUNT = re.compile(r"[0-9]+")
 _MODE = re.compile(r"-?[0-9]+")
 
 
-def _parse_occupation(spec: str, n_modes: int) -> tuple[int, ...]:
-    """Comma-separated photon counts: non-negative decimal integers only (``int`` would take ``1_0``)."""
-    counts = [x.strip() for x in spec.split(",")]
-    if not all(map(_COUNT.fullmatch, counts)):
-        raise ParseFailure(f"bad occupation {spec!r}: counts must be non-negative decimal integers")
-    if len(counts) > n_modes:
-        raise ParseFailure(f"occupation lists {len(counts)} modes, netlist has {n_modes}")
-    return tuple(map(int, counts)) + (0,) * (n_modes - len(counts))
-
-
-def _parse_complex_list(spec: str, n_modes: int) -> np.ndarray:
+def _parse_list(spec: str, n_modes: int, parse, noun: str, verb: str) -> list:
+    """Comma-separated items, stripped and ``parse``d, at most ``n_modes`` of them, padded with zeros."""
     try:
-        values = [complex(x.strip().replace("i", "j")) for x in spec.split(",")]
+        values = parse([x.strip() for x in spec.split(",")])
     except ValueError as exc:
-        raise ParseFailure(f"bad amplitude list {spec!r}: {exc}") from exc
-    if not all(map(cmath.isfinite, values)):
-        raise ParseFailure(f"bad amplitude list {spec!r}: amplitudes must be finite")
+        raise ParseFailure(f"bad {noun} {spec!r}: {exc}") from exc
     if len(values) > n_modes:
-        raise ParseFailure(f"amplitude list has {len(values)} modes, netlist has {n_modes}")
-    out = np.zeros(n_modes, dtype=complex)
-    out[: len(values)] = values
-    return out
+        raise ParseFailure(f"{noun} {verb} {len(values)} modes, netlist has {n_modes}")
+    return values + [0] * (n_modes - len(values))
+
+
+def _counts(items: list[str]) -> list[int]:
+    """Photon counts: non-negative decimal integers only (``int`` would take ``1_0``)."""
+    if not all(map(_COUNT.fullmatch, items)):
+        raise ValueError("counts must be non-negative decimal integers")
+    return [int(x) for x in items]
+
+
+def _amplitudes(items: list[str]) -> list[complex]:
+    values = [complex(x.replace("i", "j")) for x in items]
+    if not all(map(cmath.isfinite, values)):
+        raise ValueError("amplitudes must be finite")
+    return values
 
 
 def _parse_predicate(spec: str | None, n_modes: int):
@@ -185,71 +181,50 @@ def _parse_predicate(spec: str | None, n_modes: int):
     for mode in windows:
         if not 0 <= mode < n_modes:
             raise ParseFailure(f"predicate mode {mode} outside 0..{n_modes - 1}")
-
-    def predicate(occ: tuple[int, ...]) -> bool:
-        return all(lo <= occ[mode] <= hi for mode, (lo, hi) in windows.items())
-
-    return predicate
+    return lambda occ: all(lo <= occ[mode] <= hi for mode, (lo, hi) in windows.items())
 
 
-def _pairs(data, depth: int, path: str):
+def _povm_rows(obj):
+    """The POVM document, its key and its decoded rows ([re, im] pairs nested 2 or 3 deep)."""
+    for key, depth in (("vectors", 2), ("operators", 3)):
+        if key in obj:
+            return obj, key, complex_from_json(obj[key], depth)
+    raise ValueError("POVM JSON needs 'vectors' or 'operators'")
+
+
+def cmd_naimark(args) -> dict:
+    """POVM JSON -> extension unitary plus its mesh netlist, verified against the POVM rows."""
     try:
-        return complex_from_json(data, depth)
-    except ValueError as exc:
-        raise ParseFailure(f"{path}: {exc}") from exc
-
-
-def cmd_naimark(povm_file: str, out: str | None, tol: float) -> int:
-    """POVM JSON -> extension unitary plus its mesh netlist."""
-    obj = _load_json(povm_file)
-    try:
-        if "vectors" in obj:
-            povm = apps.RankOnePovm.from_vectors(_pairs(obj["vectors"], 2, povm_file))
-        elif "operators" in obj:
-            povm = apps.RankOnePovm.from_operators(_pairs(obj["operators"], 3, povm_file), tol)
-        else:
-            raise ParseFailure(f"{povm_file}: POVM JSON needs 'vectors' or 'operators'")
+        obj, key, rows = _load(args.povm, _povm_rows)
+        povm = (apps.RankOnePovm.from_vectors(rows) if key == "vectors"
+                else apps.RankOnePovm.from_operators(rows, args.tol))
         if operator.index(obj.get("dim", povm.dim)) != povm.dim:
-            raise ParseFailure(f"{povm_file}: declared dim {obj['dim']} != vector length {povm.dim}")
+            raise ParseFailure(f"{args.povm}: declared dim {obj['dim']} != vector length {povm.dim}")
     except (TypeError, KeyError) as exc:
-        raise ParseFailure(f"{povm_file}: malformed POVM JSON: {exc}") from exc
+        raise ParseFailure(f"{args.povm}: malformed POVM JSON: {exc}") from exc
 
-    extension = apps.naimark_extension(povm, tol)
-    elements = reck_decompose(extension, tol)
-    m = extension.shape[0]
-    circuit = Circuit(
-        n_modes=m,
-        n_nominal=m,
-        elements=tuple(elements),
-        ancilla_outputs=tuple(range(povm.dim, m)),
-    )
-    _write_json(out, {
-        "schema": SCHEMA,
-        "extension": matrix_to_json(extension),
-        "netlist": circuit_to_json(circuit),
-    })
-    return EXIT_OK
+    extension = apps.naimark_extension(povm, args.tol)
+    # One passive mesh whose first dim rows hold the POVM; outputs dim..m-1 are ancillas.
+    elements = reck_decompose(extension, args.tol)
+    result = synth.verified(povm.matrix(), (1.0,) * povm.dim, (), (), elements, args.tol)
+    return {args.out: {"extension": matrix_to_json(extension), "netlist": circuit_to_json(result.circuit)}}
 
 
-def cmd_analytic2x2(matrix_file: str, out: str | None, tol: float) -> int:
+def cmd_analytic2x2(args) -> dict:
     """Closed-form decomposition of a 2x2 matrix file."""
-    t = _load_matrix(matrix_file)
-    params, result = closedform2x2.analytic_synthesize(t, tol)
-    _write_json(out, {
-        "schema": SCHEMA,
+    params, result = closedform2x2.analytic_synthesize(_load(args.matrix, matrix_from_json), args.tol)
+    return {args.out: {
         "params": closedform2x2.params_to_json(params),
         "netlist": circuit_to_json(result.circuit),
         "report": synth.verification_report(result),
-    })
-    return EXIT_OK
+    }}
 
 
-def cmd_cz(tol: float) -> int:
+def cmd_cz(args) -> dict:
     """Synthesize the postselected controlled-Z network and report its checks."""
-    result = synth.synthesize(apps.cz_gate_target(), tol)
-    verification = apps.verify_cz(result, tol)
-    _write_json(None, {
-        "schema": SCHEMA,
+    result = synth.synthesize(apps.cz_gate_target(), args.tol)
+    verification = apps.verify_cz(result, args.tol)
+    return {None: {
         "success_prob": verification.success_prob,
         "success_probs": verification.success_probs,
         "phase_pattern": list(verification.phase_pattern),
@@ -259,8 +234,7 @@ def cmd_cz(tol: float) -> int:
         "singular_values": list(result.singulars),
         "n_full_ancillas": len(result.circuit.full_ancillas),
         "report": synth.verification_report(result),
-    })
-    return EXIT_OK
+    }}
 
 
 @functools.cache
@@ -277,22 +251,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", help="input matrix JSON file")
     p.add_argument("--netlist", default=None, help="output netlist path (default: stdout)")
     p.add_argument("--report", default=None, help="output report path (default: stdout)")
+    p.set_defaults(run=cmd_synth)
 
     p = sub.add_parser("simulate", help="run a netlist on a Fock or coherent input")
     p.add_argument("netlist", help="netlist JSON file")
     p.add_argument("--input", required=True, help="comma-separated occupation (fock) or amplitudes (moments)")
     p.add_argument("--mode", choices=["fock", "moments"], default="fock")
     p.add_argument("--predicate", default=None, help='postselection windows, e.g. {"0": [1, 1]}')
+    p.set_defaults(run=cmd_simulate)
 
     p = sub.add_parser("naimark", help="POVM JSON -> extension unitary + netlist")
     p.add_argument("povm", help="POVM JSON file")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
+    p.set_defaults(run=cmd_naimark)
 
     p = sub.add_parser("analytic2x2", help="closed-form decomposition of a 2x2 matrix file")
     p.add_argument("matrix", help="input matrix JSON file")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
+    p.set_defaults(run=cmd_analytic2x2)
 
-    sub.add_parser("cz", help="verify the postselected controlled-Z construction")
+    sub.add_parser("cz", help="verify the postselected controlled-Z construction").set_defaults(run=cmd_cz)
     return parser
 
 
@@ -309,26 +287,13 @@ def main(argv=None) -> int:
     try:
         if not 0 < args.tol < 1:  # also rejects NaN
             raise ValueError(f"tol must be positive and below 1, got {args.tol}")
-        if args.command == "synth":
-            return cmd_synth(args.matrix, args.netlist, args.report, args.tol)
-        if args.command == "simulate":
-            return cmd_simulate(args.netlist, args.input, args.predicate, args.mode, args.tol)
-        if args.command == "naimark":
-            return cmd_naimark(args.povm, args.out, args.tol)
-        if args.command == "analytic2x2":
-            return cmd_analytic2x2(args.matrix, args.out, args.tol)
-        if args.command == "cz":
-            return cmd_cz(args.tol)
-        raise AssertionError(f"unhandled command {args.command}")
-    except (ParseFailure, WriteFailure) as exc:
+        _write(args.run(args))
+        return EXIT_OK
+    except (ParseFailure, synth.SynthesisError, DecompositionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (SynthesisError, DecompositionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except (NotPassiveError, NotUnitaryError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        if isinstance(exc, ParseFailure):
+            return EXIT_PARSE
+        return EXIT_DOMAIN if isinstance(exc, ValueError) else EXIT_VERIFY
 
 
 if __name__ == "__main__":

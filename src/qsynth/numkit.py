@@ -71,15 +71,10 @@ class SvdFactors:
     singulars: tuple[float, ...]
     w: np.ndarray
 
-    def diagonal_matrix(self) -> np.ndarray:
-        """The rectangular diagonal factor D such that T = u @ D @ w."""
-        d = np.zeros((self.u.shape[0], self.w.shape[0]), dtype=complex)
-        for i, sigma in enumerate(self.singulars):
-            d[i, i] = sigma
-        return d
-
     def reconstruct(self) -> np.ndarray:
-        return self.u @ self.diagonal_matrix() @ self.w
+        """``u @ D @ w``; only the first ``k = len(singulars)`` columns of u and rows of w meet D."""
+        k = len(self.singulars)
+        return (self.u[:, :k] * self.singulars) @ self.w[:k]
 
 
 def svd(t) -> SvdFactors:

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -11,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsynth.blocks import circuit_from_json
+from qsynth.blocks import circuit_from_json, circuit_smatrix
 from qsynth.cli import build_parser, main
-from qsynth.numkit import matrix_from_json, matrix_to_json
+from qsynth.mesh import reck_decompose
+from qsynth.numkit import matrix_from_json, matrix_to_json, max_abs
 
-from oracles import LOSSY_BS_T
+from oracles import LOSSY_BS_T, random_unitary
 
 
 def write_matrix(path, m):
@@ -716,6 +721,52 @@ def test_output_path_in_missing_directory_exits_2(tmp_path, capsys):
     assert captured.err.startswith("error: cannot write") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert not missing.parent.exists()
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_unwritable_report_leaves_no_netlist(tmp_path, capsys):
+    matrix = write_matrix(tmp_path / "t.json", LOSSY_BS_T)
+    netlist, report = tmp_path / "net.json", tmp_path / "missing" / "r.json"
+    code, stdout, err = _call(["synth", matrix, "--netlist", str(netlist), "--report", str(report)], capsys)
+    assert code == 2 and stdout == ""
+    # The message names the target, not the temporary file written beside it.
+    assert err == f"error: cannot write {report}: [Errno 2] No such file or directory: '{report}'\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["t.json"]
+
+
+def _two_by_two(tmp_path) -> str:
+    return write_matrix(tmp_path / "two.json", np.array([[0.3 + 0.4j, -0.2], [0.1j, 1.7]]))
+
+
+def test_output_through_a_symlink_keeps_the_link(tmp_path, capsys):
+    real, link = tmp_path / "real.json", tmp_path / "link.json"
+    real.write_text("old\n")
+    link.symlink_to(real)
+    code, stdout, _ = _call(["analytic2x2", _two_by_two(tmp_path), "--out", str(link)], capsys)
+    assert code == 0 and stdout == ""
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert assert_one_document(real.read_text())["schema"] == "qsynth/1"
+
+
+def test_existing_output_keeps_its_mode(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    out.write_text("old\n")
+    out.chmod(0o640)
+    code, _, _ = _call(["analytic2x2", _two_by_two(tmp_path), "--out", str(out)], capsys)
+    assert code == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert assert_one_document(out.read_text())["schema"] == "qsynth/1"
+
+
+def test_new_output_gets_its_mode_from_the_umask(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    umask = os.umask(0o027)
+    try:
+        code, _, _ = _call(["analytic2x2", _two_by_two(tmp_path), "--out", str(out)], capsys)
+    finally:
+        os.umask(umask)
+    assert code == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -729,3 +780,89 @@ def test_full_stdout_exits_2_with_one_line_error():
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: cannot write stdout") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+# --- naimark output is verified ------------------------------------------------------
+
+
+def test_naimark_netlist_that_fails_verification_exits_3(tmp_path, capsys, monkeypatch):
+    # A mesh missing its last element no longer holds the POVM rows; nothing is printed.
+    monkeypatch.setattr("qsynth.cli.reck_decompose", lambda u, tol: reck_decompose(u, tol)[:-1])
+    code, stdout, err = _call(["naimark", _povm_file(tmp_path)], capsys)
+    assert code == 3 and stdout == ""
+    assert err.startswith("error: synthesized network failed verification") and err.count("\n") == 1
+
+
+@st.composite
+def haar_povm(draw):
+    """The first ``dim`` rows of a random ``m``-mode unitary: a complete rank-one POVM with m outcomes."""
+    dim = draw(st.integers(1, 6))
+    m = draw(st.integers(dim, 8))
+    return random_unitary(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), m)[:dim]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(haar_povm())
+def test_naimark_netlist_reconstructs_the_printed_extension(t):
+    dim, m = t.shape
+    doc = {"dim": dim, "vectors": [[[z.real, z.imag] for z in column] for column in t.T]}
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "povm.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(out):
+            assert main(["naimark", str(path)]) == 0
+    payload = json.loads(out.getvalue())
+    extension = matrix_from_json(payload["extension"])
+    s_total = circuit_smatrix(circuit_from_json(payload["netlist"]))
+    assert max_abs(s_total[:m, :m] - extension) <= 1e-10
+    assert max_abs(extension[:dim] - t) <= 1e-10
+    assert payload["netlist"]["ancilla_outputs"] == list(range(dim, m))
+
+
+# --- exact error lines ----------------------------------------------------------------
+
+ERROR_DOCS = {
+    "bs": {"n_modes": 2, "n_nominal": 2, "elements": [{"type": "bs", "modes": [0, 1], "theta": math.pi / 4}]},
+    "sq": {"n_modes": 2, "n_nominal": 1, "full_ancillas": [1], "elements": [{"type": "tms", "modes": [0, 1], "xi": 0.5}]},
+    "lossy": matrix_to_json(LOSSY_BS_T),
+    "bad_matrix": {"rows": 2, "cols": 2, "data": [[1, 0], [1], [0, 0], [1, 0]]},
+    "bad_netlist": {"n_modes": "3", "n_nominal": 2, "elements": []},
+    "bad_vectors": {"dim": 1, "vectors": [[[1, 0, 0]]]},
+    "bad_operators": {"dim": 1, "operators": [[[[1, 0, 0]]]]},
+    "no_key": {"dim": 1},
+    "wrong_dim": {"dim": 2, "vectors": [[[1, 0]]]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        (["simulate", "@bs", "--input", "1,1,1"], 2, "occupation lists 3 modes, netlist has 2"),
+        (["simulate", "@bs", "--mode", "moments", "--input=1,1,1"], 2, "amplitude list has 3 modes, netlist has 2"),
+        (["simulate", "@bs", "--input=1_0"], 2, "bad occupation '1_0': counts must be non-negative decimal integers"),
+        (["simulate", "@bs", "--mode", "moments", "--input=nan,1"], 2,
+         "bad amplitude list 'nan,1': amplitudes must be finite"),
+        (["synth", "@bad_matrix"], 2, "@bad_matrix: expected an [re, im] pair of numbers, got [1]"),
+        (["naimark", "@bad_vectors"], 2, "@bad_vectors: expected an [re, im] pair of numbers, got [1, 0, 0]"),
+        (["naimark", "@bad_operators"], 2, "@bad_operators: expected an [re, im] pair of numbers, got [1, 0, 0]"),
+        (["simulate", "@bad_netlist", "--input", "1"], 2,
+         "@bad_netlist: malformed netlist JSON: 'str' object cannot be interpreted as an integer"),
+        (["naimark", "@no_key"], 2, "@no_key: POVM JSON needs 'vectors' or 'operators'"),
+        (["naimark", "@wrong_dim"], 2, "@wrong_dim: declared dim 2 != vector length 1"),
+        (["simulate", "@sq", "--input", "1"], 4, "not passive: off-diagonal block entry 5.211e-01 at (0, 3)"),
+        (["simulate", "@bs", "--input", "1,1", "--predicate", '{"0": [1, 1]}'], 4,
+         "postselection accepted zero probability mass"),
+        (["--tol", "2", "synth", "@lossy"], 4, "tol must be positive and below 1, got 2.0"),
+    ],
+)
+def test_error_line_and_exit_code(tmp_path, capsys, argv, code, line):
+    paths = {}
+    for name, doc in ERROR_DOCS.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(doc))
+
+    def fill(text: str) -> str:
+        return re.sub(r"@(\w+)", lambda m: paths[m[1]], text)
+
+    assert _call([fill(arg) for arg in argv], capsys) == (code, "", f"error: {fill(line)}\n")

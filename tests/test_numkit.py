@@ -69,11 +69,19 @@ def test_svd_rejects_empty():
         svd(np.zeros((0, 3)))
 
 
-def test_svd_factors_diagonal_matrix_rectangular():
-    f = SvdFactors(u=np.eye(3, dtype=complex), singulars=(2.0, 1.0), w=np.eye(2, dtype=complex))
-    d = f.diagonal_matrix()
-    assert d.shape == (3, 2)
-    assert d[0, 0] == 2.0 and d[1, 1] == 1.0 and d[2, 0] == 0.0
+def test_svd_factors_reconstruct_rectangular():
+    # T = u @ D @ w with the rectangular diagonal D spelled out; a zero singular value included.
+    rng = np.random.default_rng(5)
+    for n, m in ((3, 2), (2, 3)):
+        u, w = random_unitary(rng, n), random_unitary(rng, m)
+        d = np.zeros((n, m), dtype=complex)
+        d[0, 0], d[1, 1] = 2.0, 0.0
+        t = SvdFactors(u=u, singulars=(2.0, 0.0), w=w).reconstruct()
+        assert t.shape == (n, m)
+        assert max_abs(t - u @ d @ w) < 1e-14
+        assert np.linalg.matrix_rank(t) == 1
+        identity = SvdFactors(u=np.eye(n, dtype=complex), singulars=(2.0, 0.0), w=np.eye(m, dtype=complex))
+        assert np.array_equal(identity.reconstruct(), d)
 
 
 def test_quasiunitarity_identity_is_zero():
