@@ -87,7 +87,7 @@ def naimark_extension(povm: RankOnePovm, tol: float = TOL) -> np.ndarray:
     worst = max(abs(s - 1.0) for s in factors.singulars)
     if worst > tol:
         raise ValueError(f"singular values deviate from 1 by {worst:.3e}; input is not a rank-one POVM matrix")
-    u_pad, w_pad = pad_factors(factors, n, m)
+    u_pad, w_pad = pad_factors(factors)
     return u_pad @ w_pad
 
 

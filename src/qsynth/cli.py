@@ -5,7 +5,8 @@ Each ``cmd_*`` computes and returns its documents as ``{path: payload}`` (``None
 ``-`` is stdout); ``main`` hands them to ``_write``, the one writer, and maps errors to exit codes.
 
 Exit codes: 0 success, 2 unreadable or malformed input, or unwritable
-output, 3 verification failure, 4 domain error (non-passive network in Fock
+output, 3 verification failure (of the network, or of a unitary qsynth
+computed itself), 4 domain error (non-passive network in Fock
 mode, incomplete POVM, empty postselection, out-of-range parameters).
 """
 
@@ -96,6 +97,10 @@ def _write(docs: dict) -> None:
 
 def cmd_synth(args) -> dict:
     """Compile a matrix file into a netlist plus a verification report (one document if both go to stdout)."""
+    files = [os.path.realpath(p) for p in (args.netlist, args.report)
+             if p not in (None, "-") and (os.path.isfile(p) or not os.path.exists(p))]  # a device may take both
+    if len(files) == 2 and files[0] == files[1]:  # one document would overwrite the other
+        raise ParseFailure(f"--netlist {args.netlist} and --report {args.report} are the same file")
     result = synth.synthesize(_load(args.matrix, matrix_from_json), args.tol)
     netlist = circuit_to_json(result.circuit)
     report = synth.verification_report(result)
@@ -205,7 +210,7 @@ def cmd_naimark(args) -> dict:
 
     extension = apps.naimark_extension(povm, args.tol)
     # One passive mesh whose first dim rows hold the POVM; outputs dim..m-1 are ancillas.
-    elements = reck_decompose(extension, args.tol)
+    elements = synth.factor_mesh("Naimark extension", extension, args.tol, reck_decompose)
     result = synth.verified(povm.matrix(), (1.0,) * povm.dim, (), (), elements, args.tol)
     return {args.out: {"extension": matrix_to_json(extension), "netlist": circuit_to_json(result.circuit)}}
 

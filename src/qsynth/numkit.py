@@ -19,7 +19,7 @@ TOL = 1e-10
 
 
 class DecompositionError(RuntimeError):
-    """Raised when an underlying matrix factorization fails to converge."""
+    """Raised when a matrix factorization fails to converge, or gives a unitary factor that fails its check."""
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
@@ -70,11 +70,6 @@ class SvdFactors:
     u: np.ndarray
     singulars: tuple[float, ...]
     w: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        """``u @ D @ w``; only the first ``k = len(singulars)`` columns of u and rows of w meet D."""
-        k = len(self.singulars)
-        return (self.u[:, :k] * self.singulars) @ self.w[:k]
 
 
 def svd(t) -> SvdFactors:

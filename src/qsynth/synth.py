@@ -28,6 +28,7 @@ from .blocks import (
 )
 from .numkit import (
     TOL,
+    DecompositionError,
     SvdFactors,
     as_matrix,
     max_abs,
@@ -85,8 +86,9 @@ def couplings(singulars, tol: float, n_nominal: int) -> list[Element]:
     return [singular_element(j, n_nominal + k, sigma) for k, (j, sigma) in enumerate(coupled)]
 
 
-def pad_factors(factors: SvdFactors, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pad U and W of an n x m decomposition to max(n, m) square with identity rows/cols."""
+def pad_factors(factors: SvdFactors) -> tuple[np.ndarray, np.ndarray]:
+    """U (n x n) and W (m x m) padded to max(n, m) square with identity rows/cols."""
+    n, m = len(factors.u), len(factors.w)
     u = np.eye(max(n, m), dtype=complex)
     w = np.eye(max(n, m), dtype=complex)
     u[:n, :n] = factors.u
@@ -101,30 +103,34 @@ def singular_element(j: int, m_aj: int, sigma: float) -> Element:
     return TwoModeSqueezer(mode_a=j, mode_b=m_aj, xi=math.acosh(sigma))
 
 
-def synthesize(t, tol: float = TOL, factors: SvdFactors | None = None) -> SynthesisResult:
+def synthesize(t, tol: float = TOL) -> SynthesisResult:
     """Compile ``t`` into a circuit and its 2N x 2N scattering matrix.
 
-    ``factors`` lets callers inject a pre-computed decomposition (useful for
-    reproducing a fixed factor gauge); it must reconstruct ``t`` within
-    ``tol``.  The returned matrix has ``t`` as its upper-left block and is
+    The returned matrix has ``t`` as its upper-left block and is
     quasiunitary; both deviations are re-measured and a
     :class:`SynthesisError` is raised if either exceeds ``tol``.
     """
     t = as_matrix(t, "t")
-    n, m = t.shape
-    if n < 1 or m < 1:
-        raise ValueError(f"t must be non-empty, got shape {t.shape}")
-
-    if factors is None:
-        factors = svd(t)
-    else:
-        _check_factors(factors, t, tol)
-
-    d_elements = couplings(factors.singulars, tol, max(n, m))
-    u_pad, w_pad = pad_factors(factors, n, m)
-    w_elements = mesh.reck_decompose(w_pad, tol)
-    u_elements = mesh.reck_decompose(u_pad, tol)
+    factors = svd(t)
+    d_elements = couplings(factors.singulars, tol, max(t.shape))
+    u_pad, w_pad = pad_factors(factors)
+    w_elements = factor_mesh("factor W", w_pad, tol, mesh.reck_decompose)
+    u_elements = factor_mesh("factor U", u_pad, tol, mesh.reck_decompose)
     return verified(t, factors.singulars, w_elements, d_elements, u_elements, tol)
+
+
+def factor_mesh(name: str, u: np.ndarray, tol: float, decompose) -> list[Element]:
+    """``decompose(u, tol)`` of a unitary that qsynth computed itself, such as an SVD factor.
+
+    Its failing the unitarity check is a failure of the pipeline, not of the
+    caller's input, so it raises :class:`DecompositionError` naming ``name``.
+    """
+    try:
+        return decompose(u, tol)
+    except mesh.NotUnitaryError as exc:
+        raise DecompositionError(
+            f"{name} is not unitary: deviation {exc.deviation:.3e} exceeds tol {tol:.3e}"
+        ) from exc
 
 
 def verified(target: np.ndarray, singulars, w_elements, d_elements, u_elements, tol: float) -> SynthesisResult:
@@ -156,21 +162,6 @@ def verified(target: np.ndarray, singulars, w_elements, d_elements, u_elements, 
         block_deviation=block_dev,
         quasiunitarity_deviation=quasi_dev,
     )
-
-
-def _check_factors(factors: SvdFactors, t: np.ndarray, tol: float) -> None:
-    n, m = t.shape
-    if factors.u.shape != (n, n) or factors.w.shape != (m, m):
-        raise ValueError(
-            f"injected factors have shapes {factors.u.shape}/{factors.w.shape}, expected {n}x{n}/{m}x{m}"
-        )
-    if len(factors.singulars) != min(n, m):
-        raise ValueError(f"expected {min(n, m)} singular values, got {len(factors.singulars)}")
-    if sorted(factors.singulars, reverse=True) != list(factors.singulars):
-        raise ValueError("injected singular values must be sorted descending")
-    deviation = max_abs(factors.reconstruct() - t)
-    if deviation > tol:
-        raise ValueError(f"injected factors reconstruct t with deviation {deviation:.3e} > tol")
 
 
 def verification_report(result: SynthesisResult) -> dict:

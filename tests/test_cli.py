@@ -532,10 +532,11 @@ def _beam_splitter_netlist(tmp_path) -> str:
     return str(path)
 
 
-def _povm_file(tmp_path) -> str:
+def _povm_file(tmp_path, turn: float = 0.0) -> str:
+    """The trine POVM, its vectors rotated by ``turn``."""
     path = tmp_path / "povm.json"
-    vectors = [[[math.sqrt(2 / 3) * math.cos(2 * math.pi * i / 3), 0.0],
-                [math.sqrt(2 / 3) * math.sin(2 * math.pi * i / 3), 0.0]] for i in range(3)]
+    vectors = [[[math.sqrt(2 / 3) * math.cos(2 * math.pi * i / 3 + turn), 0.0],
+                [math.sqrt(2 / 3) * math.sin(2 * math.pi * i / 3 + turn), 0.0]] for i in range(3)]
     path.write_text(json.dumps({"dim": 2, "vectors": vectors}))
     return str(path)
 
@@ -734,6 +735,26 @@ def test_unwritable_report_leaves_no_netlist(tmp_path, capsys):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["t.json"]
 
 
+@pytest.mark.parametrize("report", ["out.json", "./out.json", "link.json"], ids=["same", "dot-slash", "symlink"])
+def test_netlist_and_report_in_one_file_exit_2(tmp_path, capsys, monkeypatch, report):
+    # One of the two documents would be lost, so neither is written.
+    monkeypatch.chdir(tmp_path)
+    write_matrix(tmp_path / "t.json", LOSSY_BS_T)
+    (tmp_path / "out.json").write_text("old\n")
+    (tmp_path / "link.json").symlink_to("out.json")
+    code, stdout, err = _call(["synth", "t.json", "--netlist", "out.json", "--report", report], capsys)
+    assert code == 2 and stdout == ""
+    assert err == f"error: --netlist out.json and --report {report} are the same file\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["link.json", "out.json", "t.json"]
+    assert (tmp_path / "out.json").read_text() == "old\n"
+
+
+def test_netlist_and_report_may_share_a_device(tmp_path, capsys):
+    matrix = write_matrix(tmp_path / "t.json", LOSSY_BS_T)
+    code, stdout, err = _call(["synth", matrix, "--netlist", os.devnull, "--report", os.devnull], capsys)
+    assert (code, stdout, err) == (0, "", "")
+
+
 def _two_by_two(tmp_path) -> str:
     return write_matrix(tmp_path / "two.json", np.array([[0.3 + 0.4j, -0.2], [0.1j, 1.7]]))
 
@@ -791,6 +812,28 @@ def test_naimark_netlist_that_fails_verification_exits_3(tmp_path, capsys, monke
     code, stdout, err = _call(["naimark", _povm_file(tmp_path)], capsys)
     assert code == 3 and stdout == ""
     assert err.startswith("error: synthesized network failed verification") and err.count("\n") == 1
+
+
+# --- a factor qsynth computed itself fails its check ------------------------------------
+#
+# Below float64 rounding, an SVD factor or a Naimark extension is not unitary
+# within tol.  That is a verification failure (exit 3) that names the factor,
+# not a domain error (exit 4) about a matrix the caller never gave.
+
+
+def test_svd_factor_failing_its_unitarity_check_exits_3(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    matrix = write_matrix(tmp_path / "r.json", rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)))
+    code, stdout, err = _call(["--tol", "3e-16", "synth", matrix], capsys)
+    assert code == 3 and stdout == ""
+    assert re.fullmatch(r"error: factor [WU] is not unitary: deviation \S+ exceeds tol 3\.000e-16\n", err)
+
+
+def test_naimark_extension_failing_its_unitarity_check_exits_3(tmp_path, capsys):
+    # This rotated trine is complete within 2e-16; its extension deviates by 4.4e-16.
+    code, stdout, err = _call(["--tol", "2e-16", "naimark", _povm_file(tmp_path, 57 * math.pi / 200)], capsys)
+    assert code == 3 and stdout == ""
+    assert re.fullmatch(r"error: Naimark extension is not unitary: deviation \S+ exceeds tol 2\.000e-16\n", err)
 
 
 @st.composite

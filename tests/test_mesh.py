@@ -196,7 +196,7 @@ def test_parity_padded_factors():
     for n in range(1, 9):
         for m in range(1, 9):
             t = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
-            for factor in pad_factors(svd(t), n, m):
+            for factor in pad_factors(svd(t)):
                 assert_matches_reference(factor)
 
 
@@ -209,7 +209,7 @@ def test_parity_real_padded_factors_up_to_noise_phases():
     rng = np.random.default_rng(85)
     for n in range(1, 9):
         for m in range(1, 9):
-            for factor in pad_factors(svd(rng.normal(size=(n, m))), n, m):
+            for factor in pad_factors(svd(rng.normal(size=(n, m)))):
                 assert_matches_reference(factor, noise=1e-11)
                 assert len(reck_decompose(factor)) <= len(reck_reference(factor))
 
@@ -229,7 +229,7 @@ def test_parity_cz_factors_with_negative_zero():
     assert cmath.phase(w[0, 0]) == math.pi
     assert_matches_reference(w)
     for t in (cz_gate_target(), np.exp(0.7j) * cz_gate_target()):
-        for factor in pad_factors(svd(t), 4, 4):
+        for factor in pad_factors(svd(t)):
             assert_matches_reference(factor)
 
 
@@ -271,7 +271,7 @@ def test_no_identity_phases_from_rounded_multiples_of_pi():
     rng = np.random.default_rng(90)
     for n in range(1, 9):
         for m in range(1, 9):
-            for factor in pad_factors(svd(rng.normal(size=(n, m))), n, m):
+            for factor in pad_factors(svd(rng.normal(size=(n, m)))):
                 assert not _tiny_phases(reck_decompose(factor))
     for _ in range(100):
         n = int(rng.integers(2, 13))
@@ -291,7 +291,7 @@ def test_tiny_leading_entries():
 
 def test_parameters_are_python_floats():
     rng = np.random.default_rng(87)
-    for u in (random_unitary(rng, 5), np.eye(3)[[2, 0, 1]], pad_factors(svd(rng.normal(size=(2, 4))), 2, 4)[0]):
+    for u in (random_unitary(rng, 5), np.eye(3)[[2, 0, 1]], pad_factors(svd(rng.normal(size=(2, 4))))[0]):
         for e in reck_decompose(u):
             assert type(e.theta if isinstance(e, BeamSplitter) else e.phi) is float
 

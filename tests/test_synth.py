@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from qsynth.blocks import BeamSplitter, TwoModeSqueezer
 from qsynth.closedform2x2 import analytic_synthesize
-from qsynth.numkit import TOL, SvdFactors, max_abs, quasiunitarity_deviation, svd
+from qsynth.mesh import reck_decompose
+from qsynth.numkit import TOL, max_abs, quasiunitarity_deviation, svd
 from qsynth.synth import (
     SIGMA_MAX,
     couplings,
@@ -16,6 +17,7 @@ from qsynth.synth import (
     singular_element,
     synthesize,
     verification_report,
+    verified,
 )
 
 from oracles import (
@@ -103,7 +105,7 @@ def test_classify_rejects_gain_above_ceiling():
 
 
 def test_synthesis_keeps_only_a_positive_tol():
-    assert list(inspect.signature(synthesize).parameters) == ["t", "tol", "factors"]
+    assert list(inspect.signature(synthesize).parameters) == ["t", "tol"]
     assert list(inspect.signature(analytic_synthesize).parameters) == ["t", "tol"]
     assert inspect.signature(synthesize).parameters["tol"].default == TOL == 1e-10
     for bad in (0.0, -1e-10, math.nan, math.inf, 1.0):
@@ -117,7 +119,7 @@ def test_synthesis_keeps_only_a_positive_tol():
 
 def test_pad_factors_square_unchanged():
     f = svd(LOSSY_BS_T)
-    u, w = pad_factors(f, 2, 2)
+    u, w = pad_factors(f)
     d = padded_diagonal(f, 2)
     assert max_abs(u - f.u) == 0.0
     assert max_abs(w - f.w) == 0.0
@@ -128,7 +130,7 @@ def test_pad_factors_wide_input_with_orthonormal_rows():
     rng = np.random.default_rng(41)
     t = random_unitary(rng, 3)[:2, :]  # 2x3 with T T^dag = I
     f = svd(t)
-    u, w = pad_factors(f, 2, 3)
+    u, w = pad_factors(f)
     d = padded_diagonal(f, 3)
     assert max_abs(d - np.eye(3)) < 1e-12
     assert max_abs((u @ d @ w)[:2, :] - t) < 1e-12
@@ -137,7 +139,7 @@ def test_pad_factors_wide_input_with_orthonormal_rows():
 def test_pad_factors_tall_input():
     t = np.array([[1.0], [0.0], [0.0]], dtype=complex)
     f = svd(t)
-    u, w = pad_factors(f, 3, 1)
+    u, w = pad_factors(f)
     d = padded_diagonal(f, 3)
     assert u.shape == d.shape == w.shape == (3, 3)
     assert max_abs((u @ d @ w)[:, :1] - t) < 1e-12
@@ -189,9 +191,9 @@ def test_synthesize_lossy_bs_free_svd():
     assert element_counts(r.circuit.elements)["squeezers"] == 0
 
 
-def test_synthesize_lossy_bs_with_injected_factors():
-    factors = SvdFactors(u=LOSSY_BS_U, singulars=LOSSY_BS_SINGULARS, w=LOSSY_BS_W)
-    r = synthesize(LOSSY_BS_T, factors=factors)
+def test_lossy_bs_in_the_reference_factor_gauge():
+    s = LOSSY_BS_SINGULARS
+    r = verified(LOSSY_BS_T, s, reck_decompose(LOSSY_BS_W), couplings(s, TOL, 2), reck_decompose(LOSSY_BS_U), TOL)
     assert max_abs(r.s_total - LOSSY_BS_S_TOTAL) < 1e-12
 
 
@@ -305,21 +307,6 @@ def test_near_unit_spectra_verify_with_tol_as_ancilla_threshold(case):
 def test_synthesize_rejects_huge_gain():
     with pytest.raises(ValueError):
         synthesize(np.array([[1e22]], dtype=complex))
-
-
-def test_synthesize_rejects_bad_injected_factors():
-    with pytest.raises(ValueError):
-        synthesize(LOSSY_BS_T, factors=SvdFactors(u=np.eye(3), singulars=(1.0, 0.0), w=np.eye(2)))
-    with pytest.raises(ValueError):
-        synthesize(
-            LOSSY_BS_T,
-            factors=SvdFactors(u=np.eye(2, dtype=complex), singulars=(0.0, 1.0), w=np.eye(2, dtype=complex)),
-        )
-    with pytest.raises(ValueError):
-        synthesize(
-            LOSSY_BS_T,
-            factors=SvdFactors(u=np.eye(2, dtype=complex), singulars=(1.0, 0.0), w=np.eye(2, dtype=complex)),
-        )
 
 
 def test_synthesize_all_loss_is_passive():
