@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+
+from .numkit import json_float, json_int
 
 XI_MAX = 50.0  # the largest |xi| of a squeezer; cosh(XI_MAX) ~ 2.6e21 is the gain ceiling
 
@@ -161,25 +162,17 @@ def element_to_json(e: Element) -> dict:
     return {"type": "tms", "modes": [e.mode_a, e.mode_b], "xi": e.xi}
 
 
-def _finite(x) -> float:
-    """A finite JSON number as a float; anything else raises ValueError."""
-    # math.isfinite raises OverflowError for an int beyond the float range.
-    if not isinstance(x, (int, float)) or not math.isfinite(x):
-        raise ValueError(f"expected a finite number, got {x!r}")
-    return float(x)
-
-
 def element_from_json(obj) -> Element:
     """Decode one element; modes must be JSON integers and angles finite JSON numbers."""
     try:
         kind = obj["type"]
         if kind == "ps":
-            return PhaseShifter(mode=operator.index(obj["mode"]), phi=_finite(obj["phi"]))
+            return PhaseShifter(mode=json_int(obj["mode"], "mode"), phi=json_float(obj["phi"]))
         if kind in ("bs", "tms"):
-            a, b = map(operator.index, obj["modes"])
+            a, b = (json_int(x, "modes") for x in obj["modes"])
             if kind == "bs":
-                return BeamSplitter(mode_a=a, mode_b=b, theta=_finite(obj["theta"]))
-            return TwoModeSqueezer(mode_a=a, mode_b=b, xi=_finite(obj["xi"]))
+                return BeamSplitter(mode_a=a, mode_b=b, theta=json_float(obj["theta"]))
+            return TwoModeSqueezer(mode_a=a, mode_b=b, xi=json_float(obj["xi"]))
     except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed element JSON {obj!r}: {exc}") from exc
     raise ValueError(f"unknown element type {kind!r}")
@@ -207,12 +200,11 @@ def circuit_from_json(obj) -> Circuit:
     """Decode a netlist; counts and indices must be JSON integers and every list a JSON list."""
     try:
         return Circuit(
-            n_modes=operator.index(obj["n_modes"]),
-            n_nominal=operator.index(obj["n_nominal"]),
+            n_modes=json_int(obj["n_modes"], "n_modes"),
+            n_nominal=json_int(obj["n_nominal"], "n_nominal"),
             elements=tuple(element_from_json(e) for e in _list(obj["elements"])),
-            ancilla_inputs=tuple(map(operator.index, _list(obj.get("ancilla_inputs", [])))),
-            ancilla_outputs=tuple(map(operator.index, _list(obj.get("ancilla_outputs", [])))),
-            full_ancillas=tuple(map(operator.index, _list(obj.get("full_ancillas", [])))),
+            **{key: tuple(json_int(i, key) for i in _list(obj.get(key, [])))
+               for key in ("ancilla_inputs", "ancilla_outputs", "full_ancillas")},
         )
     except (TypeError, KeyError) as exc:
         raise ValueError(f"malformed netlist JSON: {exc}") from exc

@@ -17,7 +17,6 @@ import cmath
 import contextlib
 import functools
 import json
-import operator
 import os
 import re
 import stat
@@ -27,8 +26,7 @@ import numpy as np
 
 from . import apps, closedform2x2, sim, synth
 from .blocks import SCHEMA, circuit_from_json, circuit_to_json, circuit_smatrix
-from .mesh import reck_decompose
-from .numkit import TOL, DecompositionError, complex_from_json, matrix_from_json, matrix_to_json
+from .numkit import TOL, DecompositionError, complex_from_json, json_int, matrix_from_json, matrix_to_json
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -95,18 +93,29 @@ def _write(docs: dict) -> None:
         raise ParseFailure(f"cannot write {shown}: {exc}") from exc
 
 
+def _stdout_alias(path):
+    """``None`` for ``-`` or a path that names the file open as stdout (``/dev/stdout``), else ``path``."""
+    if path in (None, "-"):
+        return None
+    try:  # no stat of path unless stdout has a file descriptor
+        return None if os.path.samestat(os.fstat(sys.stdout.fileno()), os.stat(path)) else path
+    except (AttributeError, OSError, ValueError):  # no descriptor, or no such path
+        return path
+
+
 def cmd_synth(args) -> dict:
     """Compile a matrix file into a netlist plus a verification report (one document if both go to stdout)."""
-    files = [os.path.realpath(p) for p in (args.netlist, args.report)
-             if p not in (None, "-") and (os.path.isfile(p) or not os.path.exists(p))]  # a device may take both
+    paths = [_stdout_alias(p) for p in (args.netlist, args.report)]
+    files = [os.path.realpath(p) for p in paths
+             if p is not None and (os.path.isfile(p) or not os.path.exists(p))]  # a device may take both
     if len(files) == 2 and files[0] == files[1]:  # one document would overwrite the other
         raise ParseFailure(f"--netlist {args.netlist} and --report {args.report} are the same file")
     result = synth.synthesize(_load(args.matrix, matrix_from_json), args.tol)
     netlist = circuit_to_json(result.circuit)
     report = synth.verification_report(result)
-    if args.netlist in (None, "-") and args.report in (None, "-"):
+    if paths == [None, None]:
         return {None: {"netlist": netlist, "report": report}}
-    return {args.netlist: netlist, args.report: report}
+    return dict(zip(paths, (netlist, report)))
 
 
 def cmd_simulate(args) -> dict:
@@ -179,7 +188,7 @@ def _parse_predicate(spec: str | None, n_modes: int):
         for mode, window in obj.items():
             if not _MODE.fullmatch(mode) or not isinstance(window, list):
                 raise ValueError(f"want a decimal mode and a [min, max] list, got {mode!r}: {window!r}")
-            lo, hi = map(operator.index, window)
+            lo, hi = (json_int(x, f"the window of mode {mode}") for x in window)
             windows[int(mode)] = (lo, hi)
     except (AttributeError, TypeError, ValueError) as exc:
         raise ParseFailure(f"bad predicate {spec!r}: {exc}") from exc
@@ -203,14 +212,14 @@ def cmd_naimark(args) -> dict:
         obj, key, rows = _load(args.povm, _povm_rows)
         povm = (apps.RankOnePovm.from_vectors(rows) if key == "vectors"
                 else apps.RankOnePovm.from_operators(rows, args.tol))
-        if operator.index(obj.get("dim", povm.dim)) != povm.dim:
+        if json_int(obj.get("dim", povm.dim), "dim") != povm.dim:
             raise ParseFailure(f"{args.povm}: declared dim {obj['dim']} != vector length {povm.dim}")
     except (TypeError, KeyError) as exc:
         raise ParseFailure(f"{args.povm}: malformed POVM JSON: {exc}") from exc
 
     extension = apps.naimark_extension(povm, args.tol)
     # One passive mesh whose first dim rows hold the POVM; outputs dim..m-1 are ancillas.
-    elements = synth.factor_mesh("Naimark extension", extension, args.tol, reck_decompose)
+    elements = synth.factor_mesh("Naimark extension", extension, args.tol)
     result = synth.verified(povm.matrix(), (1.0,) * povm.dim, (), (), elements, args.tol)
     return {args.out: {"extension": matrix_to_json(extension), "netlist": circuit_to_json(result.circuit)}}
 

@@ -5,7 +5,7 @@ triangle column by column with 2-mode rotations (pivot row = column index),
 each step pairing one beam splitter with one phase shifter; residual diagonal
 phases are emitted as plain phase shifters.  Every emitted beam splitter angle
 lies in [0, pi/2]; all complex structure is carried by the phases.  Elements
-come out in chronological order, so the reconstruction multiplies them
+come out in chronological order, so their matrix product runs
 last-to-first.
 
 Every step of column ``c`` follows in closed form from the column
@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .blocks import BeamSplitter, Element, PhaseShifter, TwoModeSqueezer, _apply, check_modes
+from .blocks import BeamSplitter, Element, PhaseShifter
 from .numkit import TOL, unitarity_deviation
 
 # Parameters this close to 0 (mod 2*pi for phases) produce identity elements
@@ -172,14 +172,3 @@ def _emit(n: int, lam: list[float], thetas: list[list[float]], phis: list[list[f
     next_bs = map(BeamSplitter, bs_a, bs_b, bs_thetas).__next__
     return [next_bs() if k else next_ps() for k in is_bs]
 
-
-def reconstruct(elements, n_modes: int) -> np.ndarray:
-    """n x n unitary implemented by a passive element list (last element leftmost)."""
-    elements = tuple(elements)
-    check_modes(elements, n_modes)
-    if any(isinstance(e, TwoModeSqueezer) for e in elements):
-        raise ValueError("a two-mode squeezer has no single-particle unitary")
-    m = np.eye(n_modes, dtype=complex)
-    for e in elements:
-        _apply(m, e)
-    return m

@@ -9,6 +9,8 @@ i.e. from satisfying ``S G S^dag = G`` with ``G = diag(+1...+1, -1...-1)``.
 
 from __future__ import annotations
 
+import contextlib
+import math
 import operator
 from dataclasses import dataclass
 
@@ -91,6 +93,20 @@ def matrix_to_json(m) -> dict:
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 
+def json_int(x, name: str) -> int:
+    """A JSON integer as an int; a boolean raises TypeError naming ``name``, like ``operator.index`` on a float."""
+    if isinstance(x, bool):
+        raise TypeError(f"{name} must be an integer, got {x!r}")
+    return operator.index(x)
+
+
+def json_float(x) -> float:
+    """A finite JSON number as a float; else ValueError, or OverflowError for an int beyond the float range."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {x!r}")
+    return float(x)
+
+
 def complex_from_json(data, depth: int = 0):
     """Decode an ``[re, im]`` pair of numbers, or lists of them nested ``depth`` deep.
 
@@ -100,19 +116,17 @@ def complex_from_json(data, depth: int = 0):
         if not isinstance(data, list):
             raise ValueError(f"expected a list of [re, im] pairs, got {type(data).__name__}")
         return [complex_from_json(x, depth - 1) for x in data]
-    if isinstance(data, list) and len(data) == 2 and all(isinstance(x, (int, float)) for x in data):
-        try:
-            return complex(data[0], data[1])
-        except OverflowError:  # an integer beyond the float range
-            pass
+    if isinstance(data, list) and len(data) == 2:
+        with contextlib.suppress(ValueError, OverflowError):
+            return complex(json_float(data[0]), json_float(data[1]))
     raise ValueError(f"expected an [re, im] pair of numbers, got {data!r}")
 
 
 def matrix_from_json(obj) -> np.ndarray:
     """Decode the matrix JSON format produced by :func:`matrix_to_json`."""
     try:
-        rows = operator.index(obj["rows"])
-        cols = operator.index(obj["cols"])
+        rows = json_int(obj["rows"], "rows")
+        cols = json_int(obj["cols"], "cols")
         entries = complex_from_json(obj["data"], depth=1)
     except (TypeError, KeyError) as exc:
         raise ValueError(f"matrix JSON must contain integer rows/cols and data: {exc}") from exc

@@ -114,19 +114,19 @@ def synthesize(t, tol: float = TOL) -> SynthesisResult:
     factors = svd(t)
     d_elements = couplings(factors.singulars, tol, max(t.shape))
     u_pad, w_pad = pad_factors(factors)
-    w_elements = factor_mesh("factor W", w_pad, tol, mesh.reck_decompose)
-    u_elements = factor_mesh("factor U", u_pad, tol, mesh.reck_decompose)
+    w_elements = factor_mesh("factor W", w_pad, tol)
+    u_elements = factor_mesh("factor U", u_pad, tol)
     return verified(t, factors.singulars, w_elements, d_elements, u_elements, tol)
 
 
-def factor_mesh(name: str, u: np.ndarray, tol: float, decompose) -> list[Element]:
-    """``decompose(u, tol)`` of a unitary that qsynth computed itself, such as an SVD factor.
+def factor_mesh(name: str, u: np.ndarray, tol: float) -> list[Element]:
+    """``mesh.reck_decompose(u, tol)`` of a unitary that qsynth computed itself, such as an SVD factor.
 
     Its failing the unitarity check is a failure of the pipeline, not of the
     caller's input, so it raises :class:`DecompositionError` naming ``name``.
     """
     try:
-        return decompose(u, tol)
+        return mesh.reck_decompose(u, tol)
     except mesh.NotUnitaryError as exc:
         raise DecompositionError(
             f"{name} is not unitary: deviation {exc.deviation:.3e} exceeds tol {tol:.3e}"

@@ -10,8 +10,9 @@ factor gauge, and element counts, their worst-case bounds and each mode's
 channel kind are read off element lists.  Only the element dataclasses come
 from the package, apart from the last two sections: measurements the tests take
 of the package's own output (Fock probabilities, moment physicality, and the
-mesh error of ``mesh.reconstruct``), and the step-by-step Givens nulling loop
-that ``mesh.reck_decompose`` replaced, kept as its reference.
+mesh error, read off the ``N x N`` block of ``blocks.circuit_smatrix``), and
+the step-by-step Givens nulling loop that ``mesh.reck_decompose`` replaced,
+kept as its reference.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qsynth.blocks import BeamSplitter, PhaseShifter, TwoModeSqueezer
-from qsynth.mesh import PRUNE_EPS, NotUnitaryError, reconstruct, wrap_angle
+from qsynth.blocks import BeamSplitter, Circuit, PhaseShifter, TwoModeSqueezer, circuit_smatrix
+from qsynth.mesh import PRUNE_EPS, NotUnitaryError, wrap_angle
 from qsynth.numkit import TOL, as_matrix, max_abs, unitarity_deviation
 from qsynth.sim import GaussianMoments, coherent_moments
 
@@ -386,10 +387,15 @@ def physicality_residual(moments: GaussianMoments) -> float:
     )
 
 
+def passive_product(elements, n: int) -> np.ndarray:
+    """The ``n x n`` unitary of a passive element list: the top-left block of its ``S_total``."""
+    return circuit_smatrix(Circuit(n_modes=n, n_nominal=n, elements=tuple(elements)))[:n, :n]
+
+
 def mesh_verify(elements, u) -> float:
-    """Max entry deviation between the reconstructed element product and ``u``."""
+    """Max entry deviation between the element list's product and ``u``."""
     u = as_matrix(u, "u")
-    return max_abs(reconstruct(elements, u.shape[0]) - u)
+    return max_abs(passive_product(elements, u.shape[0]) - u)
 
 
 # --- reference Reck nulling -------------------------------------------------

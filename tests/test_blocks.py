@@ -17,7 +17,6 @@ from qsynth.blocks import (
     circuit_to_json,
     element_from_json,
 )
-from qsynth.mesh import reconstruct
 from qsynth.numkit import max_abs, quasiunitarity_deviation
 from qsynth.synth import SIGMA_MAX, singular_element, synthesize
 
@@ -157,8 +156,6 @@ def test_embed_rejects_mode_out_of_range():
     )
     for e in bad:
         with pytest.raises(ValueError):
-            reconstruct([PhaseShifter(mode=0, phi=0.2), e], 3)
-        with pytest.raises(ValueError):
             Circuit(n_modes=3, n_nominal=3, elements=(e,))
     with pytest.raises(ValueError):
         Circuit(n_modes=3, n_nominal=3, elements=(TwoModeSqueezer(mode_a=-1, mode_b=0, xi=0.5),))
@@ -182,15 +179,13 @@ def test_squeezer_xi_is_bounded_by_the_gain_ceiling():
 def test_element_unitary_rejects_squeezer():
     with pytest.raises(ValueError):
         element_unitary(TwoModeSqueezer(mode_a=0, mode_b=1, xi=0.5), 2)
-    with pytest.raises(ValueError):
-        reconstruct([BeamSplitter(0, 1, 0.1), TwoModeSqueezer(mode_a=0, mode_b=1, xi=0.5)], 2)
 
 
-def _random_elements(rng, n, count, passive=False):
+def _random_elements(rng, n, count):
     elements = []
     for _ in range(count):
         a, b = (int(x) for x in rng.permutation(n)[:2])
-        pick = rng.integers(0, 2 if passive else 3)
+        pick = rng.integers(0, 3)
         if pick == 0:
             elements.append(PhaseShifter(mode=a, phi=float(rng.uniform(-4, 4))))
         elif pick == 1:
@@ -229,17 +224,6 @@ def test_smatrix_bottom_half_is_conjugated_top_half():
         n, m = (int(x) for x in rng.integers(1, 5, size=2))
         t = rng.uniform(0.2, 2.5) * (rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m)))
         assert _bottom_is_conjugated_top(synthesize(t).s_total)
-
-
-def test_reconstruct_matches_dense_unitary_product():
-    rng = np.random.default_rng(24)
-    for _ in range(200):
-        n = int(rng.integers(2, 7))
-        elements = _random_elements(rng, n, int(rng.integers(1, 13)), passive=True)
-        dense = np.eye(n, dtype=complex)
-        for e in elements:
-            dense = element_unitary(e, n) @ dense
-        assert max_abs(reconstruct(elements, n) - dense) <= 1e-13
 
 
 def test_circuit_smatrix_empty():
@@ -362,6 +346,32 @@ def test_netlist_json_round_trip():
     )
     back = circuit_from_json(circuit_to_json(c))
     assert back == c
+
+
+BOOLEAN_PLACES = [
+    ("n_modes",), ("n_nominal",), ("ancilla_outputs", 0), ("full_ancillas", 0),
+    ("elements", 0, "mode"), ("elements", 0, "phi"), ("elements", 1, "modes", 0), ("elements", 1, "theta"),
+    ("elements", 2, "modes", 1), ("elements", 2, "xi"),
+]
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("place", BOOLEAN_PLACES, ids=lambda place: "-".join(map(str, place)))
+def test_netlist_json_rejects_booleans(place, flag):
+    # A JSON true or false decodes to a bool, which is an int to Python.
+    doc = {"n_modes": 3, "n_nominal": 2, "ancilla_outputs": [1], "full_ancillas": [2], "elements": [
+        {"type": "ps", "mode": 0, "phi": 0.2},
+        {"type": "bs", "modes": [0, 1], "theta": 0.3},
+        {"type": "tms", "modes": [0, 2], "xi": 0.1},
+    ]}
+    circuit_from_json(doc)  # valid as it stands
+    *path, last = place
+    target = doc
+    for key in path:
+        target = target[key]
+    target[last] = flag
+    with pytest.raises(ValueError, match=f"got {flag}"):
+        circuit_from_json(doc)
 
 
 def test_netlist_json_rejects_unknown_type():

@@ -512,6 +512,53 @@ def test_netlist_fields_are_not_coerced(tmp_path, capsys, field, value):
     assert "error:" in capsys.readouterr().err
 
 
+# --- a JSON boolean is not a number ---------------------------------------------------
+#
+# json.load decodes true and false to bools, which Python takes for the ints 1
+# and 0.  Read that way, the documents with true (and some with false) are valid.
+
+
+def _boolean_case(field: str, flag: bool) -> tuple[str, dict, list, str]:
+    """A command, a document and extra arguments with ``flag`` in ``field``, and the error naming it."""
+    bs = {"n_modes": 2, "n_nominal": 2, "elements": [{"type": "bs", "modes": [0, 1], "theta": 0.3}]}
+    element = bs["elements"][0]
+    one = ["--input", "1"]
+    return {
+        "n_modes": ("simulate", {"n_modes": flag, "n_nominal": 1, "elements": []}, one,
+                    f"n_modes must be an integer, got {flag}"),
+        "modes": ("simulate", {**bs, "elements": [{**element, "modes": [not flag, flag]}]}, one,
+                  f"modes must be an integer, got {not flag}"),
+        "theta": ("simulate", {**bs, "elements": [{**element, "theta": flag}]}, one,
+                  f"'theta': {flag}}}: expected a finite number, got {flag}"),
+        "predicate": ("simulate", bs, ["--input", "1,1", "--predicate", json.dumps({"0": [flag, flag]})],
+                      f"the window of mode 0 must be an integer, got {flag}"),
+        "rows": ("synth", {"rows": flag, "cols": 1, "data": [[0.5, 0]] * flag}, [],
+                 f"rows must be an integer, got {flag}"),
+        "cols": ("synth", {"rows": 1, "cols": flag, "data": [[0.5, 0]] * flag}, [],
+                 f"cols must be an integer, got {flag}"),
+        "data": ("synth", {"rows": 1, "cols": 1, "data": [[flag, not flag]]}, [],
+                 f"expected an [re, im] pair of numbers, got [{flag}, {not flag}]"),
+        "dim": ("naimark", {"dim": flag, "vectors": [[[1, 0]]]}, [], f"dim must be an integer, got {flag}"),
+        "vectors": ("naimark", {"dim": 1, "vectors": [[[flag, 0]]]}, [],
+                    f"expected an [re, im] pair of numbers, got [{flag}, 0]"),
+    }[field]
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("field", ["n_modes", "modes", "theta", "predicate", "rows", "cols", "data", "dim", "vectors"])
+def test_json_booleans_are_not_numbers(tmp_path, capsys, field, flag):
+    command, doc, extra, message = _boolean_case(field, flag)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    outputs = {"synth": ["--netlist", str(tmp_path / "net.json"), "--report", str(tmp_path / "rep.json")],
+               "naimark": ["--out", str(tmp_path / "out.json")]}
+    code, stdout, err = _call([command, str(path), *extra, *outputs.get(command, [])], capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert message in err
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
 # --- output format and parser reuse ---------------------------------------------
 
 
@@ -709,6 +756,18 @@ def test_module_entry_point_exit_codes(tmp_path):
     assert "invalid choice" in unknown.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_an_output_path_naming_stdout_counts_as_stdout(tmp_path):
+    # /dev/stdout is the pipe the process writes to, so netlist and report share one line.
+    matrix = write_matrix(tmp_path / "t.json", LOSSY_BS_T)
+    both = _run_module("synth", matrix, "--netlist", "-", "--report", "-")
+    assert both.returncode == 0 and both.stderr == ""
+    for argv in (["--netlist", "/dev/stdout", "--report", "-"], ["--netlist", "/dev/stdout"]):
+        proc = _run_module("synth", matrix, *argv)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert assert_one_document(proc.stdout) == json.loads(both.stdout)
+
+
 # --- unwritable output ------------------------------------------------------------
 
 
@@ -808,7 +867,7 @@ def test_full_stdout_exits_2_with_one_line_error():
 
 def test_naimark_netlist_that_fails_verification_exits_3(tmp_path, capsys, monkeypatch):
     # A mesh missing its last element no longer holds the POVM rows; nothing is printed.
-    monkeypatch.setattr("qsynth.cli.reck_decompose", lambda u, tol: reck_decompose(u, tol)[:-1])
+    monkeypatch.setattr("qsynth.mesh.reck_decompose", lambda u, tol: reck_decompose(u, tol)[:-1])
     code, stdout, err = _call(["naimark", _povm_file(tmp_path)], capsys)
     assert code == 3 and stdout == ""
     assert err.startswith("error: synthesized network failed verification") and err.count("\n") == 1

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from qsynth.numkit import (
     as_matrix,
     complex_from_json,
+    json_float,
+    json_int,
     matrix_from_json,
     matrix_to_json,
     max_abs,
@@ -147,7 +151,8 @@ def test_matrix_json_rejects_malformed():
 
 @pytest.mark.parametrize(
     "data",
-    [[1], [1, 2, 3], 5, "12", None, [None, 0], ["1", 0], [[1], 0], {"re": 1, "im": 0}, [10**400, 0]],
+    [[1], [1, 2, 3], 5, "12", None, [None, 0], ["1", 0], [[1], 0], {"re": 1, "im": 0}, [10**400, 0], [True, 0],
+     [0.5, False], [math.nan, 0]],
 )
 def test_pair_decoder_rejects_anything_but_two_numbers(data):
     with pytest.raises(ValueError):
@@ -164,7 +169,20 @@ def test_pair_decoder_nests():
             complex_from_json(bad, depth=2)
 
 
-@pytest.mark.parametrize("rows, cols", [(-1, -1), (2.0, 1), ("2", 1), (None, 1), (True, 3)])
+@pytest.mark.parametrize("rows, cols", [(-1, -1), (2.0, 1), ("2", 1), (None, 1), (True, 3), (True, 2), (2, True)])
 def test_matrix_json_rejects_bad_shape(rows, cols):
     with pytest.raises(ValueError):
         matrix_from_json({"rows": rows, "cols": cols, "data": [[1, 0], [0, 1]]})
+
+
+def test_json_number_decoders_refuse_booleans():
+    assert json_int(3, "n") == 3 and json_int(np.int64(-2), "n") == -2
+    assert json_float(2) == 2.0 and json_float(-0.5) == -0.5 and json_float(np.float64(1.5)) == 1.5
+    for flag in (True, False):
+        with pytest.raises(TypeError, match=f"n must be an integer, got {flag}"):
+            json_int(flag, "n")
+    for bad in (True, False, math.nan, -math.inf, "1", None, [1]):
+        with pytest.raises(ValueError, match="expected a finite number"):
+            json_float(bad)
+    with pytest.raises(OverflowError):
+        json_float(10**400)
