@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import TOL, as_matrix, max_abs, svd
+from .numkit import TOL, SynthesisError, as_matrix, max_abs, svd
 from .sim import fock_evolve, passive_block, postselect
 from .synth import SynthesisResult, pad_factors
 
@@ -152,7 +152,7 @@ def verify_cz(result: SynthesisResult, tol: float = TOL) -> CzVerification:
 
     Raises:
         NotPassiveError: if the network is active.
-        ValueError: if the probabilities or the sign pattern do not match.
+        SynthesisError: if the probabilities or the sign pattern do not match.
     """
     block = passive_block(result.s_total, tol)
     n = block.shape[0]
@@ -172,20 +172,20 @@ def verify_cz(result: SynthesisResult, tol: float = TOL) -> CzVerification:
 
     for label, prob in success_probs.items():
         if abs(prob - 1.0 / 9.0) > tol:
-            raise ValueError(f"input {label}: success probability {prob} differs from 1/9")
+            raise SynthesisError(f"input {label}: success probability {prob} differs from 1/9")
 
     # Divide out the global phase so the common amplitude factor is positive
     # on the HV/VH/VV inputs.
     reference = amplitudes["HV"]
     if abs(reference) == 0:
-        raise ValueError("HV amplitude vanished; no phase reference")
+        raise SynthesisError("HV amplitude vanished; no phase reference")
     phase = reference / abs(reference)
     normalized = {label: amp / phase for label, amp in amplitudes.items()}
     expected_signs = {"HH": -1, "HV": 1, "VH": 1, "VV": 1}
     for label, sign in expected_signs.items():
         target = sign / 3.0
         if abs(normalized[label] - target) > tol:
-            raise ValueError(
+            raise SynthesisError(
                 f"input {label}: postselected amplitude {normalized[label]} differs from {target}"
             )
     return CzVerification(

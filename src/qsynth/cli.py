@@ -1,13 +1,15 @@
 """Command-line front end: JSON files in, JSON files/stdout out, one compact
 JSON document per line.
 
-Each ``cmd_*`` computes and returns its documents as ``{path: payload}`` (``None`` or
-``-`` is stdout); ``main`` hands them to ``_write``, the one writer, and maps errors to exit codes.
+Each ``cmd_*`` computes and returns its documents as ``{path: payload}`` (``None`` is
+stdout); ``main`` hands them to ``_write``, the one writer, and maps errors to exit codes.
 
-Exit codes: 0 success, 2 unreadable or malformed input, or unwritable
-output, 3 verification failure (of the network, or of a unitary qsynth
-computed itself), 4 domain error (non-passive network in Fock
-mode, incomplete POVM, empty postselection, out-of-range parameters).
+Exit codes, one exception type each: 0 success; 2 ``ParseFailure``,
+unreadable or malformed input, or unwritable output; 3 ``SynthesisError``,
+a failed check of qsynth's own work (the SVD, a unitary it computed, the
+assembled network, or the ``cz`` self-check); 4 ``ValueError``, a domain
+error (non-passive network in Fock mode, incomplete POVM, empty
+postselection, out-of-range parameters).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import apps, closedform2x2, sim, synth
 from .blocks import SCHEMA, circuit_from_json, circuit_to_json, circuit_smatrix
-from .numkit import TOL, DecompositionError, complex_from_json, json_int, matrix_from_json, matrix_to_json
+from .numkit import TOL, SynthesisError, complex_from_json, json_int, matrix_from_json, matrix_to_json
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -59,7 +61,7 @@ def _write(docs: dict) -> None:
         texts = {path: json.dumps({"schema": SCHEMA, **doc}, allow_nan=False) + "\n" for path, doc in docs.items()}
     except ValueError as exc:  # NaN or infinity is not JSON
         raise ValueError(f"result is not finite: {exc}") from exc
-    stdout = texts.pop(None, "") + texts.pop("-", "")
+    stdout = texts.pop(None, "")
     staged, in_place = [], []
     try:
         for shown, text in texts.items():
@@ -93,9 +95,10 @@ def _write(docs: dict) -> None:
         raise ParseFailure(f"cannot write {shown}: {exc}") from exc
 
 
-def _stdout_alias(path):
-    """``None`` for ``-`` or a path that names the file open as stdout (``/dev/stdout``), else ``path``."""
-    if path in (None, "-"):
+def _stdout_alias(path: str) -> str | None:
+    """The argparse type of every output path: ``None`` (stdout) for ``-`` or a path that names the file
+    open as stdout (``/dev/stdout``), else ``path``."""
+    if path == "-":
         return None
     try:  # no stat of path unless stdout has a file descriptor
         return None if os.path.samestat(os.fstat(sys.stdout.fileno()), os.stat(path)) else path
@@ -105,7 +108,7 @@ def _stdout_alias(path):
 
 def cmd_synth(args) -> dict:
     """Compile a matrix file into a netlist plus a verification report (one document if both go to stdout)."""
-    paths = [_stdout_alias(p) for p in (args.netlist, args.report)]
+    paths = [args.netlist, args.report]
     files = [os.path.realpath(p) for p in paths
              if p is not None and (os.path.isfile(p) or not os.path.exists(p))]  # a device may take both
     if len(files) == 2 and files[0] == files[1]:  # one document would overwrite the other
@@ -263,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="matrix JSON -> netlist + verification report")
     p.add_argument("matrix", help="input matrix JSON file")
-    p.add_argument("--netlist", default=None, help="output netlist path (default: stdout)")
-    p.add_argument("--report", default=None, help="output report path (default: stdout)")
+    p.add_argument("--netlist", type=_stdout_alias, default=None, help="output netlist path (default: stdout)")
+    p.add_argument("--report", type=_stdout_alias, default=None, help="output report path (default: stdout)")
     p.set_defaults(run=cmd_synth)
 
     p = sub.add_parser("simulate", help="run a netlist on a Fock or coherent input")
@@ -276,12 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("naimark", help="POVM JSON -> extension unitary + netlist")
     p.add_argument("povm", help="POVM JSON file")
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
+    p.add_argument("--out", type=_stdout_alias, default=None, help="output path (default: stdout)")
     p.set_defaults(run=cmd_naimark)
 
     p = sub.add_parser("analytic2x2", help="closed-form decomposition of a 2x2 matrix file")
     p.add_argument("matrix", help="input matrix JSON file")
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
+    p.add_argument("--out", type=_stdout_alias, default=None, help="output path (default: stdout)")
     p.set_defaults(run=cmd_analytic2x2)
 
     sub.add_parser("cz", help="verify the postselected controlled-Z construction").set_defaults(run=cmd_cz)
@@ -303,7 +306,7 @@ def main(argv=None) -> int:
             raise ValueError(f"tol must be positive and below 1, got {args.tol}")
         _write(args.run(args))
         return EXIT_OK
-    except (ParseFailure, synth.SynthesisError, DecompositionError, ValueError) as exc:
+    except (ParseFailure, SynthesisError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ParseFailure):
             return EXIT_PARSE

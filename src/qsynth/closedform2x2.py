@@ -21,10 +21,6 @@ from .mesh import PRUNE_EPS, wrap_angle
 from .numkit import TOL, as_matrix
 from .synth import SynthesisResult, couplings, verified
 
-# |cos(gamma)| may exceed 1 by rounding; anything beyond this is a logic error.
-CLAMP_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class Params2x2:
     """Closed-form parameters; angles in radians, ``sigma1 >= sigma2 >= 0``."""
@@ -49,7 +45,15 @@ class Params2x2:
 
 def _phase(z: complex) -> float:
     """arg normalized to (-pi, pi], with arg(0) = 0."""
-    return wrap_angle(cmath.phase(z)) if z != 0 else 0.0
+    return wrap_angle(math.atan2(z.imag, z.real)) if z != 0 else 0.0  # cmath.phase raises on underflow
+
+
+def _abs(z: complex) -> float:
+    """``abs(z)``, but inf beyond the float range, where ``abs`` raises OverflowError."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 def analytic_params(t) -> Params2x2:
@@ -58,24 +62,28 @@ def analytic_params(t) -> Params2x2:
     if t.shape != (2, 2):
         raise ValueError(f"t must be 2x2, got {t.shape}")
 
-    phi11 = _phase(t[0, 0])
-    phi21 = _phase(t[1, 0])
+    # Python scalars: their arithmetic overflows to inf without a warning.
+    (t00, t01), (t10, t11) = t.tolist()
+    r00, r01, r10, r11 = map(_abs, (t00, t01, t10, t11))
+    phi11 = _phase(t00)
+    phi21 = _phase(t10)
     # Rotate the left column real, then null the lower-left entry.
-    vartheta = math.atan2(abs(t[1, 0]), abs(t[0, 0]))
+    vartheta = math.atan2(r10, r00)
     cv, sv = math.cos(vartheta), math.sin(vartheta)
-    e12 = abs(t[0, 1]) * cmath.exp(1j * (_phase(t[0, 1]) - phi11))
-    e22 = abs(t[1, 1]) * cmath.exp(1j * (_phase(t[1, 1]) - phi21))
-    t11_t = abs(t[0, 0]) * cv + abs(t[1, 0]) * sv
+    e12 = r01 * cmath.exp(1j * (_phase(t01) - phi11))
+    e22 = r11 * cmath.exp(1j * (_phase(t11) - phi21))
+    t11_t = r00 * cv + r10 * sv
     t12_t = cv * e12 + sv * e22
     t22_t = -sv * e12 + cv * e22
+    r12, r22 = _abs(t12_t), _abs(t22_t)
     xi1 = _phase(t12_t)
     xi2 = _phase(t22_t)
 
     # Real upper-triangular remainder [[a, b], [0, d]], all entries >= 0,
     # scaled by a power of two (exactly) so that squaring them neither
     # overflows nor underflows; sigma1 and sigma2 are scaled back below.
-    k = math.frexp(max(t11_t, abs(t12_t), abs(t22_t)))[1]
-    a, b, d = (math.ldexp(x, -k) for x in (t11_t, abs(t12_t), abs(t22_t)))
+    k = math.frexp(max(t11_t, r12, r22))[1]
+    a, b, d = (math.ldexp(x, -k) for x in (t11_t, r12, r22))
     s = a * a + b * b + d * d
     p = (abs(b * d), abs(a * b))
     q = (a * a - d * d + b * b, a * a - d * d - b * b)
@@ -85,7 +93,11 @@ def analytic_params(t) -> Params2x2:
     # sigma1 * sigma2 = det = a * d.  Taking sigma2 from the determinant keeps
     # it exact on rank-deficient input, where (s - root) / 2 is pure rounding.
     sigma2 = min(a * d / sigma1, sigma1) if sigma1 > 0.0 else 0.0
-    sigma1, sigma2 = math.ldexp(sigma1, k), math.ldexp(sigma2, k)
+    # x * 2**k rounded once, as math.ldexp does, but inf beyond the float range
+    # (couplings rejects it) where ldexp raises OverflowError.
+    sigma1, sigma2 = (x * 2.0 * 2.0 ** (k - 1) for x in (sigma1, sigma2))
+    if not all(map(math.isfinite, (t11_t, r12, r22))):  # sigma1 >= each, so it is beyond the float range too
+        sigma1 = math.inf
 
     # Simplified form of the left unitary factor.
     mix = cmath.exp(1j * (xi2 - xi1))
@@ -94,7 +106,7 @@ def analytic_params(t) -> Params2x2:
     y = cv * s1 - sv * c1 * mix
     alpha = _phase(x)
     beta = _phase(y)
-    gamma = math.acos(_clamped_unit(abs(x)))
+    gamma = math.acos(min(abs(x), 1.0))  # |x| <= 1 by Cauchy-Schwarz, up to rounding
     return Params2x2(
         phi11=phi11,
         phi21=phi21,
@@ -113,12 +125,6 @@ def analytic_params(t) -> Params2x2:
         beta1=(alpha - beta) / 2.0,
         beta2=(beta - alpha) / 2.0,
     )
-
-
-def _clamped_unit(value: float) -> float:
-    if value > 1.0 + CLAMP_TOL:
-        raise ValueError(f"cos(gamma) argument {value} exceeds 1 beyond rounding")
-    return min(max(value, 0.0), 1.0)
 
 
 def _stage(*elements: Element) -> list[Element]:

@@ -20,8 +20,8 @@ import numpy as np
 TOL = 1e-10
 
 
-class DecompositionError(RuntimeError):
-    """Raised when a matrix factorization fails to converge, or gives a unitary factor that fails its check."""
+class SynthesisError(RuntimeError):
+    """A check of qsynth's own work failed: an SVD, a unitary it computed, or the assembled network."""
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
@@ -82,7 +82,7 @@ def svd(t) -> SvdFactors:
     try:
         u, s, w = np.linalg.svd(t)
     except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"SVD failed to converge: {exc}") from exc
+        raise SynthesisError(f"SVD failed to converge: {exc}") from exc
     return SvdFactors(u=u, singulars=tuple(float(x) for x in s), w=w)
 
 

@@ -28,8 +28,8 @@ from .blocks import (
 )
 from .numkit import (
     TOL,
-    DecompositionError,
     SvdFactors,
+    SynthesisError,
     as_matrix,
     max_abs,
     quasiunitarity_deviation,
@@ -49,19 +49,6 @@ class SynthesisResult:
     singulars: tuple[float, ...]
     block_deviation: float
     quasiunitarity_deviation: float
-
-
-class SynthesisError(RuntimeError):
-    """Internal post-check failed: the assembled network does not verify."""
-
-    def __init__(self, block_deviation: float, quasi_deviation: float, tol: float):
-        super().__init__(
-            "synthesized network failed verification: "
-            f"block deviation {block_deviation:.3e}, "
-            f"quasiunitarity deviation {quasi_deviation:.3e}, tol {tol:.3e}"
-        )
-        self.block_deviation = block_deviation
-        self.quasi_deviation = quasi_deviation
 
 
 def couplings(singulars, tol: float, n_nominal: int) -> list[Element]:
@@ -123,12 +110,12 @@ def factor_mesh(name: str, u: np.ndarray, tol: float) -> list[Element]:
     """``mesh.reck_decompose(u, tol)`` of a unitary that qsynth computed itself, such as an SVD factor.
 
     Its failing the unitarity check is a failure of the pipeline, not of the
-    caller's input, so it raises :class:`DecompositionError` naming ``name``.
+    caller's input, so it raises :class:`SynthesisError` naming ``name``.
     """
     try:
         return mesh.reck_decompose(u, tol)
     except mesh.NotUnitaryError as exc:
-        raise DecompositionError(
+        raise SynthesisError(
             f"{name} is not unitary: deviation {exc.deviation:.3e} exceeds tol {tol:.3e}"
         ) from exc
 
@@ -154,7 +141,10 @@ def verified(target: np.ndarray, singulars, w_elements, d_elements, u_elements, 
     block_dev = max_abs(s_total[:n, :m] - target)
     quasi_dev = quasiunitarity_deviation(s_total)
     if block_dev > tol or quasi_dev > tol:
-        raise SynthesisError(block_dev, quasi_dev, tol)
+        raise SynthesisError(
+            "synthesized network failed verification: "
+            f"block deviation {block_dev:.3e}, quasiunitarity deviation {quasi_dev:.3e}, tol {tol:.3e}"
+        )
     return SynthesisResult(
         circuit=circuit,
         s_total=s_total,

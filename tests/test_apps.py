@@ -10,7 +10,7 @@ from qsynth.apps import (
     povm_probabilities,
     verify_cz,
 )
-from qsynth.numkit import max_abs, svd, unitarity_deviation
+from qsynth.numkit import TOL, SynthesisError, max_abs, svd, unitarity_deviation
 from qsynth.sim import NotPassiveError
 from qsynth.synth import synthesize
 
@@ -90,6 +90,44 @@ def test_povm_from_operators_rejects_higher_rank():
         RankOnePovm.from_operators([0.5 * np.eye(2), 0.5 * np.eye(2)])
 
 
+@pytest.mark.parametrize("vectors, message", [([], "at least one vector"), ([[1.0, 0.0], [1.0]], "same length")])
+def test_povm_from_vectors_rejects_empty_or_ragged(vectors, message):
+    with pytest.raises(ValueError, match=message):
+        RankOnePovm.from_vectors(vectors)
+
+
+@pytest.mark.parametrize(
+    "operator, message",
+    [
+        ([[1.0, 0.0]], r"operator 0 must be square, got \(1, 2\)"),
+        ([[0.0, 1.0], [0.0, 0.0]], "operator 0 is not Hermitian"),
+        ([[-1.0]], "operator 0 is not positive semidefinite"),
+    ],
+)
+def test_povm_from_operators_rejects_non_square_non_hermitian_or_negative(operator, message):
+    with pytest.raises(ValueError, match=message):
+        RankOnePovm.from_operators([np.array(operator, dtype=complex)])
+
+
+def test_naimark_extension_needs_at_least_dim_outcomes():
+    # One outcome on a qubit: T T^dag - I has entries of at most 0.5, complete within tol = 0.9.
+    povm = RankOnePovm.from_vectors([[math.sqrt(0.5), math.sqrt(0.5)]])
+    with pytest.raises(ValueError, match="need at least dim outcomes, got 1 < 2"):
+        naimark_extension(povm, tol=0.9)
+
+
+def test_naimark_extension_checks_singular_values_beyond_completeness():
+    # T T^dag = I + eps J with J all ones at n = 4: every entry is within eps of I,
+    # but J has eigenvalue 4, so sigma_max = sqrt(1 + 4 eps), about 1 + 2 eps.
+    eps = 0.8 * TOL
+    values, basis = np.linalg.eigh(np.eye(4) + eps * np.ones((4, 4)))
+    t = (basis * np.sqrt(values)) @ basis.conj().T
+    povm = RankOnePovm.from_vectors(t.T)
+    assert povm.completeness_deviation() <= TOL
+    with pytest.raises(ValueError, match="singular values deviate from 1"):
+        naimark_extension(povm)
+
+
 def test_povm_probabilities_rejects_oversized_state():
     ext = naimark_extension(trine_povm())
     with pytest.raises(ValueError):
@@ -141,5 +179,5 @@ def test_cz_rejects_wrong_sign_pattern():
     t = cz_gate_target()
     t[1, 1] = -t[1, 1]  # flip one diagonal coupling; still passive
     result = synthesize(t)
-    with pytest.raises(ValueError):
+    with pytest.raises(SynthesisError, match="input VH: postselected amplitude"):
         verify_cz(result)

@@ -732,10 +732,11 @@ def test_photon_and_mode_caps_still_exit_4(tmp_path, capsys):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _run_module(*argv) -> subprocess.CompletedProcess:
+def _run_module(*argv, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run(
-        [sys.executable, "-m", "qsynth.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-m", "qsynth.cli", *argv],
+        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
     )
 
 
@@ -766,6 +767,22 @@ def test_an_output_path_naming_stdout_counts_as_stdout(tmp_path):
         proc = _run_module("synth", matrix, *argv)
         assert proc.returncode == 0 and proc.stderr == ""
         assert assert_one_document(proc.stdout) == json.loads(both.stdout)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+@pytest.mark.parametrize("command, flag", [("naimark", "--out"), ("analytic2x2", "--out"), ("synth", "--netlist")])
+def test_an_output_path_naming_stdout_appends_to_it(tmp_path, command, flag):
+    # Stdout is opened for appending: the document follows the line already there.
+    inputs = {"naimark": _povm_file(tmp_path), "analytic2x2": _two_by_two(tmp_path),
+              "synth": write_matrix(tmp_path / "t.json", LOSSY_BS_T)}
+    log = tmp_path / "log.txt"
+    log.write_text("earlier line\n")
+    with open(log, "a") as out:
+        proc = _run_module(command, inputs[command], flag, "/dev/stdout", stdout=out)
+    assert proc.returncode == 0 and proc.stderr == ""
+    first, second = log.read_text().splitlines(keepends=True)
+    assert first == "earlier line\n"
+    assert_one_document(second)
 
 
 # --- unwritable output ------------------------------------------------------------
@@ -934,6 +951,13 @@ ERROR_DOCS = {
     "bad_operators": {"dim": 1, "operators": [[[[1, 0, 0]]]]},
     "no_key": {"dim": 1},
     "wrong_dim": {"dim": 2, "vectors": [[[1, 0]]]},
+    "padding": {"n_modes": 3, "n_nominal": 2, "ancilla_inputs": [2], "elements": []},
+    "non_square_op": {"dim": 1, "operators": [[[[1, 0], [0, 0]]]]},
+    "non_hermitian_op": {"dim": 2, "operators": [[[[0, 0], [1, 0]], [[0, 0], [0, 0]]]]},
+    "negative_op": {"dim": 1, "operators": [[[[-1, 0]]]]},
+    "one_outcome": {"dim": 2, "vectors": [[[math.sqrt(0.5), 0], [math.sqrt(0.5), 0]]]},
+    "huge": {"rows": 2, "cols": 2, "data": [[1e308, 0]] * 4},
+    "huge_column": {"rows": 2, "cols": 2, "data": [[1.7e308, 0], [0, 0], [1.7e308, 0], [0, 0]]},
 }
 
 
@@ -956,6 +980,16 @@ ERROR_DOCS = {
         (["simulate", "@bs", "--input", "1,1", "--predicate", '{"0": [1, 1]}'], 4,
          "postselection accepted zero probability mass"),
         (["--tol", "2", "synth", "@lossy"], 4, "tol must be positive and below 1, got 2.0"),
+        (["simulate", "@padding", "--input", "1"], 2, "@padding: padding ancillas must lie inside the nominal range"),
+        (["naimark", "@non_square_op"], 4, "operator 0 must be square, got (1, 2)"),
+        (["naimark", "@non_hermitian_op"], 4, "operator 0 is not Hermitian"),
+        (["naimark", "@negative_op"], 4, "operator 0 is not positive semidefinite"),
+        (["--tol", "0.9", "naimark", "@one_outcome"], 4, "need at least dim outcomes, got 1 < 2"),
+        (["synth", "@huge"], 4, "singular value inf exceeds the gain ceiling 2.592e+21"),
+        (["analytic2x2", "@huge"], 4, "singular value inf exceeds the gain ceiling 2.592e+21"),
+        (["synth", "@huge_column"], 4, "singular value inf exceeds the gain ceiling 2.592e+21"),
+        (["analytic2x2", "@huge_column"], 4, "singular value inf exceeds the gain ceiling 2.592e+21"),
+        (["--tol", "0.5", "cz"], 3, "input VV: success probability 1.0 differs from 1/9"),
     ],
 )
 def test_error_line_and_exit_code(tmp_path, capsys, argv, code, line):

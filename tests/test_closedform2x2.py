@@ -146,6 +146,42 @@ def test_rejects_gain_above_ceiling():
         analytic_synthesize(np.diag([1e22, 0.5]).astype(complex))
 
 
+# Each overflowed a step of the closed form: math.ldexp raised OverflowError,
+# numpy warned on a scalar add, inf * 0 gave a NaN singular value, or
+# cmath.phase raised on an underflow.  synth rejects all four at the ceiling.
+BEYOND_THE_FLOAT_RANGE = [
+    [[1e308, 1e308], [1e308, 1e308]],
+    [[1.7e308, 0.0], [1.7e308, 0.0]],
+    [[1.2e308, -1.79e308 + 1e308j], [0.0, -1e307 + 1j]],
+    [[7.347880794884118e291 - 1.2e308j, 1 - 1.79e308j], [-0.7071067811865475 + 0.7071067811865476j, 1.0]],
+]
+
+
+@pytest.mark.parametrize("t", BEYOND_THE_FLOAT_RANGE, ids=["ldexp", "scalar-add", "nan-sigma", "phase-underflow"])
+def test_singular_value_beyond_the_float_range_hits_the_gain_ceiling(t):
+    with pytest.raises(ValueError, match="singular value inf exceeds the gain ceiling"):
+        analytic_synthesize(np.array(t))
+
+
+def test_entries_near_the_float_limit_are_rejected_at_the_gain_ceiling():
+    # sigma1 >= every |entry| > 1e300, so each is rejected, whatever the phases.
+    rng = np.random.default_rng(66)
+    magnitudes = np.array([0.0, 1.0, 1e300, 1e308, 1.2e308, 1.7e308, 1.79e308])
+    phases = np.array([0.0, 0.25, 0.5, 0.75, 1.0, -0.5, -0.25]) * np.pi
+    for _ in range(300):
+        t = rng.choice(magnitudes, size=(2, 2)) * np.exp(1j * rng.choice(phases, size=(2, 2)))
+        t[rng.integers(2), rng.integers(2)] = 1.7e308
+        with pytest.raises(ValueError, match="gain ceiling"):
+            analytic_synthesize(t)
+
+
+def test_a_phase_that_underflows_is_zero():
+    # atan2(5e-324, 3) underflows to 0, where cmath.phase raised OverflowError.
+    p, result = analytic_synthesize(np.array([[3 + 5e-324j, 0.0], [0.0, 0.5]]))
+    assert (p.sigma1, p.sigma2, p.phi11) == (3.0, 0.5, 0.0)
+    assert result.block_deviation < 1e-12
+
+
 def test_zero_matrix():
     t = np.zeros((2, 2), dtype=complex)
     p, result = analytic_synthesize(t)

@@ -110,6 +110,11 @@ def test_quasiunitarity_rejects_odd_dimension():
         quasiunitarity_deviation(np.eye(3))
 
 
+def test_unitarity_deviation_rejects_non_square():
+    with pytest.raises(ValueError, match=r"u must be square, got \(2, 3\)"):
+        unitarity_deviation(np.ones((2, 3)))
+
+
 def test_quasiunitary_closed_under_products():
     from qsynth.blocks import BeamSplitter, PhaseShifter, TwoModeSqueezer
 

@@ -107,6 +107,19 @@ def test_fock_limits_and_validation():
         fock_evolve(np.diag([1.0, 2.0]), (1, 0))  # not unitary
     with pytest.raises(ValueError):
         fock_evolve(np.eye(2), (1, 0, 0))  # occupation length mismatch
+    with pytest.raises(ValueError, match=r"a must be square, got \(2, 3\)"):
+        fock_evolve(np.zeros((2, 3)), (1, 0))
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (3, 3)])
+def test_passive_block_rejects_non_square_or_odd(shape):
+    with pytest.raises(ValueError, match="s_total must be square with even dimension"):
+        passive_block(np.zeros(shape))
+
+
+def test_coherent_moments_need_a_mode():
+    with pytest.raises(ValueError, match="need at least one mode"):
+        coherent_moments([])
 
 
 def test_postselect_accept_all_is_identity():

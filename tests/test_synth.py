@@ -94,6 +94,11 @@ def test_classify_rejects_negative():
         couplings((-0.1,), 1e-9, 1)
 
 
+def test_classify_rejects_more_singular_values_than_modes():
+    with pytest.raises(ValueError, match="got 3 singular values for 2 nominal modes"):
+        couplings((0.5, 0.5, 0.5), 1e-9, 2)
+
+
 def padded_diagonal(f, n_pad):
     """The D factor that goes with pad_factors: the singular values, then 1s."""
     return np.diag(list(f.singulars) + [1.0] * (n_pad - len(f.singulars))).astype(complex)
