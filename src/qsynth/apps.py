@@ -51,7 +51,7 @@ class RankOnePovm:
                 raise ValueError(f"operator {i} is not Hermitian")
             values, basis = np.linalg.eigh(e)
             top = values[-1]
-            if top < -tol:
+            if values[0] < -tol * max(1.0, top):
                 raise ValueError(f"operator {i} is not positive semidefinite")
             residual = float(np.max(np.abs(values[:-1]))) if len(values) > 1 else 0.0
             if residual > tol * max(1.0, top):

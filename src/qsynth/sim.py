@@ -6,17 +6,27 @@ moment propagation for arbitrary quasiunitary networks.  The Fock engine
 substitutes each input creation operator by the column-indexed sum
 ``a_in,k^dag -> sum_j A[j, k] a_out,j^dag``, which is the direction consistent
 with ``a_out = A a_in`` (the classic transpose trap: columns index inputs).
+
+The polynomial in output creation operators is held as one complex array per
+photon count, indexed by the sorted occupations of that count (the
+*ladder*).  Each substitution is one scatter-add of ``poly[i] * A[j, k]``
+into the rank of occupation ``i`` with one more photon in mode ``j``.  Each
+rung depends only on the mode and photon counts, so it is built on first use
+and cached for the life of the process; the caps bound the cache at
+``(MAX_FOCK_MODES + 1) * (MAX_PHOTONS + 1) = 63`` rungs, at most 1,716
+occupations each.  Amplitudes come out as Python ``complex``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .numkit import TOL, as_matrix, unitarity_deviation
+from .numkit import TOL, as_matrix, json_int, unitarity_deviation
 
 MAX_PHOTONS = 6
 MAX_FOCK_MODES = 8
@@ -62,9 +72,11 @@ def passive_block(s_total, tol: float = TOL) -> np.ndarray:
 def fock_evolve(a, occupation, tol: float = TOL) -> FockState:
     """Evolve a Fock input through a passive n x n unitary.
 
-    Expands the product of transformed creation operators over the vacuum;
-    limited to ``MAX_PHOTONS`` photons and ``MAX_FOCK_MODES`` modes, which is
-    plenty for desk-scale checks and keeps the expansion exact.
+    Expands the product of transformed creation operators over the vacuum,
+    one scatter-add per input photon over the cached ladder; limited to
+    ``MAX_PHOTONS`` photons and ``MAX_FOCK_MODES`` modes, which is plenty for
+    desk-scale checks and keeps the expansion exact.  Returns the amplitudes
+    above ``AMPLITUDE_PRUNE`` in sorted occupation order.
     """
     a = as_matrix(a, "a")
     n = a.shape[0]
@@ -72,7 +84,11 @@ def fock_evolve(a, occupation, tol: float = TOL) -> FockState:
         raise ValueError(f"a must be square, got {a.shape}")
     if n > MAX_FOCK_MODES:
         raise ValueError(f"at most {MAX_FOCK_MODES} modes supported, got {n}")
-    occupation = tuple(int(x) for x in occupation)
+    occupation = tuple(occupation)
+    try:
+        occupation = tuple(json_int(x, "photon count") for x in occupation)
+    except TypeError as exc:
+        raise ValueError(f"occupation {occupation} holds a non-integer photon count") from exc
     if len(occupation) != n or any(x < 0 for x in occupation):
         raise ValueError(f"occupation {occupation} does not match {n} modes")
     if sum(occupation) > MAX_PHOTONS:
@@ -81,29 +97,51 @@ def fock_evolve(a, occupation, tol: float = TOL) -> FockState:
     if deviation > tol:
         raise ValueError(f"a is not unitary: deviation {deviation:.3e} exceeds tol {tol:.3e}")
 
-    # Polynomial in output creation operators, keyed by exponent tuple.
-    poly: dict[tuple[int, ...], complex] = {(0,) * n: 1.0 + 0.0j}
+    # Coefficients of the polynomial in output creation operators, one per
+    # occupation of the current photon count, in ladder order.
+    poly = np.ones(1, dtype=complex)
+    photons = 0
     for k, n_k in enumerate(occupation):
         for _ in range(n_k):
-            nxt: dict[tuple[int, ...], complex] = {}
-            for exps, coeff in poly.items():
-                for j in range(n):
-                    amp = a[j, k]
-                    if amp == 0:
-                        continue
-                    bumped = list(exps)
-                    bumped[j] += 1
-                    key = tuple(bumped)
-                    nxt[key] = nxt.get(key, 0.0) + coeff * amp
-            poly = nxt
+            photons += 1
+            keys, _, up = _ladder(n, photons)
+            terms = (poly[:, None] * a[:, k]).ravel()
+            poly = np.empty(len(keys), dtype=complex)
+            poly.real = np.bincount(up, terms.real, len(keys))
+            poly.imag = np.bincount(up, terms.imag, len(keys))
 
+    keys, weights, _ = _ladder(n, photons)
     in_norm = math.sqrt(math.prod(math.factorial(x) for x in occupation))
-    amplitudes = {}
-    for exps, coeff in poly.items():
-        amp = coeff * math.sqrt(math.prod(math.factorial(x) for x in exps)) / in_norm
-        if abs(amp) > AMPLITUDE_PRUNE:
-            amplitudes[exps] = amp
+    amps = poly * weights / in_norm
+    keep = np.abs(amps) > AMPLITUDE_PRUNE
+    amplitudes = dict(zip(map(tuple, keys[keep].tolist()), amps[keep].tolist()))
     return FockState(n_modes=n, amplitudes=amplitudes)
+
+
+@functools.lru_cache(maxsize=(MAX_FOCK_MODES + 1) * (MAX_PHOTONS + 1))
+def _ladder(n: int, photons: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The occupation basis of ``photons`` photons in ``n`` modes, built on the one below it.
+
+    Returns the occupations in sorted order (one row each), the
+    ``sqrt(prod m_j!)`` weight of each, and the flat index map ``up`` whose
+    entry ``i * n + j`` is the rank of occupation ``i`` of ``photons - 1``
+    photons with one more photon in mode ``j``.  An occupation is read as a
+    base ``MAX_PHOTONS + 1`` number with mode 0 as its leading digit, so
+    numeric order is tuple order and every rank is one binary search.
+    """
+    if photons == 0:
+        ladder = np.zeros((1, n), dtype=np.int64), np.ones(1), np.empty(0, dtype=np.int64)
+    else:
+        place = (MAX_PHOTONS + 1) ** np.arange(n - 1, -1, -1)
+        bumped = ((_ladder(n, photons - 1)[0] @ place)[:, None] + place).ravel()
+        ordered = np.sort(bumped)  # np.unique would import numpy.ma on its first call
+        codes = ordered[np.append(True, ordered[1:] != ordered[:-1])]
+        keys = codes[:, None] // place % (MAX_PHOTONS + 1)
+        factorials = np.array([math.factorial(m) for m in range(MAX_PHOTONS + 1)], dtype=float)
+        ladder = keys, np.sqrt(factorials[keys].prod(axis=1)), np.searchsorted(codes, bumped)
+    for part in ladder:
+        part.flags.writeable = False  # cached: every later call shares these arrays
+    return ladder
 
 
 def postselect(

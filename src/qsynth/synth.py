@@ -67,8 +67,9 @@ def couplings(singulars, tol: float, n_nominal: int) -> list[Element]:
         raise ValueError(f"got {len(sigmas)} singular values for {n_nominal} nominal modes")
     if any(s < 0 for s in sigmas):
         raise ValueError(f"singular values must be non-negative, got {min(sigmas)}")
-    if any(s > SIGMA_MAX for s in sigmas):
-        raise ValueError(f"singular value {max(sigmas):.3e} exceeds the gain ceiling {SIGMA_MAX:.3e}")
+    beyond = [s for s in sigmas if not s <= SIGMA_MAX]  # NaN fails the comparison too
+    if beyond:
+        raise ValueError(f"singular value {max(beyond):.3e} exceeds the gain ceiling {SIGMA_MAX:.3e}")
     coupled = [(j, sigma) for j, sigma in enumerate(sigmas) if abs(sigma - 1.0) > tol]
     return [singular_element(j, n_nominal + k, sigma) for k, (j, sigma) in enumerate(coupled)]
 

@@ -8,11 +8,12 @@ against), the closed-form 2x2 parameters multiply out as dense 2x2 factors,
 the lossy-beam-splitter network is a hand-checkable closed form in a fixed
 factor gauge, and element counts, their worst-case bounds and each mode's
 channel kind are read off element lists.  Only the element dataclasses come
-from the package, apart from the last two sections: measurements the tests take
-of the package's own output (Fock probabilities, moment physicality, and the
-mesh error, read off the ``N x N`` block of ``blocks.circuit_smatrix``), and
+from the package, apart from the last three sections: measurements the tests
+take of the package's own output (Fock probabilities, moment physicality, and
+the mesh error, read off the ``N x N`` block of ``blocks.circuit_smatrix``),
 the step-by-step Givens nulling loop that ``mesh.reck_decompose`` replaced,
-kept as its reference.
+and the dict expansion that ``sim.fock_evolve`` replaced, each kept as its
+reference.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from qsynth.blocks import BeamSplitter, Circuit, PhaseShifter, TwoModeSqueezer, circuit_smatrix
 from qsynth.mesh import PRUNE_EPS, NotUnitaryError, wrap_angle
 from qsynth.numkit import TOL, as_matrix, max_abs, unitarity_deviation
-from qsynth.sim import GaussianMoments, coherent_moments
+from qsynth.sim import AMPLITUDE_PRUNE, GaussianMoments, coherent_moments
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -479,3 +480,43 @@ def emit_reference(n: int, lam, thetas, phis) -> list:
     for mode in range(n):
         flush(mode)
     return elements
+
+
+# --- the dict expansion that sim.fock_evolve replaced ---------------------------
+#
+# It keeps each output monomial in a dict and adds one term per (monomial,
+# mode) pair, in expansion order; the package sums the same terms in ladder
+# order, so the two agree to the last bit or two.
+
+
+def fock_reference(a, occupation) -> dict[tuple[int, ...], complex]:
+    """``sim.fock_evolve``'s amplitudes by expanding a dict polynomial one term and one mode at a time.
+
+    Substitutes ``a_in,k^dag -> sum_j a[j, k] a_out,j^dag`` for each input
+    photon and keeps the output monomials whose amplitude exceeds
+    ``sim.AMPLITUDE_PRUNE``; ``a`` is taken as given (no unitarity check).
+    """
+    a = as_matrix(a, "a")
+    n = a.shape[0]
+    poly: dict[tuple[int, ...], complex] = {(0,) * n: 1.0 + 0.0j}
+    for k, n_k in enumerate(occupation):
+        for _ in range(n_k):
+            nxt: dict[tuple[int, ...], complex] = {}
+            for exps, coeff in poly.items():
+                for j in range(n):
+                    amp = a[j, k]
+                    if amp == 0:
+                        continue
+                    bumped = list(exps)
+                    bumped[j] += 1
+                    key = tuple(bumped)
+                    nxt[key] = nxt.get(key, 0.0) + coeff * amp
+            poly = nxt
+
+    in_norm = math.sqrt(math.prod(math.factorial(x) for x in occupation))
+    amplitudes = {}
+    for exps, coeff in poly.items():
+        amp = coeff * math.sqrt(math.prod(math.factorial(x) for x in exps)) / in_norm
+        if abs(amp) > AMPLITUDE_PRUNE:
+            amplitudes[exps] = amp
+    return amplitudes

@@ -102,6 +102,8 @@ def test_povm_from_vectors_rejects_empty_or_ragged(vectors, message):
         ([[1.0, 0.0]], r"operator 0 must be square, got \(1, 2\)"),
         ([[0.0, 1.0], [0.0, 0.0]], "operator 0 is not Hermitian"),
         ([[-1.0]], "operator 0 is not positive semidefinite"),
+        ([[-1.0, 0.0], [0.0, 0.0]], "operator 0 is not positive semidefinite"),  # -outer(e0, e0)
+        ([[1.0, 0.0], [0.0, -0.5]], "operator 0 is not positive semidefinite"),
     ],
 )
 def test_povm_from_operators_rejects_non_square_non_hermitian_or_negative(operator, message):

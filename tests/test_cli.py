@@ -958,6 +958,9 @@ ERROR_DOCS = {
     "one_outcome": {"dim": 2, "vectors": [[[math.sqrt(0.5), 0], [math.sqrt(0.5), 0]]]},
     "huge": {"rows": 2, "cols": 2, "data": [[1e308, 0]] * 4},
     "huge_column": {"rows": 2, "cols": 2, "data": [[1.7e308, 0], [0, 0], [1.7e308, 0], [0, 0]]},
+    "nan_svd": {"rows": 2, "cols": 2, "data": [[1.2e308, 0], [-1.79e308, 1e308], [0, 0], [-1e307, 1]]},
+    "negative_rank_one": {"dim": 2, "operators": [[[[-1, 0], [0, 0]], [[0, 0], [0, 0]]]]},
+    "indefinite": {"dim": 2, "operators": [[[[1, 0], [0, 0]], [[0, 0], [-0.5, 0]]]]},
 }
 
 
@@ -990,6 +993,10 @@ ERROR_DOCS = {
         (["synth", "@huge_column"], 4, "singular value inf exceeds the gain ceiling 2.592e+21"),
         (["analytic2x2", "@huge_column"], 4, "singular value inf exceeds the gain ceiling 2.592e+21"),
         (["--tol", "0.5", "cz"], 3, "input VV: success probability 1.0 differs from 1/9"),
+        (["synth", "@nan_svd"], 4, "singular value nan exceeds the gain ceiling 2.592e+21"),
+        (["analytic2x2", "@nan_svd"], 4, "singular value inf exceeds the gain ceiling 2.592e+21"),
+        (["naimark", "@negative_rank_one"], 4, "operator 0 is not positive semidefinite"),
+        (["naimark", "@indefinite"], 4, "operator 0 is not positive semidefinite"),
     ],
 )
 def test_error_line_and_exit_code(tmp_path, capsys, argv, code, line):

@@ -5,9 +5,12 @@ import pytest
 
 from qsynth.numkit import max_abs
 from qsynth.sim import (
+    MAX_FOCK_MODES,
+    MAX_PHOTONS,
     FockState,
     GaussianMoments,
     NotPassiveError,
+    _ladder,
     coherent_moments,
     evolve_moments,
     fock_evolve,
@@ -20,6 +23,7 @@ from oracles import (
     LOSSY_BS_S_TOTAL,
     all_occupations,
     fock_amplitude,
+    fock_reference,
     lift_gain,
     norm_squared,
     physicality_residual,
@@ -109,6 +113,74 @@ def test_fock_limits_and_validation():
         fock_evolve(np.eye(2), (1, 0, 0))  # occupation length mismatch
     with pytest.raises(ValueError, match=r"a must be square, got \(2, 3\)"):
         fock_evolve(np.zeros((2, 3)), (1, 0))
+
+
+@pytest.mark.parametrize("occupation", [(1.5, 0), (True, 0), (1.0, 0), ("1", 0), (np.float64(1), 0)])
+def test_fock_refuses_non_integer_photon_counts(occupation):
+    with pytest.raises(ValueError, match=r"occupation \(.*\) holds a non-integer photon count"):
+        fock_evolve(np.eye(2), occupation)
+
+
+def test_fock_takes_numpy_integer_counts():
+    assert fock_evolve(np.eye(2), np.array([1, 0])).amplitudes == {(1, 0): 1.0}
+
+
+def test_fock_outcomes_are_sorted_python_values():
+    state = fock_evolve(random_unitary(np.random.default_rng(57), 4), (2, 0, 1, 1))
+    assert list(state.amplitudes) == sorted(all_occupations(4, 4))
+    assert all(type(amp) is complex for amp in state.amplitudes.values())
+    assert all(type(m) is int for occ in state.amplitudes for m in occ)
+
+
+def _fock_property_inputs():
+    """Seeded ``(a, occupation)`` over n = 1..8 and 0..6 photons: Haar, phased permutation and identity
+    matrices, plus the lossy-beam-splitter block."""
+    rng = np.random.default_rng(55)
+    for n in range(1, MAX_FOCK_MODES + 1):
+        for photons in range(MAX_PHOTONS + 1):
+            occupation = tuple(np.bincount(rng.integers(0, n, photons), minlength=n).tolist())
+            yield random_unitary(rng, n), occupation
+            phases = np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+            yield np.eye(n)[rng.permutation(n)] * phases, occupation
+            yield np.eye(n), occupation
+    for occupation in all_occupations(3, 1) + all_occupations(3, 2) + [(2, 2, 2), (0, 3, 3)]:
+        yield LOSSY_BS_BLOCK, occupation
+
+
+def test_fock_matches_the_dict_expansion():
+    # The ladder sums each output's terms in another order than the dict loop, so amplitudes may
+    # differ in the last bits; a few hundred terms of modulus <= 1 stay well inside 1e-15.
+    worst = 0.0
+    for a, occupation in _fock_property_inputs():
+        got = fock_evolve(a, occupation).amplitudes
+        want = fock_reference(a, occupation)
+        assert got.keys() == want.keys(), (a.shape, occupation)
+        worst = max([worst] + [abs(got[k] - want[k]) for k in want])
+    assert worst <= 1e-15
+
+
+def test_ladder_cache_is_bounded_by_the_caps():
+    # The cache holds one rung per (modes, photons) pair and nothing else: after every pair the
+    # caps allow has been built, with several matrices each, it holds exactly those pairs.
+    rng = np.random.default_rng(58)
+    for n in range(MAX_FOCK_MODES + 1):
+        for a in (np.eye(n), random_unitary(rng, n) if n else np.eye(0)):
+            fock_evolve(a, ((MAX_PHOTONS,) + (0,) * (n - 1)) if n else ())
+    info = _ladder.cache_info()
+    assert info.maxsize == (MAX_FOCK_MODES + 1) * (MAX_PHOTONS + 1) == 63
+    assert info.currsize == 1 + MAX_FOCK_MODES * (MAX_PHOTONS + 1)  # no photons without a mode
+
+
+def test_fock_at_the_caps_matches_the_permanent():
+    rng = np.random.default_rng(56)
+    a = random_unitary(rng, MAX_FOCK_MODES)
+    occ_in = (1, 0, 2, 0, 1, 1, 0, 1)
+    assert sum(occ_in) == MAX_PHOTONS
+    state = fock_evolve(a, occ_in)
+    outcomes = all_occupations(MAX_FOCK_MODES, MAX_PHOTONS)
+    assert len(state.amplitudes) == len(outcomes) == 1716
+    for occ_out in (outcomes[0], outcomes[len(outcomes) // 2], outcomes[-1]):
+        assert abs(state.amplitudes[occ_out] - fock_amplitude(a, occ_in, occ_out)) < 1e-12
 
 
 @pytest.mark.parametrize("shape", [(2, 4), (3, 3)])

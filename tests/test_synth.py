@@ -109,6 +109,20 @@ def test_classify_rejects_gain_above_ceiling():
         couplings((2.0 * SIGMA_MAX, 0.5), 1e-10, 2)
 
 
+@pytest.mark.parametrize("sigmas", [(math.nan, 0.5), (0.5, math.nan), (math.inf, math.nan)])
+def test_classify_rejects_nan_at_the_gain_ceiling(sigmas):
+    # NaN fails every comparison, so it must fail the range check rather than pass it.
+    with pytest.raises(ValueError, match="gain ceiling"):
+        couplings(sigmas, 1e-10, 2)
+
+
+def test_singular_values_lost_to_overflow_hit_the_gain_ceiling():
+    # numpy's SVD of these entries returns NaN singular values.
+    t = np.array([[1.2e308, -1.79e308 + 1e308j], [0, -1e307 + 1j]])
+    with pytest.raises(ValueError, match="singular value nan exceeds the gain ceiling"):
+        synthesize(t)
+
+
 def test_synthesis_keeps_only_a_positive_tol():
     assert list(inspect.signature(synthesize).parameters) == ["t", "tol"]
     assert list(inspect.signature(analytic_synthesize).parameters) == ["t", "tol"]
