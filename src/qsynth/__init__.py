@@ -7,6 +7,7 @@ from .blocks import (
     BeamSplitter,
     Circuit,
     Element,
+    Elements,
     PhaseShifter,
     TwoModeSqueezer,
     circuit_from_json,

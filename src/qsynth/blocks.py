@@ -1,11 +1,13 @@
 """Elementary optical elements and the kernel that applies them to a matrix.
 
-An element is one of three slotted frozen dataclasses (no per-instance
-``__dict__``, cheap to build positionally): a phase shifter on a single
-mode, a beam splitter (real rotation ``[[cos t, sin t], [-sin t, cos t]]``)
-between two modes, or a two-mode squeezer with gain ``cosh(xi)``.  A circuit
-is an ordered element list applied first-to-last; the corresponding matrix
-product therefore runs last-to-first.
+An element is a phase shifter on a single mode, a beam splitter (real
+rotation ``[[cos t, sin t], [-sin t, cos t]]``) between two modes, or a
+two-mode squeezer with gain ``cosh(xi)``.  A circuit stores its elements as
+parallel columns (:class:`Elements`: kind, two modes and an angle per
+element), applied first-to-last; the corresponding matrix product therefore
+runs last-to-first.  The three slotted frozen dataclasses are the vocabulary
+for circuits built by hand: a circuit converts them to columns once, and
+indexing or iterating the columns yields them again, built on demand.
 
 The 2N x 2N scattering matrix of a circuit acts on the operator vector
 ``(a_1 .. a_N, a_1^dag .. a_N^dag)``: mode ``p`` couples to row/column ``p``
@@ -18,6 +20,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Union
 
@@ -61,9 +65,71 @@ class TwoModeSqueezer:
 Element = Union[PhaseShifter, BeamSplitter, TwoModeSqueezer]
 
 
+PS, BS, TMS = 0, 1, 2  # the codes of the kind column
+
+
+def _row(e: Element) -> tuple:
+    """``(kind, mode_a, mode_b, angle)`` of one element, as plain Python numbers."""
+    if isinstance(e, PhaseShifter):
+        return PS, operator.index(e.mode), operator.index(e.mode), float(e.phi)
+    kind, angle = (BS, e.theta) if isinstance(e, BeamSplitter) else (TMS, e.xi)
+    return kind, operator.index(e.mode_a), operator.index(e.mode_b), float(angle)
+
+
+def _element(kind: int, a: int, b: int, angle: float) -> Element:
+    return PhaseShifter(a, angle) if kind == PS else (BeamSplitter if kind == BS else TwoModeSqueezer)(a, b, angle)
+
+
+class Elements(Sequence):
+    """A circuit's elements, first applied first, as four parallel tuple columns.
+
+    ``kind`` holds ``PS``, ``BS`` or ``TMS``; ``mode_a`` and ``mode_b`` the modes (a phase shifter
+    repeats its mode in ``mode_b``); ``angle`` the phi, theta or xi.  An index or an iteration yields
+    the element dataclasses, built on demand; a slice is ``Elements``.  It equals another
+    ``Elements`` with the same columns, or a list or tuple of the same elements.
+    """
+
+    __slots__ = ("kind", "mode_a", "mode_b", "angle")
+
+    def __init__(self, kind=(), mode_a=(), mode_b=(), angle=()):
+        self.kind, self.mode_a, self.mode_b, self.angle = map(tuple, (kind, mode_a, mode_b, angle))
+
+    @classmethod
+    def of(cls, elements) -> Elements:
+        """The columns of an iterable of element dataclasses; ``Elements`` come back as they are."""
+        return elements if isinstance(elements, cls) else cls(*zip(*map(_row, elements)))
+
+    @classmethod
+    def join(cls, *parts) -> Elements:
+        """The parts (each ``Elements`` or element dataclasses) one after another."""
+        return cls(*(sum(column, ()) for column in zip(*(cls.of(p).columns for p in parts))))
+
+    @property
+    def columns(self) -> tuple:
+        return self.kind, self.mode_a, self.mode_b, self.angle
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def __getitem__(self, i):
+        row = [column[i] for column in self.columns]
+        return Elements(*row) if isinstance(i, slice) else _element(*row)
+
+    def __iter__(self):
+        return map(_element, *self.columns)
+
+    def __eq__(self, other):
+        if isinstance(other, Elements):
+            return self.columns == other.columns
+        return list(self) == list(other) if isinstance(other, (list, tuple)) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Elements({list(self)!r})"
+
+
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered element list plus mode bookkeeping.
+    """Elements (given as :class:`Elements` or element dataclasses) plus mode bookkeeping.
 
     ``n_modes`` counts every mode including ancillas; the first ``n_nominal``
     are the nominal ones.  ``ancilla_inputs`` / ``ancilla_outputs`` are the
@@ -75,16 +141,13 @@ class Circuit:
 
     n_modes: int
     n_nominal: int
-    elements: tuple[Element, ...] = ()
+    elements: Elements = ()
     ancilla_inputs: tuple[int, ...] = ()
     ancilla_outputs: tuple[int, ...] = ()
     full_ancillas: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        object.__setattr__(self, "ancilla_inputs", tuple(self.ancilla_inputs))
-        object.__setattr__(self, "ancilla_outputs", tuple(self.ancilla_outputs))
-        object.__setattr__(self, "full_ancillas", tuple(self.full_ancillas))
+        object.__setattr__(self, "elements", Elements.of(self.elements))
         if not (0 < self.n_nominal <= self.n_modes):
             raise ValueError(f"need 0 < n_nominal <= n_modes, got {self.n_nominal}, {self.n_modes}")
         pad = set(self.ancilla_inputs) | set(self.ancilla_outputs)
@@ -99,45 +162,43 @@ class Circuit:
 
 
 def check_modes(elements, n_modes: int) -> None:
-    """Raise ValueError unless every element's modes lie in ``0..n_modes-1``."""
-    for e in elements:
-        if isinstance(e, PhaseShifter):
-            ok = 0 <= e.mode < n_modes
-        else:
-            ok = 0 <= e.mode_a < n_modes and 0 <= e.mode_b < n_modes
-        if not ok:
-            raise ValueError(f"element {e} references a mode outside 0..{n_modes - 1}")
+    """Raise ValueError, naming the first offender, unless every element's modes lie in ``0..n_modes-1``."""
+    e = Elements.of(elements)
+    modes = e.mode_a + e.mode_b
+    if modes and not 0 <= min(modes) <= max(modes) < n_modes:
+        first = min(i % len(e) for i, m in enumerate(modes) if not 0 <= m < n_modes)
+        raise ValueError(f"element {e[first]} references a mode outside 0..{n_modes - 1}")
 
 
-def _apply(s: np.ndarray, e: Element) -> None:
-    """Left-multiply the top half ``[A, B]`` of ``S`` (one row per mode) by ``e`` in place.
+def _apply(s: np.ndarray, kind: int, a: int, b: int, angle: float) -> None:
+    """Left-multiply the top half ``[A, B]`` of ``S`` (one row per mode) by one element in place.
 
     Only the element's rows change; a squeezer reads its partner rows ``p + N``
-    as its top rows conjugated with halves swapped.  Callers check the element
-    list once: modes in range, and no squeezer on an ``N x N`` passive product.
+    as its top rows conjugated with halves swapped.  Callers check the elements
+    once: modes in range, and no squeezer on an ``N x N`` passive product.
     """
-    if isinstance(e, PhaseShifter):
-        s[e.mode] *= cmath.exp(1j * e.phi)
-    elif isinstance(e, BeamSplitter):
-        c, sn = math.cos(e.theta), math.sin(e.theta)
-        row_a, row_b = s[e.mode_a], s[e.mode_b]
+    if kind == PS:
+        s[a] *= cmath.exp(1j * angle)
+    elif kind == BS:
+        c, sn = math.cos(angle), math.sin(angle)
+        row_a, row_b = s[a], s[b]
         new_a = c * row_a + sn * row_b
         row_b *= c
         row_b += -sn * row_a  # = -sn * a + c * b: IEEE addition commutes exactly
         row_a[...] = new_a
     else:
         n = s.shape[0]
-        rows = [e.mode_a, e.mode_b]
+        rows = [a, b]
         flipped = s[rows[::-1]].conj()
         partners = np.concatenate((flipped[:, n:], flipped[:, :n]), axis=1)
-        s[rows] = math.cosh(e.xi) * s[rows] + math.sinh(e.xi) * partners
+        s[rows] = math.cosh(angle) * s[rows] + math.sinh(angle) * partners
 
 
 def circuit_smatrix(c: Circuit) -> np.ndarray:
     """2N x 2N scattering matrix of the circuit: its elements applied in order to the top half."""
     top = np.eye(c.n_modes, 2 * c.n_modes, dtype=complex)
-    for e in c.elements:
-        _apply(top, e)
+    for kind, a, b, angle in zip(*c.elements.columns):
+        _apply(top, kind, a, b, angle)
     return np.vstack((top, np.roll(top.conj(), c.n_modes, axis=1)))
 
 
@@ -154,12 +215,14 @@ def circuit_smatrix(c: Circuit) -> np.ndarray:
 SCHEMA = "qsynth/1"
 
 
-def element_to_json(e: Element) -> dict:
-    if isinstance(e, PhaseShifter):
-        return {"type": "ps", "mode": e.mode, "phi": e.phi}
-    if isinstance(e, BeamSplitter):
-        return {"type": "bs", "modes": [e.mode_a, e.mode_b], "theta": e.theta}
-    return {"type": "tms", "modes": [e.mode_a, e.mode_b], "xi": e.xi}
+def element_to_json(e) -> dict:
+    """One element's JSON object; ``e`` is an element dataclass or its ``(kind, mode_a, mode_b, angle)``."""
+    kind, a, b, angle = e if isinstance(e, tuple) else _row(e)
+    if kind == PS:
+        return {"type": "ps", "mode": a, "phi": angle}
+    if kind == BS:
+        return {"type": "bs", "modes": [a, b], "theta": angle}
+    return {"type": "tms", "modes": [a, b], "xi": angle}
 
 
 def element_from_json(obj) -> Element:
@@ -186,7 +249,7 @@ def circuit_to_json(c: Circuit) -> dict:
         "ancilla_inputs": list(c.ancilla_inputs),
         "ancilla_outputs": list(c.ancilla_outputs),
         "full_ancillas": list(c.full_ancillas),
-        "elements": [element_to_json(e) for e in c.elements],
+        "elements": [element_to_json(row) for row in zip(*c.elements.columns)],
     }
 
 

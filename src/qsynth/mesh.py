@@ -22,9 +22,9 @@ and the angles of all columns are taken at once at the end.
 
 Emission is one pass over the steps in reverse.  It merges adjacent phases
 on a mode, keeping the multiples of pi apart as a parity so that they cancel
-exactly, and records the kept parameters in plain lists.  The elements are
-then built positionally from those lists, so a step costs a few list
-operations plus the construction of its (slotted, frozen) elements.
+exactly, and appends each kept element's kind, modes and angle to the parallel
+columns of a :class:`~qsynth.blocks.Elements`, so a step costs a few list
+appends and builds no element object.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .blocks import BeamSplitter, Element, PhaseShifter
+from .blocks import BS, PS, Elements
 from .numkit import TOL, unitarity_deviation
 
 # Parameters this close to 0 (mod 2*pi for phases) produce identity elements
@@ -81,11 +81,11 @@ def _next_block(m: np.ndarray, x: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.concatenate((r[1:k], row_k, rows)) + 0.0
 
 
-def reck_decompose(u, tol: float = TOL) -> list[Element]:
+def reck_decompose(u, tol: float = TOL) -> Elements:
     """Factor a unitary into beam splitters and phase shifters, chronological order.
 
     Degenerate pivots (both entries of a rotation already ~0) yield identity
-    parameters and are pruned, so the identity matrix maps to an empty list.
+    parameters and are pruned, so the identity matrix maps to no elements.
 
     Raises:
         NotUnitaryError: if ``u`` deviates from unitarity by more than ``tol``.
@@ -96,7 +96,7 @@ def reck_decompose(u, tol: float = TOL) -> list[Element]:
     m = np.asarray(u, dtype=complex)
     n = m.shape[0]
     if not n:
-        return []
+        return Elements()
 
     # Step (a=c, b) is L = BS(a,b,theta) @ PS(a,phi), a left multiplication
     # that nulls work[b, c] against the pivot work[c, c].  Row c of ``xs`` holds
@@ -120,7 +120,7 @@ def reck_decompose(u, tol: float = TOL) -> list[Element]:
     return _emit(n, angles[:, -1].tolist(), thetas.tolist(), phis.tolist())
 
 
-def _emit(n: int, lam: list[float], thetas: list[list[float]], phis: list[list[float]]) -> list[Element]:
+def _emit(n: int, lam: list[float], thetas: list[list[float]], phis: list[list[float]]) -> Elements:
     """Chronological elements of the steps (c, b), c < b, and the residual phases ``lam``.
 
     Step (c, b) has angles ``thetas[c][b-1]`` and ``phis[c][b-1]``.
@@ -130,13 +130,11 @@ def _emit(n: int, lam: list[float], thetas: list[list[float]], phis: list[list[f
     kept unless ~0) just before a beam splitter touches that mode.  The
     multiples of pi are kept apart as a parity per mode, so that pairs of them
     cancel exactly instead of leaving rounding just above ``PRUNE_EPS``.  One
-    pass records the kept parameters in plain lists; the elements are built
-    from them at the end.
+    pass appends each kept element to the four columns of the result.
     """
     pending = list(lam)  # Lambda phases and the -phi of each step, without the pi's
     odd = [False] * n  # an odd number of pi's is owed to the mode
-    ps_modes, ps_phis, bs_a, bs_b, bs_thetas = [], [], [], [], []
-    is_bs = []
+    kind, mode_a, mode_b, angle = [], [], [], []
     for a in range(n - 2, -1, -1):
         p_a, odd_a = pending[a], odd[a]
         for b, theta, phi in zip(range(n - 1, a, -1), reversed(thetas[a]), reversed(phis[a])):
@@ -146,29 +144,29 @@ def _emit(n: int, lam: list[float], thetas: list[list[float]], phis: list[list[f
             # The step's own pi and an owed one make 2 pi, which drops out.
             p = _PI - (_PI - (p_a if odd_a else p_a + _PI)) % _TWO_PI
             if not -PRUNE_EPS <= p <= PRUNE_EPS:
-                ps_modes.append(a)
-                ps_phis.append(p)
-                is_bs.append(False)
+                kind.append(PS)
+                mode_a.append(a)
+                mode_b.append(a)
+                angle.append(p)
             if pending[b] or odd[b]:  # else the flush is wrap(0) = 0
                 p = _PI - (_PI - (pending[b] + _PI if odd[b] else pending[b])) % _TWO_PI
                 if not -PRUNE_EPS <= p <= PRUNE_EPS:
-                    ps_modes.append(b)
-                    ps_phis.append(p)
-                    is_bs.append(False)
+                    kind.append(PS)
+                    mode_a.append(b)
+                    mode_b.append(b)
+                    angle.append(p)
                 pending[b], odd[b] = 0.0, False
-            bs_a.append(a)
-            bs_b.append(b)
-            bs_thetas.append(theta)
-            is_bs.append(True)
+            kind.append(BS)
+            mode_a.append(a)
+            mode_b.append(b)
+            angle.append(theta)
             p_a, odd_a = -phi, True
         pending[a], odd[a] = p_a, odd_a
     for mode, p in enumerate(pending):
         p = _PI - (_PI - (p + _PI if odd[mode] else p)) % _TWO_PI
         if not -PRUNE_EPS <= p <= PRUNE_EPS:
-            ps_modes.append(mode)
-            ps_phis.append(p)
-            is_bs.append(False)
-    next_ps = map(PhaseShifter, ps_modes, ps_phis).__next__
-    next_bs = map(BeamSplitter, bs_a, bs_b, bs_thetas).__next__
-    return [next_bs() if k else next_ps() for k in is_bs]
-
+            kind.append(PS)
+            mode_a.append(mode)
+            mode_b.append(mode)
+            angle.append(p)
+    return Elements(kind, mode_a, mode_b, angle)

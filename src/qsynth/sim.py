@@ -89,8 +89,10 @@ def fock_evolve(a, occupation, tol: float = TOL) -> FockState:
         occupation = tuple(json_int(x, "photon count") for x in occupation)
     except TypeError as exc:
         raise ValueError(f"occupation {occupation} holds a non-integer photon count") from exc
-    if len(occupation) != n or any(x < 0 for x in occupation):
+    if len(occupation) != n:
         raise ValueError(f"occupation {occupation} does not match {n} modes")
+    if any(x < 0 for x in occupation):
+        raise ValueError(f"occupation {occupation} holds a negative photon count")
     if sum(occupation) > MAX_PHOTONS:
         raise ValueError(f"at most {MAX_PHOTONS} photons supported, got {sum(occupation)}")
     deviation = unitarity_deviation(a)

@@ -4,7 +4,7 @@ Pipeline: singular value decomposition, identity padding for non-square
 inputs, mesh decomposition of the two unitary factors, one beam splitter or
 two-mode squeezer per singular value different from 1 (each coupling a
 nominal mode to its own vacuum ancilla), and the scattering matrix of the
-whole element list.  The result carries the circuit, the full scattering matrix
+whole circuit.  The result carries the circuit, the full scattering matrix
 with the input in its upper-left block, and the verification deviations.
 """
 
@@ -16,16 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh
-from .blocks import (
-    SCHEMA,
-    XI_MAX,
-    BeamSplitter,
-    Circuit,
-    Element,
-    PhaseShifter,
-    TwoModeSqueezer,
-    circuit_smatrix,
-)
+from .blocks import BS, PS, SCHEMA, TMS, XI_MAX, Circuit, Elements, circuit_smatrix
 from .numkit import (
     TOL,
     SvdFactors,
@@ -51,7 +42,7 @@ class SynthesisResult:
     quasiunitarity_deviation: float
 
 
-def couplings(singulars, tol: float, n_nominal: int) -> list[Element]:
+def couplings(singulars, tol: float, n_nominal: int) -> Elements:
     """The D stage: one loss or gain coupling per singular value more than ``tol`` from 1.
 
     Mode ``j`` is coupled iff ``|sigma_j - 1| > tol``; by Cauchy-Schwarz over a
@@ -59,6 +50,8 @@ def couplings(singulars, tol: float, n_nominal: int) -> list[Element]:
     block entry by at most ``tol``.  ``singulars`` may be shorter than
     ``n_nominal``; missing entries are the identity padding values, exactly 1.
     Ancillas are numbered in ascending mode order starting at ``n_nominal``.
+    Loss ``sigma < 1`` is a beam splitter with ``theta = acos(sigma)`` and gain
+    a two-mode squeezer with ``xi = acosh(sigma)``.
     """
     if not 0 < tol < 1:  # also rejects NaN
         raise ValueError(f"tol must be positive and below 1, got {tol}")
@@ -71,7 +64,9 @@ def couplings(singulars, tol: float, n_nominal: int) -> list[Element]:
     if beyond:
         raise ValueError(f"singular value {max(beyond):.3e} exceeds the gain ceiling {SIGMA_MAX:.3e}")
     coupled = [(j, sigma) for j, sigma in enumerate(sigmas) if abs(sigma - 1.0) > tol]
-    return [singular_element(j, n_nominal + k, sigma) for k, (j, sigma) in enumerate(coupled)]
+    return Elements([BS if sigma < 1.0 else TMS for _, sigma in coupled], [j for j, _ in coupled],
+                    range(n_nominal, n_nominal + len(coupled)),
+                    [math.acos(sigma) if sigma < 1.0 else math.acosh(sigma) for _, sigma in coupled])
 
 
 def pad_factors(factors: SvdFactors) -> tuple[np.ndarray, np.ndarray]:
@@ -82,13 +77,6 @@ def pad_factors(factors: SvdFactors) -> tuple[np.ndarray, np.ndarray]:
     u[:n, :n] = factors.u
     w[:m, :m] = factors.w
     return u, w
-
-
-def singular_element(j: int, m_aj: int, sigma: float) -> Element:
-    """Loss (beam splitter) or gain (squeezer) coupling of mode ``j`` to ancilla ``m_aj``."""
-    if sigma < 1.0:
-        return BeamSplitter(mode_a=j, mode_b=m_aj, theta=math.acos(sigma))
-    return TwoModeSqueezer(mode_a=j, mode_b=m_aj, xi=math.acosh(sigma))
 
 
 def synthesize(t, tol: float = TOL) -> SynthesisResult:
@@ -107,7 +95,7 @@ def synthesize(t, tol: float = TOL) -> SynthesisResult:
     return verified(t, factors.singulars, w_elements, d_elements, u_elements, tol)
 
 
-def factor_mesh(name: str, u: np.ndarray, tol: float) -> list[Element]:
+def factor_mesh(name: str, u: np.ndarray, tol: float) -> Elements:
     """``mesh.reck_decompose(u, tol)`` of a unitary that qsynth computed itself, such as an SVD factor.
 
     Its failing the unitarity check is a failure of the pipeline, not of the
@@ -124,6 +112,8 @@ def factor_mesh(name: str, u: np.ndarray, tol: float) -> list[Element]:
 def verified(target: np.ndarray, singulars, w_elements, d_elements, u_elements, tol: float) -> SynthesisResult:
     """Circuit W, D, U for ``target`` (one ancilla per D coupling), with its checked ``S_total``.
 
+    Each part is :class:`Elements` or element dataclasses; the circuit joins their columns.
+
     Raises :class:`SynthesisError` unless ``S_total`` is quasiunitary and holds
     ``target`` in its upper-left block, both within ``tol``.
     """
@@ -133,7 +123,7 @@ def verified(target: np.ndarray, singulars, w_elements, d_elements, u_elements, 
     circuit = Circuit(
         n_modes=n_modes,
         n_nominal=n_nominal,
-        elements=(*w_elements, *d_elements, *u_elements),
+        elements=Elements.join(w_elements, d_elements, u_elements),
         ancilla_inputs=tuple(range(m, n_nominal)),
         ancilla_outputs=tuple(range(n, n_nominal)),
         full_ancillas=tuple(range(n_nominal, n_modes)),
@@ -157,16 +147,16 @@ def verified(target: np.ndarray, singulars, w_elements, d_elements, u_elements, 
 
 def verification_report(result: SynthesisResult) -> dict:
     """JSON-ready verification summary of a synthesis result."""
-    elements = result.circuit.elements
+    kinds = result.circuit.elements.kind
     return {
         "schema": SCHEMA,
         "quasiunitarity_deviation": result.quasiunitarity_deviation,
         "block_deviation": result.block_deviation,
         "n_full_ancillas": len(result.circuit.full_ancillas),
         "counts": {
-            "beam_splitters": sum(isinstance(e, BeamSplitter) for e in elements),
-            "phase_shifters": sum(isinstance(e, PhaseShifter) for e in elements),
-            "squeezers": sum(isinstance(e, TwoModeSqueezer) for e in elements),
+            "beam_splitters": kinds.count(BS),
+            "phase_shifters": kinds.count(PS),
+            "squeezers": kinds.count(TMS),
         },
         "singular_values": list(result.singulars),
     }

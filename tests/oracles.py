@@ -9,8 +9,9 @@ the lossy-beam-splitter network is a hand-checkable closed form in a fixed
 factor gauge, and element counts, their worst-case bounds and each mode's
 channel kind are read off element lists.  Only the element dataclasses come
 from the package, apart from the last three sections: measurements the tests
-take of the package's own output (Fock probabilities, moment physicality, and
-the mesh error, read off the ``N x N`` block of ``blocks.circuit_smatrix``),
+take of the package's own output (Fock probabilities, moment physicality,
+the mesh error, read off the ``N x N`` block of ``blocks.circuit_smatrix``,
+and the element ``synth.couplings`` makes of one singular value),
 the step-by-step Givens nulling loop that ``mesh.reck_decompose`` replaced,
 and the dict expansion that ``sim.fock_evolve`` replaced, each kept as its
 reference.
@@ -29,6 +30,7 @@ from qsynth.blocks import BeamSplitter, Circuit, PhaseShifter, TwoModeSqueezer, 
 from qsynth.mesh import PRUNE_EPS, NotUnitaryError, wrap_angle
 from qsynth.numkit import TOL, as_matrix, max_abs, unitarity_deviation
 from qsynth.sim import AMPLITUDE_PRUNE, GaussianMoments, coherent_moments
+from qsynth.synth import couplings
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -348,6 +350,12 @@ def gain_coupling_8x8(sigma: float) -> np.ndarray:
 
 
 # --- measurements of package output -------------------------------------------
+
+
+def singular_element(j: int, m_aj: int, sigma: float):
+    """The package's D-stage coupling of mode ``j < m_aj`` to ancilla ``m_aj``; ``sigma`` is not within TOL of 1."""
+    (e,) = couplings((1.0,) * j + (sigma,), TOL, m_aj)
+    return e
 
 
 def norm_squared(state) -> float:

@@ -16,7 +16,7 @@ from qsynth.closedform2x2 import analytic_params, analytic_synthesize
 from qsynth.mesh import reck_decompose
 from qsynth.numkit import TOL, max_abs, quasiunitarity_deviation
 from qsynth.sim import coherent_moments, evolve_moments, fock_evolve, passive_block
-from qsynth.synth import couplings, singular_element, synthesize, verified
+from qsynth.synth import couplings, synthesize, verified
 from qsynth.apps import RankOnePovm
 
 from oracles import (
@@ -34,6 +34,7 @@ from oracles import (
     mesh_verify,
     probability_where,
     random_unitary,
+    singular_element,
 )
 
 

@@ -17,8 +17,8 @@ from qsynth.blocks import (
     circuit_to_json,
     element_from_json,
 )
-from qsynth.numkit import max_abs, quasiunitarity_deviation
-from qsynth.synth import SIGMA_MAX, singular_element, synthesize
+from qsynth.numkit import TOL, max_abs, quasiunitarity_deviation
+from qsynth.synth import SIGMA_MAX, couplings, synthesize
 
 from oracles import (
     LOSSY_BS_S_D,
@@ -173,7 +173,7 @@ def test_squeezer_xi_is_bounded_by_the_gain_ceiling():
         with pytest.raises(ValueError, match="ceiling"):
             TwoModeSqueezer(mode_a=0, mode_b=1, xi=xi)
     assert TwoModeSqueezer(mode_a=0, mode_b=1, xi=-XI_MAX).xi == -XI_MAX
-    assert singular_element(0, 1, SIGMA_MAX) == TwoModeSqueezer(mode_a=0, mode_b=1, xi=XI_MAX)
+    assert couplings((SIGMA_MAX,), TOL, 1) == [TwoModeSqueezer(mode_a=0, mode_b=1, xi=XI_MAX)]
 
 
 def test_element_unitary_rejects_squeezer():

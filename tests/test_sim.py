@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,18 @@ def test_fock_limits_and_validation():
         fock_evolve(np.eye(2), (1, 0, 0))  # occupation length mismatch
     with pytest.raises(ValueError, match=r"a must be square, got \(2, 3\)"):
         fock_evolve(np.zeros((2, 3)), (1, 0))
+
+
+@pytest.mark.parametrize("occupation", [(1, 0, 0), (1,), (-1, 1, 0)])
+def test_fock_names_an_occupation_of_the_wrong_length(occupation):
+    with pytest.raises(ValueError, match=re.escape(f"occupation {occupation} does not match 2 modes")):
+        fock_evolve(np.eye(2), occupation)
+
+
+@pytest.mark.parametrize("occupation", [(-1, 1), (1, -1), (-3, -2)])
+def test_fock_names_a_negative_photon_count(occupation):
+    with pytest.raises(ValueError, match=re.escape(f"occupation {occupation} holds a negative photon count")):
+        fock_evolve(np.eye(2), occupation)
 
 
 @pytest.mark.parametrize("occupation", [(1.5, 0), (True, 0), (1.0, 0), ("1", 0), (np.float64(1), 0)])

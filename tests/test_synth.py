@@ -14,7 +14,6 @@ from qsynth.synth import (
     SIGMA_MAX,
     couplings,
     pad_factors,
-    singular_element,
     synthesize,
     verification_report,
     verified,
@@ -39,6 +38,7 @@ from oracles import (
     lift_unitary_factor,
     loss_coupling_8x8,
     random_unitary,
+    singular_element,
 )
 
 
@@ -66,7 +66,7 @@ def test_classify_lossy_bs():
     assert len(d) == 1
     assert 2 + len(d) == 3
     assert channels(d, 2) == [("unit", None), ("loss", 2)]
-    assert d == [singular_element(1, 2, 0.0)]
+    assert d == [BeamSplitter(mode_a=1, mode_b=2, theta=math.pi / 2)]
 
 
 def test_classify_cz_singulars():
