@@ -14,6 +14,10 @@ The 2N x 2N scattering matrix of a circuit acts on the operator vector
 (annihilation) and ``p + N`` (creation).  Mode indices are 0-based.  It has
 the form ``[[A, B], [B*, A*]]``, so only the ``N x 2N`` top half ``[A, B]`` is
 multiplied out; the bottom half is its conjugate with the halves swapped.
+A phase shifter costs no numpy call: each mode's phases wait, as one Python
+complex, for the next beam splitter or squeezer on that mode, which takes
+them into its one 2x2 matmul on the two rows; phases still pending at the
+end scale their rows in one multiply.
 """
 
 from __future__ import annotations
@@ -161,45 +165,83 @@ class Circuit:
         check_modes(self.elements, self.n_modes)
 
 
+_WELL_FORMED = {(PS, True), (BS, False), (TMS, False)}  # (kind, mode_a == mode_b) of each element type
+
+
 def check_modes(elements, n_modes: int) -> None:
-    """Raise ValueError, naming the first offender, unless every element's modes lie in ``0..n_modes-1``."""
+    """Raise ValueError, naming the first offender, unless every element keeps the element rules.
+
+    The rules: a kind code ``PS``, ``BS`` or ``TMS``; modes in ``0..n_modes-1``; a phase shifter
+    repeats its mode in ``mode_b``; a beam splitter's or squeezer's modes differ; a squeezer's
+    ``|xi| <= XI_MAX``.  Whole columns are tested; elements are looked at one by one only on failure.
+    """
     e = Elements.of(elements)
     modes = e.mode_a + e.mode_b
-    if modes and not 0 <= min(modes) <= max(modes) < n_modes:
-        first = min(i % len(e) for i, m in enumerate(modes) if not 0 <= m < n_modes)
-        raise ValueError(f"element {e[first]} references a mode outside 0..{n_modes - 1}")
+    if (not modes or 0 <= min(modes) <= max(modes) < n_modes
+            and set(zip(e.kind, map(operator.eq, e.mode_a, e.mode_b))) <= _WELL_FORMED
+            and (TMS not in e.kind or all(abs(xi) <= XI_MAX for k, xi in zip(e.kind, e.angle) if k == TMS))):
+        return
+    for i, row in enumerate(zip(*e.columns)):
+        kind, a, b, _ = row
+        try:
+            if kind not in (PS, BS, TMS):
+                raise ValueError(f"unknown kind code {kind!r}")
+            if kind == PS and a != b:
+                raise ValueError("a phase shifter must repeat its mode in mode_b")
+            element = _element(*row)
+        except ValueError as exc:
+            raise ValueError(f"element {i} (kind, mode_a, mode_b, angle) = {row}: {exc}") from None
+        if not (0 <= a < n_modes and 0 <= b < n_modes):
+            raise ValueError(f"element {element} references a mode outside 0..{n_modes - 1}")
 
 
-def _apply(s: np.ndarray, kind: int, a: int, b: int, angle: float) -> None:
-    """Left-multiply the top half ``[A, B]`` of ``S`` (one row per mode) by one element in place.
+def _squeeze(rows: np.ndarray, xi: float) -> None:
+    """Left-multiply rows ``a, b`` (a ``2 x 2N`` view of the top half) by a squeezer on modes ``a, b`` in place.
 
-    Only the element's rows change; a squeezer reads its partner rows ``p + N``
-    as its top rows conjugated with halves swapped.  Callers check the elements
-    once: modes in range, and no squeezer on an ``N x N`` passive product.
+    Each row mixes with the other's partner row ``p + N``, read as that top row
+    conjugated with its halves swapped.
     """
-    if kind == PS:
-        s[a] *= cmath.exp(1j * angle)
-    elif kind == BS:
-        c, sn = math.cos(angle), math.sin(angle)
-        row_a, row_b = s[a], s[b]
-        new_a = c * row_a + sn * row_b
-        row_b *= c
-        row_b += -sn * row_a  # = -sn * a + c * b: IEEE addition commutes exactly
-        row_a[...] = new_a
-    else:
-        n = s.shape[0]
-        rows = [a, b]
-        flipped = s[rows[::-1]].conj()
-        partners = np.concatenate((flipped[:, n:], flipped[:, :n]), axis=1)
-        s[rows] = math.cosh(angle) * s[rows] + math.sinh(angle) * partners
+    n = rows.shape[1] // 2
+    flipped = rows[::-1].conj()
+    partners = np.concatenate((flipped[:, n:], flipped[:, :n]), axis=1)
+    rows[...] = math.cosh(xi) * rows + math.sinh(xi) * partners
 
 
 def circuit_smatrix(c: Circuit) -> np.ndarray:
-    """2N x 2N scattering matrix of the circuit: its elements applied in order to the top half."""
-    top = np.eye(c.n_modes, 2 * c.n_modes, dtype=complex)
+    """2N x 2N scattering matrix of the circuit: its elements applied in order to the top half.
+
+    A beam splitter's 2x2 matrix is its rotation times the phases pending on its
+    modes; a squeezer's is those phases alone, and its own step follows.
+    """
+    n = c.n_modes
+    s = np.eye(2 * n, dtype=complex)
+    top = s[:n]
+    phase = [1.0] * n
+    coefficients, steps = [], []
     for kind, a, b, angle in zip(*c.elements.columns):
-        _apply(top, kind, a, b, angle)
-    return np.vstack((top, np.roll(top.conj(), c.n_modes, axis=1)))
+        if kind == PS:
+            phase[a] *= cmath.exp(1j * angle)
+            continue
+        pa, pb = phase[a], phase[b]
+        phase[a] = phase[b] = 1.0
+        if kind == BS:
+            cs, sn = math.cos(angle), math.sin(angle)
+            coefficients += (cs * pa, sn * pb, -sn * pa, cs * pb)
+        else:
+            coefficients += (pa, 0.0, 0.0, pb)
+        # rows a then b; with a > b the slice runs backwards, to the start when b == 0
+        rows = slice(a, b + 1, b - a) if a < b else slice(a, b - 1 if b else None, b - a)
+        steps.append((rows, angle if kind == TMS else None))
+    matrices = np.array(coefficients, dtype=complex).reshape(-1, 2, 2)
+    for (rows, xi), matrix in zip(steps, matrices):
+        view = top[rows]
+        view[...] = matrix @ view
+        if xi is not None:
+            _squeeze(view, xi)
+    top *= np.array(phase)[:, None]
+    np.conjugate(top[:, n:], out=s[n:, :n])
+    np.conjugate(top[:, :n], out=s[n:, n:])
+    return s
 
 
 # --- netlist JSON -----------------------------------------------------------

@@ -10,11 +10,11 @@ factor gauge, and element counts, their worst-case bounds and each mode's
 channel kind are read off element lists.  Only the element dataclasses come
 from the package, apart from the last three sections: measurements the tests
 take of the package's own output (Fock probabilities, moment physicality,
-the mesh error, read off the ``N x N`` block of ``blocks.circuit_smatrix``,
-and the element ``synth.couplings`` makes of one singular value),
-the step-by-step Givens nulling loop that ``mesh.reck_decompose`` replaced,
-and the dict expansion that ``sim.fock_evolve`` replaced, each kept as its
-reference.
+the mesh error, and the element ``synth.couplings`` makes of one singular
+value), the per-element row updates that ``blocks.circuit_smatrix``
+replaced (the mesh error is read off its ``N x N`` block), the step-by-step
+Givens nulling loop that ``mesh.reck_decompose`` replaced, and the dict
+expansion that ``sim.fock_evolve`` replaced, each kept as its reference.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qsynth.blocks import BeamSplitter, Circuit, PhaseShifter, TwoModeSqueezer, circuit_smatrix
+from qsynth.blocks import BeamSplitter, Circuit, PhaseShifter, TwoModeSqueezer
 from qsynth.mesh import PRUNE_EPS, NotUnitaryError, wrap_angle
 from qsynth.numkit import TOL, as_matrix, max_abs, unitarity_deviation
 from qsynth.sim import AMPLITUDE_PRUNE, GaussianMoments, coherent_moments
@@ -398,13 +398,42 @@ def physicality_residual(moments: GaussianMoments) -> float:
 
 def passive_product(elements, n: int) -> np.ndarray:
     """The ``n x n`` unitary of a passive element list: the top-left block of its ``S_total``."""
-    return circuit_smatrix(Circuit(n_modes=n, n_nominal=n, elements=tuple(elements)))[:n, :n]
+    return smatrix_reference(Circuit(n_modes=n, n_nominal=n, elements=tuple(elements)))[:n, :n]
 
 
 def mesh_verify(elements, u) -> float:
     """Max entry deviation between the element list's product and ``u``."""
     u = as_matrix(u, "u")
     return max_abs(passive_product(elements, u.shape[0]) - u)
+
+
+# --- the per-element product that blocks.circuit_smatrix replaced -------------
+#
+# One row update of the N x 2N top half per element, in netlist order.  The
+# package folds each mode's phase shifters into its next beam splitter's 2x2
+# step, so the two agree to rounding, not to the last bit.
+
+
+def smatrix_reference(circuit) -> np.ndarray:
+    """``S_total`` of ``circuit`` by one in-place update of the element's rows per element."""
+    n = circuit.n_modes
+    top = np.eye(n, 2 * n, dtype=complex)
+    for e in circuit.elements:
+        if isinstance(e, PhaseShifter):
+            top[e.mode] *= cmath.exp(1j * e.phi)
+        elif isinstance(e, BeamSplitter):
+            c, sn = math.cos(e.theta), math.sin(e.theta)
+            row_a, row_b = top[e.mode_a], top[e.mode_b]
+            new_a = c * row_a + sn * row_b
+            row_b *= c
+            row_b += -sn * row_a
+            row_a[...] = new_a
+        else:
+            rows = [e.mode_a, e.mode_b]
+            flipped = top[rows[::-1]].conj()
+            partners = np.concatenate((flipped[:, n:], flipped[:, :n]), axis=1)
+            top[rows] = math.cosh(e.xi) * top[rows] + math.sinh(e.xi) * partners
+    return np.vstack((top, np.roll(top.conj(), n, axis=1)))
 
 
 # --- reference Reck nulling -------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import re
 
@@ -28,6 +29,8 @@ from oracles import (
     lift_gain,
     lift_loss,
     lift_phase,
+    random_unitary,
+    smatrix_reference,
 )
 
 
@@ -195,16 +198,63 @@ def _random_elements(rng, n, count):
     return elements
 
 
+# Hand-picked netlists for the kernel's fused steps: the phases pending on a mode
+# ride into its next beam splitter or squeezer, a beam splitter with
+# mode_a > mode_b takes its rows in reverse order (to row 0 when mode_b = 0),
+# and phases pending at the end are applied last.
+EDGE_NETLISTS = [
+    (3, [BeamSplitter(2, 0, 0.7), PhaseShifter(0, 1.1), BeamSplitter(1, 0, -0.4), BeamSplitter(2, 1, 2.9)]),
+    (4, [PhaseShifter(1, 0.3), PhaseShifter(1, -1.2), PhaseShifter(1, 2.0), PhaseShifter(2, 0.5),
+         BeamSplitter(1, 2, 0.5), PhaseShifter(1, 0.8), PhaseShifter(1, 0.9), BeamSplitter(3, 1, 1.3)]),
+    (3, [BeamSplitter(0, 1, 0.6), PhaseShifter(0, 0.4), TwoModeSqueezer(0, 2, 0.3),
+         PhaseShifter(2, 0.9), TwoModeSqueezer(0, 2, -0.2), PhaseShifter(2, -0.7), TwoModeSqueezer(2, 1, 0.5)]),
+    (5, [BeamSplitter(0, 1, 0.6), PhaseShifter(3, 1.1), PhaseShifter(4, -2.5), PhaseShifter(3, 0.2),
+         PhaseShifter(0, 0.4)]),
+    (3, [PhaseShifter(0, 0.1), PhaseShifter(2, 0.3), PhaseShifter(0, 0.5)]),
+    (1, [PhaseShifter(0, -3.0), PhaseShifter(0, 2.0)]),
+    (12, [BeamSplitter(11, 0, 0.9), PhaseShifter(11, 0.2), BeamSplitter(0, 11, 1.2), TwoModeSqueezer(5, 0, 0.4),
+          PhaseShifter(7, 0.6), BeamSplitter(7, 6, 0.3), PhaseShifter(9, 1.5)]),
+]
+
+
 def test_kernel_matches_dense_lift_product():
     rng = np.random.default_rng(23)
+    random_netlists = []
     for _ in range(200):
-        n = int(rng.integers(2, 7))
-        elements = _random_elements(rng, n, int(rng.integers(1, 13)))
+        n = int(rng.integers(2, 13))
+        random_netlists.append((n, _random_elements(rng, n, int(rng.integers(1, 25)))))
+    for n, elements in EDGE_NETLISTS + random_netlists:
         dense = np.eye(2 * n, dtype=complex)
         for e in elements:
             dense = embed_element(e, n) @ dense
         s = circuit_smatrix(Circuit(n_modes=n, n_nominal=n, elements=tuple(elements)))
         assert max_abs(s - dense) <= 1e-13
+
+
+def test_kernel_matches_the_per_element_reference_on_synthesized_circuits():
+    rng = np.random.default_rng(26)
+    spectra = {"loss": (0.0, 0.95), "gain": (1.05, 4.0), "mixed": (0.1, 3.0)}
+    for n, m in ((1, 1), (2, 2), (3, 5), (5, 3), (8, 8), (13, 13), (21, 21), (32, 32)):
+        for low, high in spectra.values():
+            k = min(n, m)
+            t = random_unitary(rng, n)[:, :k] @ np.diag(rng.uniform(low, high, k)) @ random_unitary(rng, m)[:k]
+            circuit = synthesize(t).circuit
+            reference = smatrix_reference(circuit)
+            assert max_abs(circuit_smatrix(circuit) - reference) <= 1e-13 * max(1.0, max_abs(reference))
+
+
+def test_kernel_repeats_bitwise():
+    # The CLI's reported deviations come from S_total, and repeated runs must print the same bytes.
+    rng = np.random.default_rng(27)
+    t = random_unitary(rng, 6) @ np.diag([0.2, 0.7, 1.0, 1.4, 2.5, 3.0]) @ random_unitary(rng, 6)
+    result = synthesize(t)
+    assert np.array_equal(result.s_total, synthesize(t).s_total)
+    decoded = circuit_from_json(json.loads(json.dumps(circuit_to_json(result.circuit))))
+    assert np.array_equal(circuit_smatrix(decoded), result.s_total)
+    for n, elements in EDGE_NETLISTS:
+        c = Circuit(n_modes=n, n_nominal=n, elements=tuple(elements))
+        assert np.array_equal(circuit_smatrix(c), circuit_smatrix(c))
+        assert np.array_equal(circuit_smatrix(c), circuit_smatrix(circuit_from_json(circuit_to_json(c))))
 
 
 def _bottom_is_conjugated_top(s):

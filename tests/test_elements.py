@@ -132,6 +132,21 @@ def test_check_modes_names_the_first_offender_in_columns(bad):
         Circuit(n_modes=3, n_nominal=3, elements=Elements.of([*ok, bad, later]))
 
 
+@pytest.mark.parametrize("columns, rule", [
+    (([BS], [1], [1], [0.3]), "beam splitter modes must be distinct"),
+    (([7], [0], [1], [0.3]), "unknown kind code 7"),
+    (([TMS], [0], [1], [80.0]), "squeezer xi 80.0 exceeds the ceiling 50.0"),
+    (([PS], [0], [2], [0.3]), "a phase shifter must repeat its mode in mode_b"),
+], ids=["bs-one-mode", "unknown-kind", "xi-beyond-ceiling", "ps-two-modes"])
+def test_circuit_refuses_columns_that_break_the_element_rules(columns, rule):
+    ok = Elements.of([PhaseShifter(0, 0.2), BeamSplitter(0, 2, 0.1), TwoModeSqueezer(1, 2, 0.1)])
+    bad = Elements(*columns)
+    row = tuple(column[0] for column in columns)
+    message = f"element 3 (kind, mode_a, mode_b, angle) = {row}: {rule}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Circuit(n_modes=3, n_nominal=3, elements=Elements.join(ok, bad, ok, bad))
+
+
 def test_kind_column_codes_each_element_type():
     e = Elements.of([PhaseShifter(0, 0.1), BeamSplitter(0, 1, math.pi / 4), TwoModeSqueezer(0, 1, 0.2)])
     assert e.kind == (PS, BS, TMS) and e.mode_a == (0, 0, 0) and e.mode_b == (0, 1, 1)

@@ -1,4 +1,4 @@
-"""Time ``qsynth.mesh.reck_decompose`` and ``qsynth.synth.synthesize`` on two checkouts; print one JSON document.
+"""Time ``reck_decompose``, ``synthesize`` and ``circuit_smatrix`` on two checkouts; print one JSON document.
 
     python3 tools/mesh_timing.py --parent <parent checkout>/src --change src > mesh.json
 
@@ -6,13 +6,14 @@ Cases: n in {2, 4, 8, 16, 32, 64, 128}.  ``reck_decompose`` gets a seeded
 Haar n x n unitary.  ``synthesize`` gets a seeded complex Gaussian n x n
 matrix scaled by ``1 / sqrt(2 n)``, whose singular values lie on both sides
 of 1, so the circuit has loss and gain couplings and ``N = 2 n`` modes
-(barring a singular value within ``tol`` of 1).  Both sides see the same
-inputs.  Each measurement runs in a fresh interpreter that imports qsynth
+(barring a singular value within ``tol`` of 1).  ``circuit_smatrix`` gets
+the circuit that ``synthesize`` makes of that input.  Both sides see the
+same inputs.  Each measurement runs in a fresh interpreter that imports qsynth
 from the given ``src`` only, with BLAS pinned to one thread as in
 ``perfbench/run.py``; the two sides alternate, and which side goes first
 alternates by round.  In each interpreter a case gets one untimed call, then
 the best of its timed calls: ``--repeats`` for ``reck_decompose``, and
-``max(3, --repeats // 4)`` for ``synthesize``.
+``max(3, --repeats // 4)`` for ``synthesize`` and ``circuit_smatrix``.
 
 Each side reports the median and the minimum over ``--rounds`` rounds, and
 each case the ratio of the medians (parent / change) and the median of the
@@ -32,12 +33,16 @@ from pathlib import Path
 from time import perf_counter
 
 SIZES = (2, 4, 8, 16, 32, 64, 128)
-FUNCTIONS = ("reck_decompose", "synthesize")
+FUNCTIONS = ("reck_decompose", "synthesize", "circuit_smatrix")
 
 
 def case_input(function: str, n: int):
     import numpy as np
 
+    if function == "circuit_smatrix":
+        from qsynth.synth import synthesize
+
+        return synthesize(case_input("synthesize", n)).circuit
     rng = np.random.default_rng(1000 * FUNCTIONS.index(function) + n)
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     if function == "synthesize":
@@ -49,15 +54,21 @@ def case_input(function: str, n: int):
 
 def worker(src: str, repeats: int) -> None:
     sys.path.insert(0, src)
+    from qsynth.blocks import circuit_smatrix
     from qsynth.mesh import reck_decompose
     from qsynth.synth import synthesize
 
     out = {}
     for function, call, count in (("reck_decompose", reck_decompose, repeats),
-                                  ("synthesize", synthesize, max(3, repeats // 4))):
+                                  ("synthesize", synthesize, max(3, repeats // 4)),
+                                  ("circuit_smatrix", circuit_smatrix, max(3, repeats // 4))):
         for n in SIZES:
             x = case_input(function, n)
-            size = len(call(x)) if function == "reck_decompose" else len(call(x).circuit.elements)
+            result = call(x)
+            if function == "reck_decompose":
+                size = len(result)
+            else:
+                size = len((result.circuit if function == "synthesize" else x).elements)
             best = float("inf")
             for _ in range(count):
                 start = perf_counter()
