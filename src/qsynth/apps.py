@@ -47,14 +47,14 @@ class RankOnePovm:
             e = as_matrix(op, f"operator {i}")
             if e.shape[0] != e.shape[1]:
                 raise ValueError(f"operator {i} must be square, got {e.shape}")
-            if max_abs(e - e.conj().T) > tol:
+            if not max_abs(e - e.conj().T) <= tol:
                 raise ValueError(f"operator {i} is not Hermitian")
             values, basis = np.linalg.eigh(e)
             top = values[-1]
-            if values[0] < -tol * max(1.0, top):
+            if not values[0] >= -tol * max(1.0, top):
                 raise ValueError(f"operator {i} is not positive semidefinite")
             residual = float(np.max(np.abs(values[:-1]))) if len(values) > 1 else 0.0
-            if residual > tol * max(1.0, top):
+            if not residual <= tol * max(1.0, top):
                 raise ValueError(f"operator {i} is not rank one (residual eigenvalue {residual:.3e})")
             vectors.append(math.sqrt(max(top, 0.0)) * basis[:, -1])
         return cls.from_vectors(vectors)
@@ -77,7 +77,7 @@ def naimark_extension(povm: RankOnePovm, tol: float = TOL) -> np.ndarray:
     factors is the extension.  The last ``m - n`` modes are ancilla outputs.
     """
     deviation = povm.completeness_deviation()
-    if deviation > tol:
+    if not deviation <= tol:
         raise ValueError(f"POVM is not complete: T T^dag deviates from I by {deviation:.3e}")
     t = povm.matrix()
     n, m = t.shape
@@ -85,7 +85,7 @@ def naimark_extension(povm: RankOnePovm, tol: float = TOL) -> np.ndarray:
         raise ValueError(f"need at least dim outcomes, got {m} < {n}")
     factors = svd(t)
     worst = max(abs(s - 1.0) for s in factors.singulars)
-    if worst > tol:
+    if not worst <= tol:
         raise ValueError(f"singular values deviate from 1 by {worst:.3e}; input is not a rank-one POVM matrix")
     u_pad, w_pad = pad_factors(factors)
     return u_pad @ w_pad
@@ -171,7 +171,7 @@ def verify_cz(result: SynthesisResult, tol: float = TOL) -> CzVerification:
         success_probs[label] = success
 
     for label, prob in success_probs.items():
-        if abs(prob - 1.0 / 9.0) > tol:
+        if not abs(prob - 1.0 / 9.0) <= tol:
             raise SynthesisError(f"input {label}: success probability {prob} differs from 1/9")
 
     # Divide out the global phase so the common amplitude factor is positive
@@ -184,7 +184,7 @@ def verify_cz(result: SynthesisResult, tol: float = TOL) -> CzVerification:
     expected_signs = {"HH": -1, "HV": 1, "VH": 1, "VV": 1}
     for label, sign in expected_signs.items():
         target = sign / 3.0
-        if abs(normalized[label] - target) > tol:
+        if not abs(normalized[label] - target) <= tol:
             raise SynthesisError(
                 f"input {label}: postselected amplitude {normalized[label]} differs from {target}"
             )

@@ -5,9 +5,11 @@ rotation ``[[cos t, sin t], [-sin t, cos t]]``) between two modes, or a
 two-mode squeezer with gain ``cosh(xi)``.  A circuit stores its elements as
 parallel columns (:class:`Elements`: kind, two modes and an angle per
 element), applied first-to-last; the corresponding matrix product therefore
-runs last-to-first.  The three slotted frozen dataclasses are the vocabulary
-for circuits built by hand: a circuit converts them to columns once, and
-indexing or iterating the columns yields them again, built on demand.
+runs last-to-first.  The element rules live in one row check, which the
+dataclasses, the JSON decoder and :func:`check_modes` share.  The three
+slotted frozen dataclasses are the vocabulary for circuits built by hand: a
+circuit converts them to columns once, and indexing or iterating the columns
+yields them again, built on demand.
 
 The 2N x 2N scattering matrix of a circuit acts on the operator vector
 ``(a_1 .. a_N, a_1^dag .. a_N^dag)``: mode ``p`` couples to row/column ``p``
@@ -49,8 +51,7 @@ class BeamSplitter:
     theta: float
 
     def __post_init__(self):
-        if self.mode_a == self.mode_b:
-            raise ValueError("beam splitter modes must be distinct")
+        _check_row(BS, self.mode_a, self.mode_b, self.theta)
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,16 +61,29 @@ class TwoModeSqueezer:
     xi: float
 
     def __post_init__(self):
-        if self.mode_a == self.mode_b:
-            raise ValueError("squeezer modes must be distinct")
-        if not abs(self.xi) <= XI_MAX:
-            raise ValueError(f"squeezer xi {self.xi} exceeds the ceiling {XI_MAX}")
+        _check_row(TMS, self.mode_a, self.mode_b, self.xi)
 
 
 Element = Union[PhaseShifter, BeamSplitter, TwoModeSqueezer]
 
 
 PS, BS, TMS = 0, 1, 2  # the codes of the kind column
+
+
+def _check_row(kind, a, b, angle) -> None:
+    """Raise ValueError unless the row ``(kind, mode_a, mode_b, angle)`` keeps the element rules: a kind
+    code ``PS``, ``BS`` or ``TMS``; a phase shifter repeats its mode; a beam splitter's or squeezer's
+    modes differ; a squeezer's ``|xi| <= XI_MAX``."""
+    if kind == PS:
+        if a != b:
+            raise ValueError("a phase shifter must repeat its mode in mode_b")
+    elif kind == BS or kind == TMS:
+        if a == b:
+            raise ValueError("beam splitter modes must be distinct" if kind == BS else "squeezer modes must be distinct")
+        if kind == TMS and not abs(angle) <= XI_MAX:
+            raise ValueError(f"squeezer xi {angle} exceeds the ceiling {XI_MAX}")
+    else:
+        raise ValueError(f"unknown kind code {kind!r}")
 
 
 def _row(e: Element) -> tuple:
@@ -165,34 +179,17 @@ class Circuit:
         check_modes(self.elements, self.n_modes)
 
 
-_WELL_FORMED = {(PS, True), (BS, False), (TMS, False)}  # (kind, mode_a == mode_b) of each element type
-
-
 def check_modes(elements, n_modes: int) -> None:
-    """Raise ValueError, naming the first offender, unless every element keeps the element rules.
-
-    The rules: a kind code ``PS``, ``BS`` or ``TMS``; modes in ``0..n_modes-1``; a phase shifter
-    repeats its mode in ``mode_b``; a beam splitter's or squeezer's modes differ; a squeezer's
-    ``|xi| <= XI_MAX``.  Whole columns are tested; elements are looked at one by one only on failure.
-    """
-    e = Elements.of(elements)
-    modes = e.mode_a + e.mode_b
-    if (not modes or 0 <= min(modes) <= max(modes) < n_modes
-            and set(zip(e.kind, map(operator.eq, e.mode_a, e.mode_b))) <= _WELL_FORMED
-            and (TMS not in e.kind or all(abs(xi) <= XI_MAX for k, xi in zip(e.kind, e.angle) if k == TMS))):
-        return
-    for i, row in enumerate(zip(*e.columns)):
-        kind, a, b, _ = row
+    """Raise ValueError, naming the first offender, unless every element keeps the element rules of
+    ``_check_row`` and has its modes in ``0..n_modes-1``; one pass over the rows, in order."""
+    for i, row in enumerate(zip(*Elements.of(elements).columns)):
+        kind, a, b, angle = row
         try:
-            if kind not in (PS, BS, TMS):
-                raise ValueError(f"unknown kind code {kind!r}")
-            if kind == PS and a != b:
-                raise ValueError("a phase shifter must repeat its mode in mode_b")
-            element = _element(*row)
+            _check_row(kind, a, b, angle)
         except ValueError as exc:
             raise ValueError(f"element {i} (kind, mode_a, mode_b, angle) = {row}: {exc}") from None
         if not (0 <= a < n_modes and 0 <= b < n_modes):
-            raise ValueError(f"element {element} references a mode outside 0..{n_modes - 1}")
+            raise ValueError(f"element {_element(*row)} references a mode outside 0..{n_modes - 1}")
 
 
 def _squeeze(rows: np.ndarray, xi: float) -> None:
@@ -267,17 +264,19 @@ def element_to_json(e) -> dict:
     return {"type": "tms", "modes": [a, b], "xi": angle}
 
 
-def element_from_json(obj) -> Element:
-    """Decode one element; modes must be JSON integers and angles finite JSON numbers."""
+def element_from_json(obj) -> tuple:
+    """Decode one element to its ``(kind, mode_a, mode_b, angle)`` row; modes must be JSON integers
+    and angles finite JSON numbers, and the row must keep the element rules."""
     try:
         kind = obj["type"]
         if kind == "ps":
-            return PhaseShifter(mode=json_int(obj["mode"], "mode"), phi=json_float(obj["phi"]))
+            mode = json_int(obj["mode"], "mode")
+            return PS, mode, mode, json_float(obj["phi"])
         if kind in ("bs", "tms"):
             a, b = (json_int(x, "modes") for x in obj["modes"])
-            if kind == "bs":
-                return BeamSplitter(mode_a=a, mode_b=b, theta=json_float(obj["theta"]))
-            return TwoModeSqueezer(mode_a=a, mode_b=b, xi=json_float(obj["xi"]))
+            row = (BS, a, b, json_float(obj["theta"])) if kind == "bs" else (TMS, a, b, json_float(obj["xi"]))
+            _check_row(*row)
+            return row
     except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed element JSON {obj!r}: {exc}") from exc
     raise ValueError(f"unknown element type {kind!r}")
@@ -307,7 +306,7 @@ def circuit_from_json(obj) -> Circuit:
         return Circuit(
             n_modes=json_int(obj["n_modes"], "n_modes"),
             n_nominal=json_int(obj["n_nominal"], "n_nominal"),
-            elements=tuple(element_from_json(e) for e in _list(obj["elements"])),
+            elements=Elements(*zip(*map(element_from_json, _list(obj["elements"])))),
             **{key: tuple(json_int(i, key) for i in _list(obj.get(key, [])))
                for key in ("ancilla_inputs", "ancilla_outputs", "full_ancillas")},
         )

@@ -122,19 +122,20 @@ def cmd_synth(args) -> dict:
 
 
 def cmd_simulate(args) -> dict:
-    """Run a netlist: exact Fock statistics (passive only) or moment propagation."""
+    """Run a netlist: exact Fock statistics (passive only) or moment propagation; arguments are parsed first."""
     circuit = _load(args.netlist, circuit_from_json)
-    s_total = circuit_smatrix(circuit)
-
+    n = circuit.n_modes
     if args.mode == "moments":
-        alpha = np.array(_parse_list(args.input, circuit.n_modes, _amplitudes, "amplitude list", "has"), dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails in _write
-            moments = sim.evolve_moments(s_total, sim.coherent_moments(alpha))
-        means = moments.mean[: circuit.n_modes]
-        return {None: {"means": [[float(z.real), float(z.imag)] for z in means]}}
+        alpha = np.array(_parse_list(args.input, n, _amplitudes, "amplitude list", "has"), dtype=complex)
+    else:
+        occupation = tuple(_parse_list(args.input, n, _counts, "occupation", "lists"))
+        predicate = _parse_predicate(args.predicate, n)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product fails in as_matrix, means in _write
+        s_total = circuit_smatrix(circuit)
+        if args.mode == "moments":
+            means = sim.evolve_moments(s_total, sim.coherent_moments(alpha)).mean[:n]
+            return {None: {"means": [[float(z.real), float(z.imag)] for z in means]}}
 
-    occupation = tuple(_parse_list(args.input, circuit.n_modes, _counts, "occupation", "lists"))
-    predicate = _parse_predicate(args.predicate, circuit.n_modes)
     block = sim.passive_block(s_total, args.tol)
     state = sim.fock_evolve(block, occupation, args.tol)
     payload = {"outcomes": _outcome_table(state)}

@@ -5,7 +5,7 @@ matrix to real upper-triangular form, whose singular structure then has a
 closed form: ``T = U . D . BS(theta2) . PS_1(-xi1)`` with
 ``U = PS_1(alpha1) . PS_2(alpha2) . BS(gamma) . PS_1(beta1) . PS_2(beta2)``
 and ``D = diag(sigma1, sigma2)``, ``sigma1 >= sigma2 >= 0``.  This module
-computes the parameters and the element lists of ``W`` and ``U``; the D stage
+computes the parameters and the element columns of ``W`` and ``U``; the D stage
 and the checks are the numeric pipeline's (:func:`qsynth.synth.verified`), so
 it cross-checks the numeric factors.
 """
@@ -16,7 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .blocks import SCHEMA, BeamSplitter, Element, PhaseShifter
+from .blocks import BS, PS, SCHEMA, Elements
 from .mesh import PRUNE_EPS, wrap_angle
 from .numkit import TOL, as_matrix
 from .synth import SynthesisResult, couplings, verified
@@ -127,13 +127,11 @@ def analytic_params(t) -> Params2x2:
     )
 
 
-def _stage(*elements: Element) -> list[Element]:
-    """One unitary stage of the chain, without its identity elements."""
-    return [e for e in elements if abs(e.phi if isinstance(e, PhaseShifter) else e.theta) > PRUNE_EPS]
-
-
-def _ps(mode: int, phi: float) -> PhaseShifter:
-    return PhaseShifter(mode=mode, phi=wrap_angle(phi))
+def _stage(*rows) -> Elements:
+    """One unitary stage of the chain as columns, without its identity elements: each row is
+    ``(PS, mode, phi)``, a phase shifter (phi gets wrapped), or ``(BS, 0, theta)`` on modes 0 and 1."""
+    rows = [(PS, mode, mode, wrap_angle(x)) if kind == PS else (BS, 0, 1, x) for kind, mode, x in rows]
+    return Elements(*zip(*(row for row in rows if abs(row[3]) > PRUNE_EPS)))
 
 
 def analytic_synthesize(t, tol: float = TOL) -> tuple[Params2x2, SynthesisResult]:
@@ -148,9 +146,8 @@ def analytic_synthesize(t, tol: float = TOL) -> tuple[Params2x2, SynthesisResult
     p = analytic_params(t)
     singulars = (p.sigma1, p.sigma2)
     d_elements = couplings(singulars, tol, 2)
-    w_elements = _stage(_ps(0, -p.xi1), BeamSplitter(mode_a=0, mode_b=1, theta=p.theta2))
-    u_elements = _stage(_ps(1, p.beta2), _ps(0, p.beta1), BeamSplitter(mode_a=0, mode_b=1, theta=p.gamma),
-                        _ps(1, p.alpha2), _ps(0, p.alpha1))
+    w_elements = _stage((PS, 0, -p.xi1), (BS, 0, p.theta2))
+    u_elements = _stage((PS, 1, p.beta2), (PS, 0, p.beta1), (BS, 0, p.gamma), (PS, 1, p.alpha2), (PS, 0, p.alpha1))
     return p, verified(t, singulars, w_elements, d_elements, u_elements, tol)
 
 

@@ -91,7 +91,7 @@ def reck_decompose(u, tol: float = TOL) -> Elements:
         NotUnitaryError: if ``u`` deviates from unitarity by more than ``tol``.
     """
     deviation = unitarity_deviation(u)  # also rejects a non-square or non-finite u
-    if deviation > tol:
+    if not deviation <= tol:
         raise NotUnitaryError(deviation, tol)
     m = np.asarray(u, dtype=complex)
     n = m.shape[0]

@@ -63,7 +63,7 @@ def passive_block(s_total, tol: float = TOL) -> np.ndarray:
     off[:n, :n] = 0.0
     off[n:, n:] = 0.0
     worst = float(off.max()) if off.size else 0.0
-    if worst > tol:
+    if not worst <= tol:
         r, c = np.unravel_index(int(off.argmax()), off.shape)
         raise NotPassiveError(worst, int(r), int(c))
     return s[:n, :n].copy()
@@ -96,7 +96,7 @@ def fock_evolve(a, occupation, tol: float = TOL) -> FockState:
     if sum(occupation) > MAX_PHOTONS:
         raise ValueError(f"at most {MAX_PHOTONS} photons supported, got {sum(occupation)}")
     deviation = unitarity_deviation(a)
-    if deviation > tol:
+    if not deviation <= tol:
         raise ValueError(f"a is not unitary: deviation {deviation:.3e} exceeds tol {tol:.3e}")
 
     # Coefficients of the polynomial in output creation operators, one per

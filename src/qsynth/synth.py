@@ -131,7 +131,7 @@ def verified(target: np.ndarray, singulars, w_elements, d_elements, u_elements, 
     s_total = circuit_smatrix(circuit)
     block_dev = max_abs(s_total[:n, :m] - target)
     quasi_dev = quasiunitarity_deviation(s_total)
-    if block_dev > tol or quasi_dev > tol:
+    if not (block_dev <= tol and quasi_dev <= tol):
         raise SynthesisError(
             "synthesized network failed verification: "
             f"block deviation {block_dev:.3e}, quasiunitarity deviation {quasi_dev:.3e}, tol {tol:.3e}"

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from qsynth.blocks import circuit_from_json, circuit_smatrix
 from qsynth.cli import build_parser, main
 from qsynth.mesh import reck_decompose
-from qsynth.numkit import matrix_from_json, matrix_to_json, max_abs
+from qsynth.numkit import SynthesisError, matrix_from_json, matrix_to_json, max_abs
+from qsynth.synth import synthesize
 
 from oracles import LOSSY_BS_T, random_unitary
 
@@ -879,6 +880,37 @@ def test_full_stdout_exits_2_with_one_line_error():
     assert "Traceback" not in proc.stderr
 
 
+def _overflowing_netlist(tmp_path) -> str:
+    """Sixteen squeezers at the ceiling on modes 0 and 1: each is legal, their product overflows."""
+    path = tmp_path / "hot.json"
+    element = {"type": "tms", "modes": [0, 1], "xi": 50.0}
+    path.write_text(json.dumps({"n_modes": 2, "n_nominal": 2, "elements": [element] * 16}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [["--input", "1,0"], ["--mode", "moments", "--input", "0,0"],
+                                  ["--mode", "moments", "--input", "1,0"]], ids=["fock", "moments-0", "moments-1"])
+def test_simulate_overflowing_product_prints_one_error_line(tmp_path, capsys, argv):
+    # Under filterwarnings = error, a numpy RuntimeWarning from the product would fail this test.
+    code, stdout, err = _call(["simulate", _overflowing_netlist(tmp_path), *argv], capsys)
+    assert (code, stdout, err) == (4, "", "error: s_total contains non-finite entries\n")
+
+
+@pytest.mark.parametrize("argv, start", [
+    (["--mode", "moments", "--input", "0,zz"], "error: bad amplitude list '0,zz'"),
+    (["--input", "1,x"], "error: bad occupation '1,x'"),
+    (["--input", "1,0", "--predicate", '{"0": 1}'], "error: bad predicate"),
+], ids=["amplitudes", "occupation", "predicate"])
+def test_malformed_simulate_arguments_exit_2_before_the_product(tmp_path, capsys, monkeypatch, argv, start):
+    def refuse(circuit):
+        raise AssertionError("multiplied the netlist before parsing the arguments")
+
+    monkeypatch.setattr("qsynth.cli.circuit_smatrix", refuse)
+    code, stdout, err = _call(["simulate", _overflowing_netlist(tmp_path), *argv], capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith(start) and err.count("\n") == 1
+
+
 # --- naimark output is verified ------------------------------------------------------
 
 
@@ -903,6 +935,17 @@ def test_svd_factor_failing_its_unitarity_check_exits_3(tmp_path, capsys):
     code, stdout, err = _call(["--tol", "3e-16", "synth", matrix], capsys)
     assert code == 3 and stdout == ""
     assert re.fullmatch(r"error: factor [WU] is not unitary: deviation \S+ exceeds tol 3\.000e-16\n", err)
+
+
+def test_svd_that_fails_to_converge_exits_3(tmp_path, capsys, monkeypatch):
+    def fail(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(SynthesisError, match=r"^SVD failed to converge: SVD did not converge$"):
+        synthesize(LOSSY_BS_T)
+    code, stdout, err = _call(["synth", write_matrix(tmp_path / "t.json", LOSSY_BS_T)], capsys)
+    assert (code, stdout, err) == (3, "", "error: SVD failed to converge: SVD did not converge\n")
 
 
 def test_naimark_extension_failing_its_unitarity_check_exits_3(tmp_path, capsys):

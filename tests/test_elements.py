@@ -21,10 +21,12 @@ from qsynth.blocks import (
     circuit_from_json,
     circuit_to_json,
 )
+from qsynth.closedform2x2 import analytic_synthesize
 from qsynth.mesh import reck_decompose
+from qsynth.numkit import matrix_to_json
 from qsynth.synth import synthesize, verification_report
 
-from oracles import random_unitary
+from oracles import LOSSY_BS_T, random_unitary
 
 
 def refuse_element_objects(monkeypatch):
@@ -63,6 +65,42 @@ def test_naimark_command_builds_no_element_objects(tmp_path, capsys, monkeypatch
     assert cli.main(["naimark", str(path)]) == 0
     netlist = json.loads(capsys.readouterr().out)["netlist"]
     assert netlist["n_modes"] == 6 and {e["type"] for e in netlist["elements"]} == {"ps", "bs"}
+
+
+COMMANDS = {
+    "synth": ["synth", "@matrix"],
+    "simulate-fock": ["simulate", "@passive", "--input", "1,1"],
+    "simulate-predicate": ["simulate", "@passive", "--input", "1,1", "--predicate", '{"2": [0, 0]}'],
+    "simulate-moments": ["simulate", "@netlist", "--mode", "moments", "--input", "1,0.5,0,0,-1"],
+    "analytic2x2": ["analytic2x2", "@two"],
+    "cz": ["cz"],
+}
+
+
+@pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS)
+def test_commands_build_no_element_objects(tmp_path, capsys, monkeypatch, argv):
+    # The naimark command has its own test above.
+    rng = np.random.default_rng(168)
+    t = lossy_and_gainy(rng)
+    docs = {"matrix": matrix_to_json(t), "two": matrix_to_json(t[:2, :2]),
+            "netlist": circuit_to_json(synthesize(t).circuit),
+            "passive": circuit_to_json(synthesize(LOSSY_BS_T).circuit)}
+    paths = {}
+    for name, doc in docs.items():
+        paths[f"@{name}"] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    refuse_element_objects(monkeypatch)
+    assert cli.main([paths.get(arg, arg) for arg in argv]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_analytic_synthesis_and_netlist_decoding_build_no_element_objects(monkeypatch):
+    t = lossy_and_gainy(np.random.default_rng(169))
+    doc = json.loads(json.dumps(circuit_to_json(synthesize(t).circuit)))
+    refuse_element_objects(monkeypatch)
+    _, result = analytic_synthesize(t[:2, :2])
+    assert set(result.circuit.elements.kind) == {PS, BS, TMS}
+    assert circuit_from_json(doc).elements.kind.count(TMS) == 4
 
 
 def test_equality_is_a_plain_bool():

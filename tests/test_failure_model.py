@@ -4,12 +4,22 @@
 own work) exits 3, and a domain error exits 4 as a ``ValueError``.  Any other
 exception class would need its own ``except`` in ``cli.main`` or escape it as
 a traceback, so it must derive from ``ValueError``.  Each class name is
-defined once.
+defined once.  A NaN ``tol`` fails every check instead of passing it.
 """
 
 import ast
 import builtins
+import math
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qsynth.apps import RankOnePovm, cz_gate_target, naimark_extension, verify_cz
+from qsynth.mesh import reck_decompose
+from qsynth.numkit import SynthesisError
+from qsynth.sim import fock_evolve, passive_block
+from qsynth.synth import synthesize, verified
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qsynth"
 
@@ -50,3 +60,25 @@ def test_every_exception_is_a_value_error_or_one_of_the_cli_types():
 def test_every_exception_class_is_defined_once():
     assert sorted(EXCEPTIONS) == sorted(set(EXCEPTIONS))
     assert OWN_TYPES <= set(EXCEPTIONS)
+
+
+NAN = math.nan
+ACTIVE = np.diag([2.0, 1.0]).astype(complex)
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+
+NAN_TOL_CALLS = {
+    "reck_decompose": lambda: reck_decompose(ACTIVE, NAN),
+    "passive_block": lambda: passive_block(synthesize(np.diag([2.0])).s_total, NAN),
+    "fock_evolve": lambda: fock_evolve(ACTIVE, (1, 0), NAN),
+    "naimark_extension": lambda: naimark_extension(RankOnePovm.from_vectors([[1.0, 0.0], [0.0, 0.5]]), NAN),
+    "from_operators": lambda: RankOnePovm.from_operators([np.eye(2)], NAN),
+    "verify_cz": lambda: verify_cz(synthesize(cz_gate_target()), NAN),
+    "verified": lambda: verified(HADAMARD, (1.0, 1.0), (), (), reck_decompose(HADAMARD), NAN),
+}
+
+
+@pytest.mark.parametrize("call", NAN_TOL_CALLS.values(), ids=NAN_TOL_CALLS)
+def test_a_nan_tol_fails_the_check(call):
+    # Each check passed at "deviation > tol", which is False for every deviation when tol is NaN.
+    with pytest.raises((ValueError, SynthesisError)):
+        call()

@@ -1,4 +1,4 @@
-"""Time ``reck_decompose``, ``synthesize`` and ``circuit_smatrix`` on two checkouts; print one JSON document.
+"""Time ``reck_decompose``, ``synthesize``, ``circuit_smatrix``, ``circuit_from_json`` on two checkouts; print JSON.
 
     python3 tools/mesh_timing.py --parent <parent checkout>/src --change src > mesh.json
 
@@ -7,13 +7,14 @@ Haar n x n unitary.  ``synthesize`` gets a seeded complex Gaussian n x n
 matrix scaled by ``1 / sqrt(2 n)``, whose singular values lie on both sides
 of 1, so the circuit has loss and gain couplings and ``N = 2 n`` modes
 (barring a singular value within ``tol`` of 1).  ``circuit_smatrix`` gets
-the circuit that ``synthesize`` makes of that input.  Both sides see the
+the circuit that ``synthesize`` makes of that input, and ``circuit_from_json``
+the netlist JSON of that circuit, as ``json.load`` reads it.  Both sides see the
 same inputs.  Each measurement runs in a fresh interpreter that imports qsynth
 from the given ``src`` only, with BLAS pinned to one thread as in
 ``perfbench/run.py``; the two sides alternate, and which side goes first
 alternates by round.  In each interpreter a case gets one untimed call, then
 the best of its timed calls: ``--repeats`` for ``reck_decompose``, and
-``max(3, --repeats // 4)`` for ``synthesize`` and ``circuit_smatrix``.
+``max(3, --repeats // 4)`` for the others.
 
 Each side reports the median and the minimum over ``--rounds`` rounds, and
 each case the ratio of the medians (parent / change) and the median of the
@@ -33,7 +34,7 @@ from pathlib import Path
 from time import perf_counter
 
 SIZES = (2, 4, 8, 16, 32, 64, 128)
-FUNCTIONS = ("reck_decompose", "synthesize", "circuit_smatrix")
+FUNCTIONS = ("reck_decompose", "synthesize", "circuit_smatrix", "circuit_from_json")
 
 
 def case_input(function: str, n: int):
@@ -43,6 +44,10 @@ def case_input(function: str, n: int):
         from qsynth.synth import synthesize
 
         return synthesize(case_input("synthesize", n)).circuit
+    if function == "circuit_from_json":
+        from qsynth.blocks import circuit_to_json
+
+        return json.loads(json.dumps(circuit_to_json(case_input("circuit_smatrix", n))))
     rng = np.random.default_rng(1000 * FUNCTIONS.index(function) + n)
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     if function == "synthesize":
@@ -54,21 +59,19 @@ def case_input(function: str, n: int):
 
 def worker(src: str, repeats: int) -> None:
     sys.path.insert(0, src)
-    from qsynth.blocks import circuit_smatrix
+    from qsynth.blocks import circuit_from_json, circuit_smatrix
     from qsynth.mesh import reck_decompose
     from qsynth.synth import synthesize
 
     out = {}
-    for function, call, count in (("reck_decompose", reck_decompose, repeats),
-                                  ("synthesize", synthesize, max(3, repeats // 4)),
-                                  ("circuit_smatrix", circuit_smatrix, max(3, repeats // 4))):
+    for function, call in zip(FUNCTIONS, (reck_decompose, synthesize, circuit_smatrix, circuit_from_json)):
+        count = repeats if function == "reck_decompose" else max(3, repeats // 4)
         for n in SIZES:
             x = case_input(function, n)
             result = call(x)
-            if function == "reck_decompose":
-                size = len(result)
-            else:
-                size = len((result.circuit if function == "synthesize" else x).elements)
+            # synthesize returns a result that holds the circuit; circuit_from_json returns the circuit
+            circuit = x if function == "circuit_smatrix" else getattr(result, "circuit", result)
+            size = len(result if function == "reck_decompose" else circuit.elements)
             best = float("inf")
             for _ in range(count):
                 start = perf_counter()
