@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -687,6 +688,47 @@ def test_integer_predicate_window_selects_its_outcomes(tmp_path, capsys):
     payload = assert_one_document(stdout)
     assert payload["success_prob"] == pytest.approx(0.5, abs=1e-12)
     assert [row["occupation"] for row in payload["postselected"]] == [[0, 2]]
+
+
+def _seeded_mesh_netlist(tmp_path) -> str:
+    """A full 7-mode triangular mesh, angles seeded and rounded to six decimals."""
+    rng = np.random.default_rng(19)
+    elements = []
+    for c in range(6):
+        for b in range(c + 1, 7):
+            elements.append({"type": "ps", "mode": c, "phi": round(float(rng.uniform(-math.pi, math.pi)), 6)})
+            elements.append({"type": "bs", "modes": [c, b], "theta": round(float(rng.uniform(0.2, 1.3)), 6)})
+    elements += [{"type": "ps", "mode": j, "phi": round(float(rng.uniform(-math.pi, math.pi)), 6)} for j in range(7)]
+    path = tmp_path / "mesh7.json"
+    path.write_text(json.dumps({"n_modes": 7, "n_nominal": 7, "elements": elements}))
+    return str(path)
+
+
+@pytest.mark.parametrize("predicate, sha256, rows", [
+    ([], "c532ab6ea001168fd212d664f589fbf5b494737213ca99eb021e6915d112b36b", {
+        "outcomes": [(0, [0, 0, 0, 0, 0, 0, 4], 0.20881338073766015, 0.0663636146501182, 0.0480071573245204),
+                     (209, [4, 0, 0, 0, 0, 0, 0], 7.483077962367436e-05, -1.0075227788811762e-05,
+                      5.701155794083364e-09)]}),
+    (["--predicate", '{"0": [0, 1], "1": [0, 1]}'],
+     "0a5b524ec4201832968a1fd6e2e2a61fab7ef12804565b2fbe9f140446863a4b", {
+         "postselected": [(0, [0, 0, 0, 0, 0, 0, 4], 0.2163196460447463, 0.06874920362215275, 0.051520642263604546),
+                          (77, [0, 1, 0, 0, 2, 0, 1], -0.07601451758651406, -0.06881535906380642,
+                           0.01051376052699106)]}),
+], ids=["outcomes", "postselected"])
+def test_simulate_prints_pinned_bytes_on_a_seeded_mesh(tmp_path, capsys, predicate, sha256, rows):
+    # Four photons in seven modes: 210 outcomes, 155 of them kept by the predicate.  Any change to
+    # the order, the float formatting or the arithmetic of the table shows here.
+    code, stdout, err = _call(["simulate", _seeded_mesh_netlist(tmp_path), "--input", "1,1,1,1", *predicate], capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(stdout.encode()).hexdigest() == sha256
+    payload = assert_one_document(stdout)
+    assert len(payload["outcomes"]) == 210
+    assert len(payload.get("postselected", ())) == (155 if predicate else 0)
+    if predicate:
+        assert payload["success_prob"] == 0.9318043257087624
+    for key, pinned in rows.items():
+        for i, occupation, re_, im, prob in pinned:
+            assert payload[key][i] == {"occupation": occupation, "re": re_, "im": im, "prob": prob}
 
 
 @pytest.mark.parametrize("spec", ["nan,1", "1e400,0", "1,-1e999", "1+nani", "0.5,nanj", "1,,1", "1,"])
