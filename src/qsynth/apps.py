@@ -17,31 +17,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import TOL, SynthesisError, as_matrix, max_abs, svd
+from .numkit import TOL, SynthesisError, as_matrix, check_tol, max_abs, svd
 from .sim import fock_evolve, passive_block, postselect
 from .synth import SynthesisResult, pad_factors
 
 
 @dataclass(frozen=True)
 class RankOnePovm:
-    """Rank-one POVM: ``dim``-dimensional space, one vector per outcome."""
+    """Rank-one POVM: the read-only ``dim x m`` matrix whose columns are the outcome vectors."""
 
-    dim: int
-    vectors: tuple[np.ndarray, ...]
+    matrix: np.ndarray
 
     @classmethod
     def from_vectors(cls, vectors) -> "RankOnePovm":
-        vecs = tuple(np.asarray(v, dtype=complex).ravel() for v in vectors)
+        vecs = [np.asarray(v, dtype=complex).ravel() for v in vectors]
         if not vecs:
             raise ValueError("POVM needs at least one vector")
-        dim = len(vecs[0])
-        if any(len(v) != dim for v in vecs):
+        if any(len(v) != len(vecs[0]) for v in vecs):
             raise ValueError("all POVM vectors must have the same length")
-        return cls(dim=dim, vectors=vecs)
+        matrix = np.column_stack(vecs)
+        matrix.flags.writeable = False
+        return cls(matrix)
+
+    @property
+    def dim(self) -> int:
+        return len(self.matrix)
 
     @classmethod
     def from_operators(cls, operators, tol: float = TOL) -> "RankOnePovm":
         """Factor rank-one operators E_i = phi phi^dag; higher-rank elements are rejected."""
+        check_tol(tol)
         vectors = []
         for i, op in enumerate(operators):
             e = as_matrix(op, f"operator {i}")
@@ -59,12 +64,8 @@ class RankOnePovm:
             vectors.append(math.sqrt(max(top, 0.0)) * basis[:, -1])
         return cls.from_vectors(vectors)
 
-    def matrix(self) -> np.ndarray:
-        """n x m matrix with the POVM vectors as columns."""
-        return np.column_stack(self.vectors)
-
     def completeness_deviation(self) -> float:
-        t = self.matrix()
+        t = self.matrix
         return max_abs(t @ t.conj().T - np.eye(self.dim))
 
 
@@ -76,10 +77,11 @@ def naimark_extension(povm: RankOnePovm, tol: float = TOL) -> np.ndarray:
     factor pads to the identity, and the padded product of the unitary
     factors is the extension.  The last ``m - n`` modes are ancilla outputs.
     """
+    check_tol(tol)
     deviation = povm.completeness_deviation()
     if not deviation <= tol:
         raise ValueError(f"POVM is not complete: T T^dag deviates from I by {deviation:.3e}")
-    t = povm.matrix()
+    t = povm.matrix
     n, m = t.shape
     if m < n:
         raise ValueError(f"need at least dim outcomes, got {m} < {n}")
@@ -116,15 +118,10 @@ def cz_gate_target() -> np.ndarray:
     """
     a = math.sqrt(1.0 / 3.0)
     b = math.sqrt(2.0 / 3.0)
-    return np.array(
-        [
-            [a, 0.0, b, 0.0],
-            [0.0, a, 0.0, 0.0],
-            [b, 0.0, -a, 0.0],
-            [0.0, 0.0, 0.0, -a],
-        ],
-        dtype=complex,
-    )
+    return np.array([[a, 0.0, b, 0.0],
+                     [0.0, a, 0.0, 0.0],
+                     [b, 0.0, -a, 0.0],
+                     [0.0, 0.0, 0.0, -a]], dtype=complex)
 
 
 CZ_INPUTS = ("HH", "HV", "VH", "VV")
@@ -157,25 +154,21 @@ def verify_cz(result: SynthesisResult, tol: float = TOL) -> CzVerification:
     block = passive_block(result.s_total, tol)
     n = block.shape[0]
 
-    def accepted(occ: tuple[int, ...]) -> bool:
-        return occ[0] + occ[1] == 1 and occ[2] + occ[3] == 1
-
     amplitudes: dict[str, complex] = {}
     success_probs: dict[str, float] = {}
     for label in CZ_INPUTS:
-        i, j = _CZ_MODE_PAIRS[label]
-        occupation = tuple(1 if k in (i, j) else 0 for k in range(n))
+        occupation = tuple(int(k in _CZ_MODE_PAIRS[label]) for k in range(n))
         state = fock_evolve(block, occupation, tol)
-        _, success = postselect(state, accepted)
-        amplitudes[label] = state.amplitudes.get(occupation, 0.0)
-        success_probs[label] = success
+        occ = state.occupations
+        _, success_probs[label] = postselect(state, (occ[:, 0] + occ[:, 1] == 1) & (occ[:, 2] + occ[:, 3] == 1))
+        found = state.amplitudes[(occ == occupation).all(axis=1)]  # the input row, unless pruned
+        amplitudes[label] = complex(found[0]) if len(found) else 0j
 
     for label, prob in success_probs.items():
         if not abs(prob - 1.0 / 9.0) <= tol:
             raise SynthesisError(f"input {label}: success probability {prob} differs from 1/9")
 
-    # Divide out the global phase so the common amplitude factor is positive
-    # on the HV/VH/VV inputs.
+    # Divide out the global phase: the common amplitude factor is then positive on HV, VH and VV.
     reference = amplitudes["HV"]
     if abs(reference) == 0:
         raise SynthesisError("HV amplitude vanished; no phase reference")
@@ -185,9 +178,7 @@ def verify_cz(result: SynthesisResult, tol: float = TOL) -> CzVerification:
     for label, sign in expected_signs.items():
         target = sign / 3.0
         if not abs(normalized[label] - target) <= tol:
-            raise SynthesisError(
-                f"input {label}: postselected amplitude {normalized[label]} differs from {target}"
-            )
+            raise SynthesisError(f"input {label}: postselected amplitude {normalized[label]} differs from {target}")
     return CzVerification(
         success_prob=success_probs["HH"],
         phase_pattern=tuple(expected_signs[label] for label in CZ_INPUTS),

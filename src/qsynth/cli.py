@@ -28,7 +28,7 @@ import numpy as np
 
 from . import apps, closedform2x2, sim, synth
 from .blocks import SCHEMA, circuit_from_json, circuit_to_json, circuit_smatrix
-from .numkit import TOL, SynthesisError, complex_from_json, json_int, matrix_from_json, matrix_to_json
+from .numkit import TOL, SynthesisError, check_tol, complex_from_json, json_int, matrix_from_json, matrix_to_json
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -58,7 +58,8 @@ def _write(docs: dict) -> None:
     first; each file is written beside its target and renamed onto it only after stdout is written,
     a device or FIFO in place, last."""
     try:
-        texts = {path: json.dumps({"schema": SCHEMA, **doc}, allow_nan=False) + "\n" for path, doc in docs.items()}
+        texts = {path: json.dumps({"schema": SCHEMA, **doc}, allow_nan=False, check_circular=False) + "\n"
+                 for path, doc in docs.items()}  # each doc is a tree that qsynth built
     except ValueError as exc:  # NaN or infinity is not JSON
         raise ValueError(f"result is not finite: {exc}") from exc
     stdout = texts.pop(None, "")
@@ -140,17 +141,17 @@ def cmd_simulate(args) -> dict:
     state = sim.fock_evolve(block, occupation, args.tol)
     payload = {"outcomes": _outcome_table(state)}
     if predicate is not None:
-        conditioned, success = sim.postselect(state, predicate)
+        conditioned, success = sim.postselect(state, predicate(state.occupations))
         payload["success_prob"] = success
         payload["postselected"] = _outcome_table(conditioned)
     return {None: payload}
 
 
 def _outcome_table(state: sim.FockState) -> list[dict]:
-    return [
-        {"occupation": list(occ), "re": float(amp.real), "im": float(amp.imag), "prob": float(abs(amp) ** 2)}
-        for occ, amp in sorted(state.amplitudes.items())
-    ]
+    """One row per outcome, in the state's sorted order; ``prob`` is ``hypot(re, im) ** 2`` in Python floats."""
+    re, im = state.amplitudes.real, state.amplitudes.imag
+    return [{"occupation": occ, "re": x, "im": y, "prob": h ** 2}
+            for occ, x, y, h in zip(state.occupations.tolist(), re.tolist(), im.tolist(), np.hypot(re, im).tolist())]
 
 
 _COUNT = re.compile(r"[0-9]+")
@@ -183,7 +184,7 @@ def _amplitudes(items: list[str]) -> list[complex]:
 
 
 def _parse_predicate(spec: str | None, n_modes: int):
-    """Per-mode photon-count windows: JSON object mode -> [min, max], both JSON integers."""
+    """Per-mode photon-count windows (JSON mode -> [min, max], JSON integers) as a mask function of occupation rows."""
     if spec is None:
         return None
     try:
@@ -199,7 +200,9 @@ def _parse_predicate(spec: str | None, n_modes: int):
     for mode in windows:
         if not 0 <= mode < n_modes:
             raise ParseFailure(f"predicate mode {mode} outside 0..{n_modes - 1}")
-    return lambda occ: all(lo <= occ[mode] <= hi for mode, (lo, hi) in windows.items())
+    # A bound past the int64 range makes an object array, which still compares exactly.
+    modes, (lo, hi) = list(windows), np.array(list(windows.values())).reshape(-1, 2).T
+    return lambda occ: ((lo <= occ[:, modes]) & (occ[:, modes] <= hi)).all(axis=1)
 
 
 def _povm_rows(obj):
@@ -224,7 +227,7 @@ def cmd_naimark(args) -> dict:
     extension = apps.naimark_extension(povm, args.tol)
     # One passive mesh whose first dim rows hold the POVM; outputs dim..m-1 are ancillas.
     elements = synth.factor_mesh("Naimark extension", extension, args.tol)
-    result = synth.verified(povm.matrix(), (1.0,) * povm.dim, (), (), elements, args.tol)
+    result = synth.verified(povm.matrix, (1.0,) * povm.dim, (), (), elements, args.tol)
     return {args.out: {"extension": matrix_to_json(extension), "netlist": circuit_to_json(result.circuit)}}
 
 
@@ -246,9 +249,7 @@ def cmd_cz(args) -> dict:
         "success_prob": verification.success_prob,
         "success_probs": verification.success_probs,
         "phase_pattern": list(verification.phase_pattern),
-        "amplitudes": {
-            label: [float(a.real), float(a.imag)] for label, a in verification.amplitudes.items()
-        },
+        "amplitudes": {label: [a.real, a.imag] for label, a in verification.amplitudes.items()},
         "singular_values": list(result.singulars),
         "n_full_ancillas": len(result.circuit.full_ancillas),
         "report": synth.verification_report(result),
@@ -303,8 +304,7 @@ def _join_input_value(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     args = build_parser().parse_args(_join_input_value(sys.argv[1:] if argv is None else list(argv)))
     try:
-        if not 0 < args.tol < 1:  # also rejects NaN
-            raise ValueError(f"tol must be positive and below 1, got {args.tol}")
+        check_tol(args.tol)
         _write(args.run(args))
         return EXIT_OK
     except (ParseFailure, SynthesisError, ValueError) as exc:

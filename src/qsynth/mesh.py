@@ -34,7 +34,7 @@ import math
 import numpy as np
 
 from .blocks import BS, PS, Elements
-from .numkit import TOL, unitarity_deviation
+from .numkit import TOL, check_tol, unitarity_deviation
 
 # Parameters this close to 0 (mod 2*pi for phases) produce identity elements
 # and are dropped from the netlist.
@@ -90,6 +90,7 @@ def reck_decompose(u, tol: float = TOL) -> Elements:
     Raises:
         NotUnitaryError: if ``u`` deviates from unitarity by more than ``tol``.
     """
+    check_tol(tol)
     deviation = unitarity_deviation(u)  # also rejects a non-square or non-finite u
     if not deviation <= tol:
         raise NotUnitaryError(deviation, tol)

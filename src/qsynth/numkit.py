@@ -24,6 +24,12 @@ class SynthesisError(RuntimeError):
     """A check of qsynth's own work failed: an SVD, a unitary it computed, or the assembled network."""
 
 
+def check_tol(tol: float) -> None:
+    """The one rule for a ``tol`` argument: positive and below 1; NaN fails it too."""
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must be positive and below 1, got {tol}")
+
+
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
     """Coerce ``values`` to a 2-D complex array, rejecting NaN/Inf entries."""
     m = np.asarray(values, dtype=complex)
@@ -56,7 +62,7 @@ def unitarity_deviation(u) -> float:
     if u.shape[0] != u.shape[1]:
         raise ValueError(f"u must be square, got {u.shape}")
     gram = u.conj().T @ u
-    gram.flat[:: len(gram) + 1] -= 1.0
+    gram.reshape(-1)[:: len(gram) + 1] -= 1.0  # the diagonal, as a view (faster than gram.flat)
     return max_abs(gram)
 
 

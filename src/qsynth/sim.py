@@ -9,12 +9,13 @@ with ``a_out = A a_in`` (the classic transpose trap: columns index inputs).
 
 The polynomial in output creation operators is held as one complex array per
 photon count, indexed by the sorted occupations of that count (the
-*ladder*).  Each substitution is one scatter-add of ``poly[i] * A[j, k]``
-into the rank of occupation ``i`` with one more photon in mode ``j``.  Each
-rung depends only on the mode and photon counts, so it is built on first use
-and cached for the life of the process; the caps bound the cache at
-``(MAX_FOCK_MODES + 1) * (MAX_PHOTONS + 1) = 63`` rungs, at most 1,716
-occupations each.  Amplitudes come out as Python ``complex``.
+*ladder*).  Each substitution is one ``bincount`` of ``poly[i] * A[j, k]``,
+as interleaved real and imaginary floats, into the rank of occupation ``i``
+with one more photon in mode ``j``.  Each rung depends only on the mode and
+photon counts, so it is built on first use and cached for the life of the
+process; the caps bound the cache at ``(MAX_FOCK_MODES + 1) * (MAX_PHOTONS + 1)
+= 63`` rungs, at most 1,716 occupations each.  A result is the surviving ladder
+rows and their amplitudes.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .numkit import TOL, as_matrix, json_int, unitarity_deviation
+from .numkit import TOL, as_matrix, check_tol, json_int, unitarity_deviation
 
 MAX_PHOTONS = 6
 MAX_FOCK_MODES = 8
@@ -46,14 +46,16 @@ class NotPassiveError(ValueError):
 
 @dataclass(frozen=True)
 class FockState:
-    """Sparse map from occupation tuples to complex amplitudes."""
+    """Outcomes in sorted order: ``occupations`` (``k x n_modes`` ints) row ``i`` has amplitude ``amplitudes[i]``."""
 
     n_modes: int
-    amplitudes: dict[tuple[int, ...], complex]
+    occupations: np.ndarray
+    amplitudes: np.ndarray
 
 
 def passive_block(s_total, tol: float = TOL) -> np.ndarray:
     """Extract the N x N annihilation block; error if the network is active."""
+    check_tol(tol)
     s = as_matrix(s_total, "s_total")
     rows, cols = s.shape
     if rows != cols or rows % 2 != 0:
@@ -75,9 +77,10 @@ def fock_evolve(a, occupation, tol: float = TOL) -> FockState:
     Expands the product of transformed creation operators over the vacuum,
     one scatter-add per input photon over the cached ladder; limited to
     ``MAX_PHOTONS`` photons and ``MAX_FOCK_MODES`` modes, which is plenty for
-    desk-scale checks and keeps the expansion exact.  Returns the amplitudes
-    above ``AMPLITUDE_PRUNE`` in sorted occupation order.
+    desk-scale checks and keeps the expansion exact.  Returns the outcomes whose
+    amplitude exceeds ``AMPLITUDE_PRUNE`` in modulus.
     """
+    check_tol(tol)
     a = as_matrix(a, "a")
     n = a.shape[0]
     if a.shape != (n, n):
@@ -108,28 +111,25 @@ def fock_evolve(a, occupation, tol: float = TOL) -> FockState:
             photons += 1
             keys, _, up = _ladder(n, photons)
             terms = (poly[:, None] * a[:, k]).ravel()
-            poly = np.empty(len(keys), dtype=complex)
-            poly.real = np.bincount(up, terms.real, len(keys))
-            poly.imag = np.bincount(up, terms.imag, len(keys))
+            poly = np.bincount(up, terms.view(float), 2 * len(keys)).view(complex)
 
     keys, weights, _ = _ladder(n, photons)
     in_norm = math.sqrt(math.prod(math.factorial(x) for x in occupation))
     amps = poly * weights / in_norm
     keep = np.abs(amps) > AMPLITUDE_PRUNE
-    amplitudes = dict(zip(map(tuple, keys[keep].tolist()), amps[keep].tolist()))
-    return FockState(n_modes=n, amplitudes=amplitudes)
+    return FockState(n_modes=n, occupations=keys[keep], amplitudes=amps[keep])
 
 
 @functools.lru_cache(maxsize=(MAX_FOCK_MODES + 1) * (MAX_PHOTONS + 1))
 def _ladder(n: int, photons: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The occupation basis of ``photons`` photons in ``n`` modes, built on the one below it.
 
-    Returns the occupations in sorted order (one row each), the
-    ``sqrt(prod m_j!)`` weight of each, and the flat index map ``up`` whose
-    entry ``i * n + j`` is the rank of occupation ``i`` of ``photons - 1``
-    photons with one more photon in mode ``j``.  An occupation is read as a
-    base ``MAX_PHOTONS + 1`` number with mode 0 as its leading digit, so
-    numeric order is tuple order and every rank is one binary search.
+    Returns the occupations in sorted order (one row each), the ``sqrt(prod m_j!)``
+    weight of each, and the flat index map ``up``: entries ``2 * (i * n + j)`` and
+    the next are the real and imaginary slots of the rank of occupation ``i`` of
+    ``photons - 1`` photons with one more in mode ``j``.  An occupation is read as
+    a base ``MAX_PHOTONS + 1`` number with mode 0 as its leading digit, so numeric
+    order is tuple order and every rank is one binary search.
     """
     if photons == 0:
         ladder = np.zeros((1, n), dtype=np.int64), np.ones(1), np.empty(0, dtype=np.int64)
@@ -140,27 +140,28 @@ def _ladder(n: int, photons: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         codes = ordered[np.append(True, ordered[1:] != ordered[:-1])]
         keys = codes[:, None] // place % (MAX_PHOTONS + 1)
         factorials = np.array([math.factorial(m) for m in range(MAX_PHOTONS + 1)], dtype=float)
-        ladder = keys, np.sqrt(factorials[keys].prod(axis=1)), np.searchsorted(codes, bumped)
+        rank = 2 * np.searchsorted(codes, bumped)
+        ladder = keys, np.sqrt(factorials[keys].prod(axis=1)), np.stack((rank, rank + 1), axis=1).ravel()
     for part in ladder:
         part.flags.writeable = False  # cached: every later call shares these arrays
     return ladder
 
 
-def postselect(
-    state: FockState, predicate: Callable[[tuple[int, ...]], bool]
-) -> tuple[FockState, float]:
-    """Keep only outcomes accepted by ``predicate``; renormalize.
+def postselect(state: FockState, keep) -> tuple[FockState, float]:
+    """Keep the rows of ``state`` where the boolean mask ``keep`` is true; renormalize.
 
-    Returns the conditioned state and the accepted probability mass.  Raises
-    if nothing is accepted.
+    Returns the conditioned state and the accepted probability mass, summed
+    left to right as Python floats.  Raises if nothing is accepted.
     """
-    accepted = {occ: amp for occ, amp in state.amplitudes.items() if predicate(occ)}
-    success_prob = sum(abs(a) ** 2 for a in accepted.values())
+    keep = np.asarray(keep)
+    if keep.dtype != bool or keep.shape != state.amplitudes.shape:
+        raise ValueError(f"keep must be a boolean mask of {len(state.amplitudes)} rows, got {keep.dtype} {keep.shape}")
+    amplitudes = state.amplitudes[keep]
+    success_prob = sum(h ** 2 for h in np.hypot(amplitudes.real, amplitudes.imag).tolist())
     if success_prob <= 0.0:
         raise ValueError("postselection accepted zero probability mass")
     scale = 1.0 / math.sqrt(success_prob)
-    conditioned = {occ: amp * scale for occ, amp in accepted.items()}
-    return FockState(n_modes=state.n_modes, amplitudes=conditioned), success_prob
+    return FockState(state.n_modes, state.occupations[keep], amplitudes * scale), success_prob
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .numkit import (
     SvdFactors,
     SynthesisError,
     as_matrix,
+    check_tol,
     max_abs,
     quasiunitarity_deviation,
     svd,
@@ -53,8 +54,7 @@ def couplings(singulars, tol: float, n_nominal: int) -> Elements:
     Loss ``sigma < 1`` is a beam splitter with ``theta = acos(sigma)`` and gain
     a two-mode squeezer with ``xi = acosh(sigma)``.
     """
-    if not 0 < tol < 1:  # also rejects NaN
-        raise ValueError(f"tol must be positive and below 1, got {tol}")
+    check_tol(tol)
     sigmas = [float(s) for s in singulars]
     if len(sigmas) > n_nominal:
         raise ValueError(f"got {len(sigmas)} singular values for {n_nominal} nominal modes")
@@ -117,6 +117,7 @@ def verified(target: np.ndarray, singulars, w_elements, d_elements, u_elements, 
     Raises :class:`SynthesisError` unless ``S_total`` is quasiunitary and holds
     ``target`` in its upper-left block, both within ``tol``.
     """
+    check_tol(tol)
     n, m = target.shape
     n_nominal = max(n, m)
     n_modes = n_nominal + len(d_elements)

@@ -358,16 +358,21 @@ def singular_element(j: int, m_aj: int, sigma: float):
     return e
 
 
+def amplitude_map(state) -> dict[tuple[int, ...], complex]:
+    """A ``FockState``'s aligned arrays as a dict from occupation tuples to Python ``complex``."""
+    return dict(zip(map(tuple, state.occupations.tolist()), state.amplitudes.tolist()))
+
+
 def norm_squared(state) -> float:
-    return sum(abs(a) ** 2 for a in state.amplitudes.values())
+    return sum(abs(a) ** 2 for a in amplitude_map(state).values())
 
 
 def probability(state, occupation) -> float:
-    return abs(state.amplitudes.get(tuple(occupation), 0.0)) ** 2
+    return abs(amplitude_map(state).get(tuple(occupation), 0.0)) ** 2
 
 
 def probability_where(state, predicate) -> float:
-    return sum(abs(a) ** 2 for occ, a in state.amplitudes.items() if predicate(occ))
+    return sum(abs(a) ** 2 for occ, a in amplitude_map(state).items() if predicate(occ))
 
 
 def vacuum_moments(n_modes: int) -> GaussianMoments:

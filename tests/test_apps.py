@@ -31,7 +31,7 @@ def test_trine_extension_is_unitary_and_contains_vectors():
     ext = naimark_extension(povm)
     assert ext.shape == (3, 3)
     assert unitarity_deviation(ext) < 1e-10
-    assert max_abs(ext[:2, :] - povm.matrix()) < 1e-12
+    assert max_abs(ext[:2, :] - povm.matrix) < 1e-12
 
 
 def test_trine_probabilities_match_projector_oracle():
@@ -42,7 +42,7 @@ def test_trine_probabilities_match_projector_oracle():
         psi = rng.normal(size=2) + 1j * rng.normal(size=2)
         psi /= np.linalg.norm(psi)
         probs = povm_probabilities(ext, psi)
-        direct = np.array([abs(np.vdot(v, psi)) ** 2 for v in povm.vectors])
+        direct = np.array([abs(np.vdot(v, psi)) ** 2 for v in povm.matrix.T])
         assert max_abs(probs - direct) < 1e-10
         assert probs.sum() == pytest.approx(1.0, abs=1e-10)
 
@@ -52,7 +52,7 @@ def test_orthonormal_basis_povm_extension_is_input():
     u = random_unitary(rng, 3)
     povm = RankOnePovm.from_vectors([u[:, i] for i in range(3)])
     ext = naimark_extension(povm)
-    assert max_abs(ext - povm.matrix()) < 1e-10
+    assert max_abs(ext - povm.matrix) < 1e-10
 
 
 def test_random_rank_one_povm_from_unitary_rows():
@@ -63,8 +63,8 @@ def test_random_rank_one_povm_from_unitary_rows():
         povm = RankOnePovm.from_vectors([rows[:, i] for i in range(m)])
         ext = naimark_extension(povm)
         assert unitarity_deviation(ext) < 1e-10
-        assert max_abs(ext[:n, :] - povm.matrix()) < 1e-10
-        assert all(abs(s - 1.0) < 1e-10 for s in svd(povm.matrix()).singulars)
+        assert max_abs(ext[:n, :] - povm.matrix) < 1e-10
+        assert all(abs(s - 1.0) < 1e-10 for s in svd(povm.matrix).singulars)
 
 
 def test_incomplete_povm_rejected():
@@ -75,7 +75,7 @@ def test_incomplete_povm_rejected():
 
 def test_povm_from_operators_matches_vectors_route():
     povm = trine_povm()
-    operators = [np.outer(v, v.conj()) for v in povm.vectors]
+    operators = [np.outer(v, v.conj()) for v in povm.matrix.T]
     rebuilt = RankOnePovm.from_operators(operators)
     ext_a = naimark_extension(povm)
     ext_b = naimark_extension(rebuilt)
@@ -183,3 +183,10 @@ def test_cz_rejects_wrong_sign_pattern():
     result = synthesize(t)
     with pytest.raises(SynthesisError, match="input VH: postselected amplitude"):
         verify_cz(result)
+
+
+def test_povm_matrix_is_built_once_and_read_only():
+    povm = trine_povm()
+    assert povm.matrix is povm.matrix and povm.matrix.shape == (2, 3) and povm.dim == 2
+    with pytest.raises(ValueError, match="read-only"):
+        povm.matrix[0, 0] = 0.0

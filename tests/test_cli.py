@@ -690,6 +690,18 @@ def test_integer_predicate_window_selects_its_outcomes(tmp_path, capsys):
     assert [row["occupation"] for row in payload["postselected"]] == [[0, 2]]
 
 
+@pytest.mark.parametrize("window, kept", [([0, 10 ** 30], [[0, 2], [2, 0]]), ([-10 ** 30, 0], [[0, 2]]),
+                                          ([3, 10 ** 30], None)])
+def test_predicate_windows_past_int64_compare_exactly(tmp_path, capsys, window, kept):
+    net = _beam_splitter_netlist(tmp_path)
+    code, stdout, err = _call(["simulate", net, "--input", "1,1", "--predicate", json.dumps({"0": window})], capsys)
+    if kept is None:
+        assert code == 4 and err == "error: postselection accepted zero probability mass\n"
+    else:
+        assert code == 0
+        assert [row["occupation"] for row in assert_one_document(stdout)["postselected"]] == kept
+
+
 def _seeded_mesh_netlist(tmp_path) -> str:
     """A full 7-mode triangular mesh, angles seeded and rounded to six decimals."""
     rng = np.random.default_rng(19)

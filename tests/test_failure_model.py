@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from qsynth.apps import RankOnePovm, cz_gate_target, naimark_extension, verify_cz
+from qsynth.closedform2x2 import analytic_synthesize
 from qsynth.mesh import reck_decompose
-from qsynth.numkit import SynthesisError
 from qsynth.sim import fock_evolve, passive_block
-from qsynth.synth import synthesize, verified
+from qsynth.synth import couplings, factor_mesh, synthesize, verified
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qsynth"
 
@@ -74,11 +74,16 @@ NAN_TOL_CALLS = {
     "from_operators": lambda: RankOnePovm.from_operators([np.eye(2)], NAN),
     "verify_cz": lambda: verify_cz(synthesize(cz_gate_target()), NAN),
     "verified": lambda: verified(HADAMARD, (1.0, 1.0), (), (), reck_decompose(HADAMARD), NAN),
+    "synthesize": lambda: synthesize(HADAMARD, NAN),
+    "analytic_synthesize": lambda: analytic_synthesize(HADAMARD, NAN),
+    "couplings": lambda: couplings((1.0, 0.5), NAN, 2),
+    "factor_mesh": lambda: factor_mesh("factor U", HADAMARD, NAN),
 }
 
 
 @pytest.mark.parametrize("call", NAN_TOL_CALLS.values(), ids=NAN_TOL_CALLS)
 def test_a_nan_tol_fails_the_check(call):
-    # Each check passed at "deviation > tol", which is False for every deviation when tol is NaN.
-    with pytest.raises((ValueError, SynthesisError)):
+    # Each check passed at "deviation > tol", which is False for every deviation when tol is NaN;
+    # numkit.check_tol refuses the tol itself before any check can be misread.
+    with pytest.raises(ValueError, match=r"^tol must be positive and below 1, got nan$"):
         call()

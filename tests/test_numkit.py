@@ -5,6 +5,7 @@ import pytest
 
 from qsynth.numkit import (
     as_matrix,
+    check_tol,
     complex_from_json,
     json_float,
     json_int,
@@ -191,3 +192,14 @@ def test_json_number_decoders_refuse_booleans():
             json_float(bad)
     with pytest.raises(OverflowError):
         json_float(10**400)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1.0, -1e-10, 2.0, math.inf, math.nan])
+def test_check_tol_refuses_a_tol_outside_the_open_unit_interval(tol):
+    with pytest.raises(ValueError, match=f"^tol must be positive and below 1, got {tol}$"):
+        check_tol(tol)
+
+
+@pytest.mark.parametrize("tol", [1e-300, 1e-10, 0.5, 0.999])
+def test_check_tol_passes_a_usable_tol(tol):
+    assert check_tol(tol) is None

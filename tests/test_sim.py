@@ -23,6 +23,7 @@ from qsynth.synth import synthesize
 from oracles import (
     LOSSY_BS_S_TOTAL,
     all_occupations,
+    amplitude_map,
     fock_amplitude,
     fock_reference,
     lift_gain,
@@ -64,7 +65,7 @@ def test_passive_block_reports_position_in_s_total(row, col, value):
 
 def test_fock_identity_passthrough():
     state = fock_evolve(np.eye(3), (2, 0, 1))
-    assert state.amplitudes == {(2, 0, 1): pytest.approx(1.0)}
+    assert amplitude_map(state) == {(2, 0, 1): pytest.approx(1.0)}
 
 
 def test_fock_lossy_bs_two_photon_statistics():
@@ -88,10 +89,10 @@ def test_fock_agrees_with_permanent_oracle():
         a = random_unitary(rng, n_modes)
         for photons in (1, 2, 3):
             for occ_in in all_occupations(n_modes, photons):
-                state = fock_evolve(a, occ_in)
+                state = amplitude_map(fock_evolve(a, occ_in))
                 for occ_out in all_occupations(n_modes, photons):
                     expected = fock_amplitude(a, occ_in, occ_out)
-                    got = state.amplitudes.get(occ_out, 0.0)
+                    got = state.get(occ_out, 0.0)
                     assert abs(got - expected) < 1e-12
 
 
@@ -100,7 +101,7 @@ def test_fock_preserves_norm_and_photon_number():
     a = random_unitary(rng, 5)
     state = fock_evolve(a, (2, 0, 1, 0, 1))
     assert norm_squared(state) == pytest.approx(1.0, abs=1e-10)
-    assert all(sum(occ) == 4 for occ in state.amplitudes)
+    assert all(sum(occ) == 4 for occ in amplitude_map(state))
 
 
 def test_fock_limits_and_validation():
@@ -135,14 +136,14 @@ def test_fock_refuses_non_integer_photon_counts(occupation):
 
 
 def test_fock_takes_numpy_integer_counts():
-    assert fock_evolve(np.eye(2), np.array([1, 0])).amplitudes == {(1, 0): 1.0}
+    assert amplitude_map(fock_evolve(np.eye(2), np.array([1, 0]))) == {(1, 0): 1.0}
 
 
-def test_fock_outcomes_are_sorted_python_values():
+def test_fock_outcomes_are_sorted_aligned_arrays():
     state = fock_evolve(random_unitary(np.random.default_rng(57), 4), (2, 0, 1, 1))
-    assert list(state.amplitudes) == sorted(all_occupations(4, 4))
-    assert all(type(amp) is complex for amp in state.amplitudes.values())
-    assert all(type(m) is int for occ in state.amplitudes for m in occ)
+    assert list(map(tuple, state.occupations.tolist())) == sorted(all_occupations(4, 4))
+    assert state.amplitudes.dtype == complex and state.amplitudes.shape == (len(state.occupations),)
+    assert state.occupations.dtype.kind == "i" and state.occupations.shape == (35, 4)
 
 
 def _fock_property_inputs():
@@ -165,7 +166,7 @@ def test_fock_matches_the_dict_expansion():
     # differ in the last bits; a few hundred terms of modulus <= 1 stay well inside 1e-15.
     worst = 0.0
     for a, occupation in _fock_property_inputs():
-        got = fock_evolve(a, occupation).amplitudes
+        got = amplitude_map(fock_evolve(a, occupation))
         want = fock_reference(a, occupation)
         assert got.keys() == want.keys(), (a.shape, occupation)
         worst = max([worst] + [abs(got[k] - want[k]) for k in want])
@@ -192,8 +193,9 @@ def test_fock_at_the_caps_matches_the_permanent():
     state = fock_evolve(a, occ_in)
     outcomes = all_occupations(MAX_FOCK_MODES, MAX_PHOTONS)
     assert len(state.amplitudes) == len(outcomes) == 1716
+    got = amplitude_map(state)
     for occ_out in (outcomes[0], outcomes[len(outcomes) // 2], outcomes[-1]):
-        assert abs(state.amplitudes[occ_out] - fock_amplitude(a, occ_in, occ_out)) < 1e-12
+        assert abs(got[occ_out] - fock_amplitude(a, occ_in, occ_out)) < 1e-12
 
 
 @pytest.mark.parametrize("shape", [(2, 4), (3, 3)])
@@ -209,22 +211,46 @@ def test_coherent_moments_need_a_mode():
 
 def test_postselect_accept_all_is_identity():
     state = fock_evolve(LOSSY_BS_BLOCK, (1, 1, 0))
-    kept, prob = postselect(state, lambda occ: True)
+    kept, prob = postselect(state, np.ones(len(state.amplitudes), dtype=bool))
     assert prob == pytest.approx(1.0, abs=1e-10)
-    assert kept.amplitudes.keys() == state.amplitudes.keys()
+    assert amplitude_map(kept).keys() == amplitude_map(state).keys()
 
 
 def test_postselect_lossy_bs_nominal_survival():
     state = fock_evolve(LOSSY_BS_BLOCK, (1, 1, 0))
-    kept, prob = postselect(state, lambda occ: occ[0] + occ[1] == 2)
+    kept, prob = postselect(state, state.occupations[:, 0] + state.occupations[:, 1] == 2)
     assert prob == pytest.approx(0.5, abs=1e-10)
     assert norm_squared(kept) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_postselect_zero_mass_raises():
-    state = FockState(n_modes=2, amplitudes={(1, 0): 1.0})
+    state = FockState(n_modes=2, occupations=np.array([[1, 0]]), amplitudes=np.array([1.0 + 0j]))
     with pytest.raises(ValueError):
-        postselect(state, lambda occ: sum(occ) == 5)
+        postselect(state, state.occupations.sum(axis=1) == 5)
+
+
+@pytest.mark.parametrize("keep", [
+    lambda occ: True,  # a callable is not read as one row
+    True,
+    [True, False],
+    np.ones(4, dtype=int),
+    np.ones((4, 1), dtype=bool),
+], ids=["callable", "scalar", "short", "int", "column"])
+def test_postselect_takes_only_a_boolean_mask_over_the_rows(keep):
+    state = fock_evolve(LOSSY_BS_BLOCK, (1, 1, 0))
+    assert len(state.amplitudes) == 4
+    with pytest.raises(ValueError, match="keep must be a boolean mask of 4 rows"):
+        postselect(state, keep)
+
+
+def test_postselect_sums_the_kept_probabilities_left_to_right():
+    state = fock_evolve(random_unitary(np.random.default_rng(59), 5), (1, 1, 1, 0, 0))
+    keep = state.occupations[:, 0] <= 1
+    kept, prob = postselect(state, keep)
+    assert type(prob) is float
+    assert prob == sum(abs(a) ** 2 for a in state.amplitudes[keep].tolist())
+    assert (kept.occupations == state.occupations[keep]).all()
+    assert norm_squared(kept) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_moments_gain_amplifies_mean():
