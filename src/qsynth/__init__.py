@@ -3,17 +3,7 @@ and gain, into quasiunitary networks of phase shifters, beam splitters, and
 two-mode squeezers, then verify the construction by property checks and
 few-photon simulation."""
 
-from .blocks import (
-    BeamSplitter,
-    Circuit,
-    Element,
-    Elements,
-    PhaseShifter,
-    TwoModeSqueezer,
-    circuit_from_json,
-    circuit_smatrix,
-    circuit_to_json,
-)
+from .blocks import Circuit, Elements, circuit_from_json, circuit_smatrix, circuit_to_json
 from .closedform2x2 import Params2x2, analytic_params, analytic_synthesize
 from .mesh import NotUnitaryError, reck_decompose
 from .numkit import (

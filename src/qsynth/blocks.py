@@ -2,14 +2,13 @@
 
 An element is a phase shifter on a single mode, a beam splitter (real
 rotation ``[[cos t, sin t], [-sin t, cos t]]``) between two modes, or a
-two-mode squeezer with gain ``cosh(xi)``.  A circuit stores its elements as
-parallel columns (:class:`Elements`: kind, two modes and an angle per
-element), applied first-to-last; the corresponding matrix product therefore
-runs last-to-first.  The element rules live in one row check, which the
-dataclasses, the JSON decoder and :func:`check_modes` share.  The three
-slotted frozen dataclasses are the vocabulary for circuits built by hand: a
-circuit converts them to columns once, and indexing or iterating the columns
-yields them again, built on demand.
+two-mode squeezer with gain ``cosh(xi)``.  It is the row ``(kind, mode_a,
+mode_b, angle)``: a kind code ``PS``, ``BS`` or ``TMS``, its modes (a phase
+shifter repeats its mode in ``mode_b``) and its phi, theta or xi.  A circuit
+stores its elements as parallel columns (:class:`Elements`), applied
+first-to-last; the corresponding matrix product therefore runs last-to-first.
+The element rules live in one row check, which the JSON decoder and
+:func:`check_modes` share.
 
 The 2N x 2N scattering matrix of a circuit acts on the operator vector
 ``(a_1 .. a_N, a_1^dag .. a_N^dag)``: mode ``p`` couples to row/column ``p``
@@ -29,44 +28,12 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .numkit import json_float, json_int
 
 XI_MAX = 50.0  # the largest |xi| of a squeezer; cosh(XI_MAX) ~ 2.6e21 is the gain ceiling
-
-
-@dataclass(frozen=True, slots=True)
-class PhaseShifter:
-    mode: int
-    phi: float
-
-
-@dataclass(frozen=True, slots=True)
-class BeamSplitter:
-    mode_a: int
-    mode_b: int
-    theta: float
-
-    def __post_init__(self):
-        _check_row(BS, self.mode_a, self.mode_b, self.theta)
-
-
-@dataclass(frozen=True, slots=True)
-class TwoModeSqueezer:
-    mode_a: int
-    mode_b: int
-    xi: float
-
-    def __post_init__(self):
-        _check_row(TMS, self.mode_a, self.mode_b, self.xi)
-
-
-Element = Union[PhaseShifter, BeamSplitter, TwoModeSqueezer]
-
-
 PS, BS, TMS = 0, 1, 2  # the codes of the kind column
 
 
@@ -86,25 +53,13 @@ def _check_row(kind, a, b, angle) -> None:
         raise ValueError(f"unknown kind code {kind!r}")
 
 
-def _row(e: Element) -> tuple:
-    """``(kind, mode_a, mode_b, angle)`` of one element, as plain Python numbers."""
-    if isinstance(e, PhaseShifter):
-        return PS, operator.index(e.mode), operator.index(e.mode), float(e.phi)
-    kind, angle = (BS, e.theta) if isinstance(e, BeamSplitter) else (TMS, e.xi)
-    return kind, operator.index(e.mode_a), operator.index(e.mode_b), float(angle)
-
-
-def _element(kind: int, a: int, b: int, angle: float) -> Element:
-    return PhaseShifter(a, angle) if kind == PS else (BeamSplitter if kind == BS else TwoModeSqueezer)(a, b, angle)
-
-
 class Elements(Sequence):
     """A circuit's elements, first applied first, as four parallel tuple columns.
 
     ``kind`` holds ``PS``, ``BS`` or ``TMS``; ``mode_a`` and ``mode_b`` the modes (a phase shifter
     repeats its mode in ``mode_b``); ``angle`` the phi, theta or xi.  An index or an iteration yields
-    the element dataclasses, built on demand; a slice is ``Elements``.  It equals another
-    ``Elements`` with the same columns, or a list or tuple of the same elements.
+    the ``(kind, mode_a, mode_b, angle)`` row; a slice is ``Elements``.  It equals another
+    ``Elements`` with the same columns, or a list or tuple of the same rows.
     """
 
     __slots__ = ("kind", "mode_a", "mode_b", "angle")
@@ -114,12 +69,16 @@ class Elements(Sequence):
 
     @classmethod
     def of(cls, elements) -> Elements:
-        """The columns of an iterable of element dataclasses; ``Elements`` come back as they are."""
-        return elements if isinstance(elements, cls) else cls(*zip(*map(_row, elements)))
+        """The columns of an iterable of ``(kind, mode_a, mode_b, angle)`` rows, as plain Python ints and
+        floats; ``Elements`` come back as they are."""
+        if isinstance(elements, cls):
+            return elements
+        index = operator.index
+        return cls(*zip(*((index(kind), index(a), index(b), float(angle)) for kind, a, b, angle in elements)))
 
     @classmethod
     def join(cls, *parts) -> Elements:
-        """The parts (each ``Elements`` or element dataclasses) one after another."""
+        """The parts (each ``Elements`` or rows) one after another."""
         return cls(*(sum(column, ()) for column in zip(*(cls.of(p).columns for p in parts))))
 
     @property
@@ -130,11 +89,11 @@ class Elements(Sequence):
         return len(self.kind)
 
     def __getitem__(self, i):
-        row = [column[i] for column in self.columns]
-        return Elements(*row) if isinstance(i, slice) else _element(*row)
+        row = tuple(column[i] for column in self.columns)
+        return Elements(*row) if isinstance(i, slice) else row
 
     def __iter__(self):
-        return map(_element, *self.columns)
+        return zip(*self.columns)
 
     def __eq__(self, other):
         if isinstance(other, Elements):
@@ -147,7 +106,7 @@ class Elements(Sequence):
 
 @dataclass(frozen=True)
 class Circuit:
-    """Elements (given as :class:`Elements` or element dataclasses) plus mode bookkeeping.
+    """Elements (given as :class:`Elements` or ``(kind, mode_a, mode_b, angle)`` rows) plus mode bookkeeping.
 
     ``n_modes`` counts every mode including ancillas; the first ``n_nominal``
     are the nominal ones.  ``ancilla_inputs`` / ``ancilla_outputs`` are the
@@ -182,14 +141,14 @@ class Circuit:
 def check_modes(elements, n_modes: int) -> None:
     """Raise ValueError, naming the first offender, unless every element keeps the element rules of
     ``_check_row`` and has its modes in ``0..n_modes-1``; one pass over the rows, in order."""
-    for i, row in enumerate(zip(*Elements.of(elements).columns)):
+    for i, row in enumerate(Elements.of(elements)):
         kind, a, b, angle = row
         try:
             _check_row(kind, a, b, angle)
+            if not (0 <= a < n_modes and 0 <= b < n_modes):
+                raise ValueError(f"mode outside 0..{n_modes - 1}")
         except ValueError as exc:
             raise ValueError(f"element {i} (kind, mode_a, mode_b, angle) = {row}: {exc}") from None
-        if not (0 <= a < n_modes and 0 <= b < n_modes):
-            raise ValueError(f"element {_element(*row)} references a mode outside 0..{n_modes - 1}")
 
 
 def _squeeze(rows: np.ndarray, xi: float) -> None:
@@ -255,8 +214,8 @@ SCHEMA = "qsynth/1"
 
 
 def element_to_json(e) -> dict:
-    """One element's JSON object; ``e`` is an element dataclass or its ``(kind, mode_a, mode_b, angle)``."""
-    kind, a, b, angle = e if isinstance(e, tuple) else _row(e)
+    """One element's JSON object from its ``(kind, mode_a, mode_b, angle)`` row."""
+    kind, a, b, angle = e
     if kind == PS:
         return {"type": "ps", "mode": a, "phi": angle}
     if kind == BS:
@@ -290,7 +249,7 @@ def circuit_to_json(c: Circuit) -> dict:
         "ancilla_inputs": list(c.ancilla_inputs),
         "ancilla_outputs": list(c.ancilla_outputs),
         "full_ancillas": list(c.full_ancillas),
-        "elements": [element_to_json(row) for row in zip(*c.elements.columns)],
+        "elements": [element_to_json(row) for row in c.elements],
     }
 
 

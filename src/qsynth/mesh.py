@@ -24,7 +24,7 @@ Emission is one pass over the steps in reverse.  It merges adjacent phases
 on a mode, keeping the multiples of pi apart as a parity so that they cancel
 exactly, and appends each kept element's kind, modes and angle to the parallel
 columns of a :class:`~qsynth.blocks.Elements`, so a step costs a few list
-appends and builds no element object.
+appends.
 """
 
 from __future__ import annotations

@@ -46,9 +46,8 @@ class NotPassiveError(ValueError):
 
 @dataclass(frozen=True)
 class FockState:
-    """Outcomes in sorted order: ``occupations`` (``k x n_modes`` ints) row ``i`` has amplitude ``amplitudes[i]``."""
+    """Outcomes in sorted order: ``occupations`` (``k x n`` ints) row ``i`` has amplitude ``amplitudes[i]``."""
 
-    n_modes: int
     occupations: np.ndarray
     amplitudes: np.ndarray
 
@@ -117,7 +116,7 @@ def fock_evolve(a, occupation, tol: float = TOL) -> FockState:
     in_norm = math.sqrt(math.prod(math.factorial(x) for x in occupation))
     amps = poly * weights / in_norm
     keep = np.abs(amps) > AMPLITUDE_PRUNE
-    return FockState(n_modes=n, occupations=keys[keep], amplitudes=amps[keep])
+    return FockState(occupations=keys[keep], amplitudes=amps[keep])
 
 
 @functools.lru_cache(maxsize=(MAX_FOCK_MODES + 1) * (MAX_PHOTONS + 1))
@@ -161,7 +160,7 @@ def postselect(state: FockState, keep) -> tuple[FockState, float]:
     if success_prob <= 0.0:
         raise ValueError("postselection accepted zero probability mass")
     scale = 1.0 / math.sqrt(success_prob)
-    return FockState(state.n_modes, state.occupations[keep], amplitudes * scale), success_prob
+    return FockState(state.occupations[keep], amplitudes * scale), success_prob
 
 
 @dataclass(frozen=True)

@@ -112,7 +112,7 @@ def factor_mesh(name: str, u: np.ndarray, tol: float) -> Elements:
 def verified(target: np.ndarray, singulars, w_elements, d_elements, u_elements, tol: float) -> SynthesisResult:
     """Circuit W, D, U for ``target`` (one ancilla per D coupling), with its checked ``S_total``.
 
-    Each part is :class:`Elements` or element dataclasses; the circuit joins their columns.
+    Each part is :class:`Elements` or ``(kind, mode_a, mode_b, angle)`` rows; the circuit joins their columns.
 
     Raises :class:`SynthesisError` unless ``S_total`` is quasiunitary and holds
     ``target`` in its upper-left block, both within ``tol``.

@@ -7,8 +7,10 @@ matrix lift (the definition the package's row-update kernel is checked
 against), the closed-form 2x2 parameters multiply out as dense 2x2 factors,
 the lossy-beam-splitter network is a hand-checkable closed form in a fixed
 factor gauge, and element counts, their worst-case bounds and each mode's
-channel kind are read off element lists.  Only the element dataclasses come
-from the package, apart from the last three sections: measurements the tests
+channel kind are read off element lists.  Elements are the package's
+``(kind, mode_a, mode_b, angle)`` rows, built with :func:`ps`, :func:`bs` and
+:func:`tms`; only their kind codes come from the package, apart from the last
+three sections: measurements the tests
 take of the package's own output (Fock probabilities, moment physicality,
 the mesh error, and the element ``synth.couplings`` makes of one singular
 value), the per-element row updates that ``blocks.circuit_smatrix``
@@ -26,13 +28,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qsynth.blocks import BeamSplitter, Circuit, PhaseShifter, TwoModeSqueezer
+from qsynth.blocks import BS, PS, TMS, Circuit
 from qsynth.mesh import PRUNE_EPS, NotUnitaryError, wrap_angle
 from qsynth.numkit import TOL, as_matrix, max_abs, unitarity_deviation
 from qsynth.sim import AMPLITUDE_PRUNE, GaussianMoments, coherent_moments
 from qsynth.synth import couplings
 
 RT2 = 1.0 / math.sqrt(2.0)
+
+
+def ps(mode: int, phi: float) -> tuple:
+    return PS, mode, mode, phi
+
+
+def bs(mode_a: int, mode_b: int, theta: float) -> tuple:
+    return BS, mode_a, mode_b, theta
+
+
+def tms(mode_a: int, mode_b: int, xi: float) -> tuple:
+    return TMS, mode_a, mode_b, xi
 
 
 def random_unitary(rng, n: int) -> np.ndarray:
@@ -91,12 +105,12 @@ def all_occupations(n_modes: int, n_photons: int) -> list[tuple[int, ...]]:
 def element_unitary(e, n_modes: int) -> np.ndarray:
     """n x n single-particle unitary of a passive element (phase shifter or beam splitter)."""
     _check_modes(e, n_modes)
+    kind, a, b, angle = e
     u = np.eye(n_modes, dtype=complex)
-    if isinstance(e, PhaseShifter):
-        u[e.mode, e.mode] = np.exp(1j * e.phi)
-    elif isinstance(e, BeamSplitter):
-        c, s = math.cos(e.theta), math.sin(e.theta)
-        a, b = e.mode_a, e.mode_b
+    if kind == PS:
+        u[a, a] = np.exp(1j * angle)
+    elif kind == BS:
+        c, s = math.cos(angle), math.sin(angle)
         u[a, a] = c
         u[a, b] = s
         u[b, a] = -s
@@ -111,9 +125,9 @@ def embed_element(e, n_modes: int) -> np.ndarray:
     _check_modes(e, n_modes)
     n = n_modes
     out = np.eye(2 * n, dtype=complex)
-    if isinstance(e, TwoModeSqueezer):
-        a, b = e.mode_a, e.mode_b
-        ch, sh = math.cosh(e.xi), math.sinh(e.xi)
+    kind, a, b, xi = e
+    if kind == TMS:
+        ch, sh = math.cosh(xi), math.sinh(xi)
         out[a, a] = out[b, b] = out[a + n, a + n] = out[b + n, b + n] = ch
         out[a, b + n] = out[b, a + n] = out[a + n, b] = out[b + n, a] = sh
         return out
@@ -124,12 +138,13 @@ def embed_element(e, n_modes: int) -> np.ndarray:
 
 
 def element_modes(e) -> tuple[int, ...]:
-    return (e.mode,) if isinstance(e, PhaseShifter) else (e.mode_a, e.mode_b)
+    kind, a, b, _ = e
+    return (a,) if kind == PS else (a, b)
 
 
 def _check_modes(e, n_modes: int) -> None:
     if any(not (0 <= m < n_modes) for m in element_modes(e)):
-        raise ValueError(f"element {e} references a mode outside 0..{n_modes - 1}")
+        raise ValueError(f"element (kind, mode_a, mode_b, angle) = {tuple(e)}: mode outside 0..{n_modes - 1}")
 
 
 def lift_loss(sigma: float) -> np.ndarray:
@@ -290,11 +305,8 @@ def count_bounds(n: int, m: int) -> CountBounds:
 
 def element_counts(elements) -> dict:
     """Beam splitters, phase shifters and squeezers in an element list."""
-    return {
-        "beam_splitters": sum(1 for e in elements if isinstance(e, BeamSplitter)),
-        "phase_shifters": sum(1 for e in elements if isinstance(e, PhaseShifter)),
-        "squeezers": sum(1 for e in elements if isinstance(e, TwoModeSqueezer)),
-    }
+    kinds = [kind for kind, _, _, _ in elements]
+    return {"beam_splitters": kinds.count(BS), "phase_shifters": kinds.count(PS), "squeezers": kinds.count(TMS)}
 
 
 def channels(elements, n_nominal: int) -> list[tuple[str, int | None]]:
@@ -305,9 +317,9 @@ def channels(elements, n_nominal: int) -> list[tuple[str, int | None]]:
     channel.  A mode with no coupling is a unit channel without an ancilla.
     """
     out: list[tuple[str, int | None]] = [("unit", None)] * n_nominal
-    for e in elements:
-        if not isinstance(e, PhaseShifter) and e.mode_b >= n_nominal:
-            out[e.mode_a] = ("gain" if isinstance(e, TwoModeSqueezer) else "loss", e.mode_b)
+    for kind, a, b, _ in elements:
+        if kind != PS and b >= n_nominal:
+            out[a] = ("gain" if kind == TMS else "loss", b)
     return out
 
 
@@ -423,21 +435,21 @@ def smatrix_reference(circuit) -> np.ndarray:
     """``S_total`` of ``circuit`` by one in-place update of the element's rows per element."""
     n = circuit.n_modes
     top = np.eye(n, 2 * n, dtype=complex)
-    for e in circuit.elements:
-        if isinstance(e, PhaseShifter):
-            top[e.mode] *= cmath.exp(1j * e.phi)
-        elif isinstance(e, BeamSplitter):
-            c, sn = math.cos(e.theta), math.sin(e.theta)
-            row_a, row_b = top[e.mode_a], top[e.mode_b]
+    for kind, a, b, angle in circuit.elements:
+        if kind == PS:
+            top[a] *= cmath.exp(1j * angle)
+        elif kind == BS:
+            c, sn = math.cos(angle), math.sin(angle)
+            row_a, row_b = top[a], top[b]
             new_a = c * row_a + sn * row_b
             row_b *= c
             row_b += -sn * row_a
             row_a[...] = new_a
         else:
-            rows = [e.mode_a, e.mode_b]
+            rows = [a, b]
             flipped = top[rows[::-1]].conj()
             partners = np.concatenate((flipped[:, n:], flipped[:, :n]), axis=1)
-            top[rows] = math.cosh(e.xi) * top[rows] + math.sinh(e.xi) * partners
+            top[rows] = math.cosh(angle) * top[rows] + math.sinh(angle) * partners
     return np.vstack((top, np.roll(top.conj(), n, axis=1)))
 
 
@@ -508,7 +520,7 @@ def emit_reference(n: int, lam, thetas, phis) -> list:
         pending[mode] = 0.0
         pis[mode] = 0
         if abs(phi) > PRUNE_EPS:
-            elements.append(PhaseShifter(mode=mode, phi=phi))
+            elements.append(ps(mode, phi))
 
     for a, b in reversed(steps):
         theta, phi = thetas[a][b - 1], phis[a][b - 1]
@@ -516,7 +528,7 @@ def emit_reference(n: int, lam, thetas, phis) -> list:
         if theta > PRUNE_EPS:
             flush(a)
             flush(b)
-            elements.append(BeamSplitter(mode_a=a, mode_b=b, theta=theta))
+            elements.append(bs(a, b, theta))
         pis[a] += 1
         pending[a] -= phi
     for mode in range(n):

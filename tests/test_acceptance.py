@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from qsynth.apps import cz_gate_target, naimark_extension, povm_probabilities, verify_cz
-from qsynth.blocks import BeamSplitter, PhaseShifter, TwoModeSqueezer
+from qsynth.blocks import BS
 from qsynth.closedform2x2 import analytic_params, analytic_synthesize
 from qsynth.mesh import reck_decompose
 from qsynth.numkit import TOL, max_abs, quasiunitarity_deviation
@@ -25,6 +25,7 @@ from oracles import (
     LOSSY_BS_T,
     LOSSY_BS_U,
     LOSSY_BS_W,
+    bs,
     circuit_kinds,
     count_bounds,
     element_counts,
@@ -33,8 +34,10 @@ from oracles import (
     loss_coupling_8x8,
     mesh_verify,
     probability_where,
+    ps,
     random_unitary,
     singular_element,
+    tms,
 )
 
 
@@ -177,7 +180,7 @@ def test_criterion_7_mesh_round_trip():
         u = random_unitary(rng, n)
         elements = reck_decompose(u)
         assert mesh_verify(elements, u) < 1e-11
-        n_bs = sum(1 for e in elements if isinstance(e, BeamSplitter))
+        n_bs = sum(kind == BS for kind, _, _, _ in elements)
         assert n_bs <= n * (n - 1) // 2
 
 
@@ -211,10 +214,10 @@ def test_criterion_9_product_closure():
             pick = rng.integers(0, 3)
             a, b = (int(x) for x in rng.permutation(n)[:2])
             if pick == 0:
-                e = PhaseShifter(mode=a, phi=float(rng.uniform(-np.pi, np.pi)))
+                e = ps(a, float(rng.uniform(-np.pi, np.pi)))
             elif pick == 1:
-                e = BeamSplitter(mode_a=a, mode_b=b, theta=float(rng.uniform(0, np.pi / 2)))
+                e = bs(a, b, float(rng.uniform(0, np.pi / 2)))
             else:
-                e = TwoModeSqueezer(mode_a=a, mode_b=b, xi=float(rng.uniform(0, 0.6)))
+                e = tms(a, b, float(rng.uniform(0, 0.6)))
             product = embed_element(e, n) @ product
         assert quasiunitarity_deviation(product) < 1e-10

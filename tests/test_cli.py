@@ -16,10 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsynth.apps import cz_gate_target, verify_cz
 from qsynth.blocks import circuit_from_json, circuit_smatrix
 from qsynth.cli import build_parser, main
 from qsynth.mesh import reck_decompose
 from qsynth.numkit import SynthesisError, matrix_from_json, matrix_to_json, max_abs
+from qsynth.sim import FockState, fock_evolve
 from qsynth.synth import synthesize
 
 from oracles import LOSSY_BS_T, random_unitary
@@ -976,6 +978,23 @@ def test_naimark_netlist_that_fails_verification_exits_3(tmp_path, capsys, monke
     assert err.startswith("error: synthesized network failed verification") and err.count("\n") == 1
 
 
+def test_cz_without_an_hv_amplitude_has_no_phase_reference(capsys, monkeypatch):
+    # HV's input-row amplitude moves to another postselected row, so every
+    # success probability is still 1/9 and only the phase reference is gone.
+    def moved(block, occupation, tol):
+        state = fock_evolve(block, occupation, tol)
+        if occupation[:4] != (1, 0, 0, 1):
+            return state
+        occupations = state.occupations.copy()
+        occupations[(occupations == occupation).all(axis=1)] = (0, 1, 1, 0) + occupation[4:]
+        return FockState(occupations, state.amplitudes)
+
+    monkeypatch.setattr("qsynth.apps.fock_evolve", moved)
+    with pytest.raises(SynthesisError, match=r"^HV amplitude vanished; no phase reference$"):
+        verify_cz(synthesize(cz_gate_target()))
+    assert _call(["cz"], capsys) == (3, "", "error: HV amplitude vanished; no phase reference\n")
+
+
 # --- a factor qsynth computed itself fails its check ------------------------------------
 #
 # Below float64 rounding, an SVD factor or a Naimark extension is not unitary
@@ -1049,6 +1068,8 @@ ERROR_DOCS = {
     "no_key": {"dim": 1},
     "wrong_dim": {"dim": 2, "vectors": [[[1, 0]]]},
     "padding": {"n_modes": 3, "n_nominal": 2, "ancilla_inputs": [2], "elements": []},
+    "out_of_range": {"n_modes": 2, "n_nominal": 2, "elements": [{"type": "ps", "mode": 1, "phi": 0.5},
+                                                                {"type": "bs", "modes": [0, 2], "theta": 0.25}]},
     "non_square_op": {"dim": 1, "operators": [[[[1, 0], [0, 0]]]]},
     "non_hermitian_op": {"dim": 2, "operators": [[[[0, 0], [1, 0]], [[0, 0], [0, 0]]]]},
     "negative_op": {"dim": 1, "operators": [[[[-1, 0]]]]},
@@ -1094,6 +1115,8 @@ ERROR_DOCS = {
         (["analytic2x2", "@nan_svd"], 4, "singular value inf exceeds the gain ceiling 2.592e+21"),
         (["naimark", "@negative_rank_one"], 4, "operator 0 is not positive semidefinite"),
         (["naimark", "@indefinite"], 4, "operator 0 is not positive semidefinite"),
+        (["simulate", "@out_of_range", "--input", "1"], 2,
+         "@out_of_range: element 1 (kind, mode_a, mode_b, angle) = (1, 0, 2, 0.25): mode outside 0..1"),
     ],
 )
 def test_error_line_and_exit_code(tmp_path, capsys, argv, code, line):

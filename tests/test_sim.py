@@ -224,7 +224,7 @@ def test_postselect_lossy_bs_nominal_survival():
 
 
 def test_postselect_zero_mass_raises():
-    state = FockState(n_modes=2, occupations=np.array([[1, 0]]), amplitudes=np.array([1.0 + 0j]))
+    state = FockState(occupations=np.array([[1, 0]]), amplitudes=np.array([1.0 + 0j]))
     with pytest.raises(ValueError):
         postselect(state, state.occupations.sum(axis=1) == 5)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsynth.blocks import BeamSplitter, TwoModeSqueezer
+from qsynth.blocks import BS, TMS
 from qsynth.closedform2x2 import analytic_synthesize
 from qsynth.mesh import reck_decompose
 from qsynth.numkit import TOL, max_abs, quasiunitarity_deviation, svd
@@ -29,6 +29,7 @@ from oracles import (
     LOSSY_BS_T,
     LOSSY_BS_U,
     LOSSY_BS_W,
+    bs,
     channels,
     circuit_kinds,
     count_bounds,
@@ -39,6 +40,7 @@ from oracles import (
     loss_coupling_8x8,
     random_unitary,
     singular_element,
+    tms,
 )
 
 
@@ -66,7 +68,7 @@ def test_classify_lossy_bs():
     assert len(d) == 1
     assert 2 + len(d) == 3
     assert channels(d, 2) == [("unit", None), ("loss", 2)]
-    assert d == [BeamSplitter(mode_a=1, mode_b=2, theta=math.pi / 2)]
+    assert d == [bs(1, 2, math.pi / 2)]
 
 
 def test_classify_cz_singulars():
@@ -233,15 +235,10 @@ def test_synthesize_mixed_loss_and_gain_diagonal():
     assert kinds == ["gain", "loss"]
     # Descending singulars put the gain channel on mode 0.
     assert circuit_kinds(r.circuit)[0] == "gain"
-    d_elements = [e for e in r.circuit.elements if isinstance(e, TwoModeSqueezer)]
-    # A squeezer checks its xi against the ceiling, so compare xi as a field.
-    assert [(e.mode_a, e.mode_b) for e in d_elements] == [(0, 2)]
-    assert d_elements[0].xi == pytest.approx(math.acosh(2.0))
-    loss_elements = [
-        e for e in r.circuit.elements
-        if isinstance(e, BeamSplitter) and e.mode_b >= r.circuit.n_nominal
-    ]
-    assert loss_elements == [BeamSplitter(mode_a=1, mode_b=3, theta=pytest.approx(math.acos(0.5)))]
+    d_elements = [e for e in r.circuit.elements if e[0] == TMS]
+    assert d_elements == [tms(0, 2, pytest.approx(math.acosh(2.0)))]
+    loss_elements = [e for e in r.circuit.elements if e[0] == BS and e[2] >= r.circuit.n_nominal]
+    assert loss_elements == [bs(1, 3, pytest.approx(math.acos(0.5)))]
     assert max_abs(r.s_total[:2, :2] - np.diag([0.5, 2.0])) < 1e-10
 
 
@@ -355,7 +352,7 @@ def test_synthesize_respects_element_bounds():
 
 def test_synthesize_1x1_channels():
     r = synthesize(np.array([[0.0]], dtype=complex))
-    assert [type(e) for e in r.circuit.elements] == [BeamSplitter]
+    assert r.circuit.elements.kind == (BS,)
     r = synthesize(np.array([[-2.0]], dtype=complex))
     assert circuit_kinds(r.circuit)[0] == "gain"
     assert max_abs(r.s_total[:1, :1] - [[-2.0]]) < 1e-12
