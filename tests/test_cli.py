@@ -745,6 +745,36 @@ def test_simulate_prints_pinned_bytes_on_a_seeded_mesh(tmp_path, capsys, predica
             assert payload[key][i] == {"occupation": occupation, "re": re_, "im": im, "prob": prob}
 
 
+def _seeded_active_netlist(tmp_path) -> str:
+    """A 4-mode triangular mesh, then loss beam splitters into ancilla 4 and squeezers with ancilla 5,
+    then output phases; angles seeded and rounded to six decimals."""
+    rng = np.random.default_rng(21)
+    elements = []
+    for c in range(3):
+        for b in range(c + 1, 4):
+            elements.append({"type": "ps", "mode": c, "phi": round(float(rng.uniform(-math.pi, math.pi)), 6)})
+            elements.append({"type": "bs", "modes": [c, b], "theta": round(float(rng.uniform(0.2, 1.3)), 6)})
+    elements += [{"type": "bs", "modes": [0, 4], "theta": round(float(rng.uniform(0.2, 1.3)), 6)},
+                 {"type": "tms", "modes": [1, 5], "xi": round(float(rng.uniform(0.1, 0.9)), 6)},
+                 {"type": "bs", "modes": [2, 4], "theta": round(float(rng.uniform(0.2, 1.3)), 6)},
+                 {"type": "tms", "modes": [3, 5], "xi": round(float(rng.uniform(0.1, 0.9)), 6)}]
+    elements += [{"type": "ps", "mode": j, "phi": round(float(rng.uniform(-math.pi, math.pi)), 6)} for j in range(4)]
+    path = tmp_path / "active6.json"
+    path.write_text(json.dumps({"n_modes": 6, "n_nominal": 4, "full_ancillas": [4, 5], "elements": elements}))
+    return str(path)
+
+
+def test_simulate_moments_prints_pinned_bytes_on_a_seeded_active_netlist(tmp_path, capsys):
+    # Four amplitudes padded with vacuum on the two ancillas; the list starts with a minus, so it
+    # is passed joined.  Any change to the order, the float formatting or the arithmetic shows here.
+    argv = ["simulate", _seeded_active_netlist(tmp_path), "--mode", "moments", "--input=-0.4+0.1i,0.3,-1.2j,0.75"]
+    assert _call(argv, capsys) == (0, (
+        '{"schema": "qsynth/1", "means": [[-0.03455014654077976, -0.22372652968225037], '
+        '[0.19761302280372042, 0.1805982870117129], [0.8959316659507561, -0.30120274019032234], '
+        '[-0.03676002733980491, -1.2986572471972913], [0.16099424058996353, -0.12124348175014493], '
+        '[0.5688623827323456, 0.39838075217620894]]}\n'), "")
+
+
 @pytest.mark.parametrize("spec", ["nan,1", "1e400,0", "1,-1e999", "1+nani", "0.5,nanj", "1,,1", "1,"])
 def test_moments_reject_non_finite_or_missing_amplitudes(tmp_path, capsys, spec):
     net = _beam_splitter_netlist(tmp_path)
