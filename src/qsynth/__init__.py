@@ -14,16 +14,7 @@ from .numkit import (
     svd,
 )
 from .apps import RankOnePovm, cz_gate_target, naimark_extension, povm_probabilities, verify_cz
-from .sim import (
-    FockState,
-    GaussianMoments,
-    NotPassiveError,
-    coherent_moments,
-    evolve_moments,
-    fock_evolve,
-    passive_block,
-    postselect,
-)
+from .sim import FockState, NotPassiveError, fock_evolve, passive_block, postselect
 from .synth import SynthesisError, SynthesisResult, couplings, pad_factors, synthesize, verification_report
 
 __version__ = "0.1.0"

@@ -40,7 +40,8 @@ PS, BS, TMS = 0, 1, 2  # the codes of the kind column
 def _check_row(kind, a, b, angle) -> None:
     """Raise ValueError unless the row ``(kind, mode_a, mode_b, angle)`` keeps the element rules: a kind
     code ``PS``, ``BS`` or ``TMS``; a phase shifter repeats its mode; a beam splitter's or squeezer's
-    modes differ; a squeezer's ``|xi| <= XI_MAX``."""
+    modes differ; a squeezer's ``|xi| <= XI_MAX``; every angle is finite (checked last, so a non-finite
+    xi reads as over the ceiling)."""
     if kind == PS:
         if a != b:
             raise ValueError("a phase shifter must repeat its mode in mode_b")
@@ -51,6 +52,8 @@ def _check_row(kind, a, b, angle) -> None:
             raise ValueError(f"squeezer xi {angle} exceeds the ceiling {XI_MAX}")
     else:
         raise ValueError(f"unknown kind code {kind!r}")
+    if not math.isfinite(angle):
+        raise ValueError(f"angle {angle} is not finite")
 
 
 class Elements(Sequence):

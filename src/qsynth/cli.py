@@ -28,7 +28,8 @@ import numpy as np
 
 from . import apps, closedform2x2, sim, synth
 from .blocks import SCHEMA, circuit_from_json, circuit_to_json, circuit_smatrix
-from .numkit import TOL, SynthesisError, check_tol, complex_from_json, json_int, matrix_from_json, matrix_to_json
+from .numkit import (TOL, SynthesisError, as_matrix, check_tol, complex_from_json, json_int, matrix_from_json,
+                     matrix_to_json)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -123,7 +124,8 @@ def cmd_synth(args) -> dict:
 
 
 def cmd_simulate(args) -> dict:
-    """Run a netlist: exact Fock statistics (passive only) or moment propagation; arguments are parsed first."""
+    """Run a netlist: exact Fock statistics (passive only) or the output means of a coherent input, the top
+    half of ``S_total`` times ``(alpha, alpha*)``; arguments are parsed first."""
     circuit = _load(args.netlist, circuit_from_json)
     n = circuit.n_modes
     if args.mode == "moments":
@@ -134,7 +136,7 @@ def cmd_simulate(args) -> dict:
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product fails in as_matrix, means in _write
         s_total = circuit_smatrix(circuit)
         if args.mode == "moments":
-            means = sim.evolve_moments(s_total, sim.coherent_moments(alpha)).mean[:n]
+            means = as_matrix(s_total[:n], "s_total") @ np.concatenate((alpha, alpha.conj()))
             return {None: {"means": [[float(z.real), float(z.imag)] for z in means]}}
 
     block = sim.passive_block(s_total, args.tol)

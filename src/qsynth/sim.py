@@ -1,8 +1,9 @@
-"""Desk-scale verification engines.
+"""Desk-scale verification engine: exact few-photon Fock evolution of passive
+blocks (photon-number conserving).
 
-Two independent checks of an assembled network: exact few-photon Fock
-evolution for passive blocks (photon-number conserving), and first/second
-moment propagation for arbitrary quasiunitary networks.  The Fock engine
+An active network is checked by its first moments only: ``qsynth simulate
+--mode moments`` prints the means the top half of ``S_total`` gives for a
+coherent input, and qsynth computes no second moments.  The Fock engine
 substitutes each input creation operator by the column-indexed sum
 ``a_in,k^dag -> sum_j A[j, k] a_out,j^dag``, which is the direction consistent
 with ``a_out = A a_in`` (the classic transpose trap: columns index inputs).
@@ -161,38 +162,4 @@ def postselect(state: FockState, keep) -> tuple[FockState, float]:
         raise ValueError("postselection accepted zero probability mass")
     scale = 1.0 / math.sqrt(success_prob)
     return FockState(state.occupations[keep], amplitudes * scale), success_prob
-
-
-@dataclass(frozen=True)
-class GaussianMoments:
-    """First and centered second moments of the operator vector (a_1..a_N, a_1^dag..a_N^dag).
-
-    ``second[i, j]`` holds ``<dA_i dA_j^dag>`` where the dagger acts on the
-    operator itself, so the matrix transforms as ``S second S^dag``.
-    """
-
-    mean: np.ndarray
-    second: np.ndarray
-
-
-def coherent_moments(alpha) -> GaussianMoments:
-    """Moments of a product coherent state with amplitudes ``alpha`` (vacuum noise)."""
-    alpha = np.asarray(alpha, dtype=complex).ravel()
-    n = len(alpha)
-    if n < 1:
-        raise ValueError("need at least one mode")
-    mean = np.concatenate([alpha, alpha.conj()])
-    second = np.diag(np.concatenate([np.ones(n), np.zeros(n)])).astype(complex)
-    return GaussianMoments(mean=mean, second=second)
-
-
-def evolve_moments(s_total, moments: GaussianMoments) -> GaussianMoments:
-    """Propagate: mean -> S mean, second -> S second S^dag."""
-    s = as_matrix(s_total, "s_total")
-    dim = s.shape[0]
-    if s.shape != (dim, dim) or moments.mean.shape != (dim,) or moments.second.shape != (dim, dim):
-        raise ValueError(
-            f"dimension mismatch: S is {s.shape}, mean {moments.mean.shape}, second {moments.second.shape}"
-        )
-    return GaussianMoments(mean=s @ moments.mean, second=s @ moments.second @ s.conj().T)
 

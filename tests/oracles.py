@@ -11,7 +11,8 @@ channel kind are read off element lists.  Elements are the package's
 ``(kind, mode_a, mode_b, angle)`` rows, built with :func:`ps`, :func:`bs` and
 :func:`tms`; only their kind codes come from the package, apart from the last
 three sections: measurements the tests
-take of the package's own output (Fock probabilities, moment physicality,
+take of the package's own output (Fock probabilities, the second moments
+of a coherent input propagated through ``S_total`` and their physicality,
 the mesh error, and the element ``synth.couplings`` makes of one singular
 value), the per-element row updates that ``blocks.circuit_smatrix``
 replaced (the mesh error is read off its ``N x N`` block), the step-by-step
@@ -31,7 +32,7 @@ import numpy as np
 from qsynth.blocks import BS, PS, TMS, Circuit
 from qsynth.mesh import PRUNE_EPS, NotUnitaryError, wrap_angle
 from qsynth.numkit import TOL, as_matrix, max_abs, unitarity_deviation
-from qsynth.sim import AMPLITUDE_PRUNE, GaussianMoments, coherent_moments
+from qsynth.sim import AMPLITUDE_PRUNE
 from qsynth.synth import couplings
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -387,12 +388,32 @@ def probability_where(state, predicate) -> float:
     return sum(abs(a) ** 2 for occ, a in amplitude_map(state).items() if predicate(occ))
 
 
-def vacuum_moments(n_modes: int) -> GaussianMoments:
+def coherent_moments(alpha) -> tuple[np.ndarray, np.ndarray]:
+    """The mean and centered second moments of a product coherent state with amplitudes ``alpha``.
+
+    Both are over the operator vector ``(a_1..a_N, a_1^dag..a_N^dag)``; ``second[i, j]`` holds
+    ``<dA_i dA_j^dag>`` where the dagger acts on the operator itself, so it transforms as
+    ``S second S^dag``.  Coherent states carry vacuum noise: 1 on the annihilation diagonal.
+    """
+    alpha = np.asarray(alpha, dtype=complex)
+    n = len(alpha)
+    return np.concatenate((alpha, alpha.conj())), np.diag(np.concatenate((np.ones(n), np.zeros(n)))).astype(complex)
+
+
+def vacuum_moments(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     return coherent_moments(np.zeros(n_modes, dtype=complex))
 
 
-def physicality_residual(moments: GaussianMoments) -> float:
-    """How far the stored second moments are from the bosonic-commutator structure.
+def propagate_moments(s_total, mean, second) -> tuple[np.ndarray, np.ndarray]:
+    """The reference propagation through a ``2N x 2N`` scattering matrix: mean -> S mean, second -> S second S^dag.
+
+    The package keeps only the means, and only their top half: ``S_total[:N] @ mean``.
+    """
+    return s_total @ mean, s_total @ second @ s_total.conj().T
+
+
+def physicality_residual(mean, sigma) -> float:
+    """How far the second moments ``sigma`` (with their ``mean``) are from the bosonic-commutator structure.
 
     For any physical state the matrix ``<dA_i dA_j^dag>`` is Hermitian, its
     upper-right ``<da da>`` block is symmetric, and its lower-right
@@ -401,8 +422,7 @@ def physicality_residual(moments: GaussianMoments) -> float:
     with conjugate-structured blocks preserves all three, so the residual is
     an invariant of the propagation.
     """
-    sigma = moments.second
-    n = len(moments.mean) // 2
+    n = len(mean) // 2
     p = sigma[:n, :n]
     q = sigma[:n, n:]
     s_blk = sigma[n:, n:]

@@ -178,6 +178,19 @@ def test_squeezer_xi_is_bounded_by_the_gain_ceiling():
     assert couplings((SIGMA_MAX,), TOL, 1) == [tms(0, 1, XI_MAX)]
 
 
+@pytest.mark.parametrize("row, shown", [
+    (bs(0, 1, math.nan), "(1, 0, 1, nan)"),
+    (bs(0, 1, -math.inf), "(1, 0, 1, -inf)"),
+    (ps(1, math.inf), "(0, 1, 1, inf)"),
+    (ps(1, math.nan), "(0, 1, 1, nan)"),
+], ids=["bs-nan", "bs-inf", "ps-inf", "ps-nan"])
+def test_hand_built_circuits_reject_non_finite_angles(row, shown):
+    # circuit_from_json refuses these rows in json_float; a hand-built circuit must refuse them too.
+    message = f"element 0 (kind, mode_a, mode_b, angle) = {shown}: angle {row[3]} is not finite"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Circuit(n_modes=2, n_nominal=2, elements=[row, bs(0, 1, 0.25)])
+
+
 def test_element_unitary_rejects_squeezer():
     with pytest.raises(ValueError):
         element_unitary(tms(0, 1, 0.5), 2)
