@@ -34,6 +34,7 @@ import numpy as np
 from .numkit import json_float, json_int
 
 XI_MAX = 50.0  # the largest |xi| of a squeezer; cosh(XI_MAX) ~ 2.6e21 is the gain ceiling
+MAX_MODES = 4096  # the largest n_modes: the 2N x 2N complex128 S_total of 4,096 modes takes 1 GiB
 PS, BS, TMS = 0, 1, 2  # the codes of the kind column
 
 
@@ -116,7 +117,8 @@ class Circuit:
     padding modes introduced to square up a non-square transformation (they
     live inside the nominal range), while ``full_ancillas`` are the
     vacuum-initialized modes present through the whole network, one per
-    singular value different from 1.
+    singular value different from 1.  ``n_modes`` above ``MAX_MODES`` is
+    refused before anything is built.
     """
 
     n_modes: int
@@ -127,6 +129,8 @@ class Circuit:
     full_ancillas: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if not self.n_modes <= MAX_MODES:
+            raise ValueError(f"n_modes {self.n_modes} exceeds the ceiling {MAX_MODES}")
         object.__setattr__(self, "elements", Elements.of(self.elements))
         if not (0 < self.n_nominal <= self.n_modes):
             raise ValueError(f"need 0 < n_nominal <= n_modes, got {self.n_nominal}, {self.n_modes}")

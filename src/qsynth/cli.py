@@ -133,6 +133,7 @@ def cmd_simulate(args) -> dict:
     else:
         occupation = tuple(_parse_list(args.input, n, _counts, "occupation", "lists"))
         predicate = _parse_predicate(args.predicate, n)
+        sim.check_fock_modes(n)  # before the product, which an over-wide netlist would only waste
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product fails in as_matrix, means in _write
         s_total = circuit_smatrix(circuit)
         if args.mode == "moments":

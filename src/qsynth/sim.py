@@ -71,6 +71,12 @@ def passive_block(s_total, tol: float = TOL) -> np.ndarray:
     return s[:n, :n].copy()
 
 
+def check_fock_modes(n: int) -> None:
+    """Raise ValueError if ``n`` modes are over the Fock engine's cap ``MAX_FOCK_MODES``."""
+    if n > MAX_FOCK_MODES:
+        raise ValueError(f"at most {MAX_FOCK_MODES} modes supported, got {n}")
+
+
 def fock_evolve(a, occupation, tol: float = TOL) -> FockState:
     """Evolve a Fock input through a passive n x n unitary.
 
@@ -80,13 +86,26 @@ def fock_evolve(a, occupation, tol: float = TOL) -> FockState:
     desk-scale checks and keeps the expansion exact.  Returns the outcomes whose
     amplitude exceeds ``AMPLITUDE_PRUNE`` in modulus.
     """
+    return _evolve(_checked_unitary(a, tol), occupation)
+
+
+def _checked_unitary(a, tol: float) -> np.ndarray:
+    """``a`` as a square matrix of at most ``MAX_FOCK_MODES`` modes that is unitary within ``tol``."""
     check_tol(tol)
     a = as_matrix(a, "a")
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError(f"a must be square, got {a.shape}")
-    if n > MAX_FOCK_MODES:
-        raise ValueError(f"at most {MAX_FOCK_MODES} modes supported, got {n}")
+    check_fock_modes(n)
+    deviation = unitarity_deviation(a)
+    if not deviation <= tol:
+        raise ValueError(f"a is not unitary: deviation {deviation:.3e} exceeds tol {tol:.3e}")
+    return a
+
+
+def _evolve(a: np.ndarray, occupation) -> FockState:
+    """:func:`fock_evolve` of a block that ``_checked_unitary`` has passed."""
+    n = a.shape[0]
     occupation = tuple(occupation)
     try:
         occupation = tuple(json_int(x, "photon count") for x in occupation)
@@ -98,9 +117,6 @@ def fock_evolve(a, occupation, tol: float = TOL) -> FockState:
         raise ValueError(f"occupation {occupation} holds a negative photon count")
     if sum(occupation) > MAX_PHOTONS:
         raise ValueError(f"at most {MAX_PHOTONS} photons supported, got {sum(occupation)}")
-    deviation = unitarity_deviation(a)
-    if not deviation <= tol:
-        raise ValueError(f"a is not unitary: deviation {deviation:.3e} exceeds tol {tol:.3e}")
 
     # Coefficients of the polynomial in output creation operators, one per
     # occupation of the current photon count, in ladder order.

@@ -171,6 +171,19 @@ def test_cz_verification_is_gauge_invariant():
     assert v.success_prob == pytest.approx(1.0 / 9.0, abs=1e-10)
 
 
+def test_cz_checks_the_unitarity_of_its_block_once(monkeypatch):
+    result = synthesize(cz_gate_target())
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return unitarity_deviation(a)
+
+    monkeypatch.setattr("qsynth.sim.unitarity_deviation", counted)
+    verify_cz(result)
+    assert calls == [(6, 6)]  # one check for the four inputs
+
+
 def test_cz_rejects_active_network():
     result = synthesize(2.0 * cz_gate_target())
     with pytest.raises(NotPassiveError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qsynth.blocks import (
+    MAX_MODES,
     XI_MAX,
     Circuit,
     circuit_from_json,
@@ -361,6 +362,13 @@ def test_circuit_validation():
         Circuit(n_modes=2, n_nominal=2, elements=(ps(2, 0.1),))
     with pytest.raises(ValueError):
         Circuit(n_modes=2, n_nominal=0)
+
+
+def test_circuit_refuses_modes_over_the_ceiling_first():
+    assert MAX_MODES == 4096 and Circuit(n_modes=MAX_MODES, n_nominal=1).n_modes == MAX_MODES
+    # Checked before the rows: this unknown kind code would otherwise be the error.
+    with pytest.raises(ValueError, match=r"^n_modes 4097 exceeds the ceiling 4096$"):
+        Circuit(n_modes=MAX_MODES + 1, n_nominal=1, elements=[(9, 0, 0, 0.0)])
 
 
 def test_netlist_json_round_trip():

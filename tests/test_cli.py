@@ -814,6 +814,19 @@ def test_photon_and_mode_caps_still_exit_4(tmp_path, capsys):
     assert code == 4 and "at most 8 modes" in err
 
 
+def test_fock_mode_cap_is_checked_before_the_product(tmp_path, capsys, monkeypatch):
+    # An active 9-mode netlist: after the product it would be refused as not passive instead.
+    wide = tmp_path / "wide.json"
+    squeezer = {"type": "tms", "modes": [0, 8], "xi": 0.5}
+    wide.write_text(json.dumps({"n_modes": 9, "n_nominal": 9, "elements": [squeezer]}))
+
+    def no_product(circuit):
+        raise AssertionError("circuit_smatrix called")
+
+    monkeypatch.setattr("qsynth.cli.circuit_smatrix", no_product)
+    assert _call(["simulate", str(wide), "--input", "1"], capsys) == (4, "", "error: at most 8 modes supported, got 9\n")
+
+
 # --- the installed entry point, run as a process ----------------------------------
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -1011,8 +1024,8 @@ def test_naimark_netlist_that_fails_verification_exits_3(tmp_path, capsys, monke
 def test_cz_without_an_hv_amplitude_has_no_phase_reference(capsys, monkeypatch):
     # HV's input-row amplitude moves to another postselected row, so every
     # success probability is still 1/9 and only the phase reference is gone.
-    def moved(block, occupation, tol):
-        state = fock_evolve(block, occupation, tol)
+    def moved(block, occupation):  # verify_cz checks its block once, then evolves it without tol
+        state = fock_evolve(block, occupation)
         if occupation[:4] != (1, 0, 0, 1):
             return state
         occupations = state.occupations.copy()
@@ -1109,7 +1122,17 @@ ERROR_DOCS = {
     "nan_svd": {"rows": 2, "cols": 2, "data": [[1.2e308, 0], [-1.79e308, 1e308], [0, 0], [-1e307, 1]]},
     "negative_rank_one": {"dim": 2, "operators": [[[[-1, 0], [0, 0]], [[0, 0], [0, 0]]]]},
     "indefinite": {"dim": 2, "operators": [[[[1, 0], [0, 0]], [[0, 0], [-0.5, 0]]]]},
+    # Over blocks.MAX_MODES: these overflowed, exhausted memory or asked numpy for 596 GiB before the ceiling.
+    "modes_1e30": {"n_modes": 10**30, "n_nominal": 1, "elements": []},
+    "modes_2e63": {"n_modes": 2**63, "n_nominal": 1, "elements": []},
+    "modes_1e5": {"n_modes": 100000, "n_nominal": 1, "elements": []},
 }
+
+OVER_THE_CEILING = [
+    (["simulate", f"@{name}", *mode, "--input=1"], 2, f"@{name}: n_modes {n} exceeds the ceiling 4096")
+    for name, n in (("modes_1e30", 10**30), ("modes_2e63", 2**63), ("modes_1e5", 100000))
+    for mode in ([], ["--mode", "moments"])
+]
 
 
 @pytest.mark.parametrize(
@@ -1147,6 +1170,7 @@ ERROR_DOCS = {
         (["naimark", "@indefinite"], 4, "operator 0 is not positive semidefinite"),
         (["simulate", "@out_of_range", "--input", "1"], 2,
          "@out_of_range: element 1 (kind, mode_a, mode_b, angle) = (1, 0, 2, 0.25): mode outside 0..1"),
+        *OVER_THE_CEILING,
     ],
 )
 def test_error_line_and_exit_code(tmp_path, capsys, argv, code, line):
