@@ -1,12 +1,16 @@
-"""Triangular decomposition of an n x n unitary into phase shifters and beam splitters.
+"""Triangular decomposition of an n x n unitary, or of its first k columns, into phase shifters and beam splitters.
 
 The nulling scheme of Reck et al. (PRL 73, 58, 1994) eliminates the lower
 triangle column by column with 2-mode rotations (pivot row = column index),
 each step pairing one beam splitter with one phase shifter; residual diagonal
-phases are emitted as plain phase shifters.  Every emitted beam splitter angle
-lies in [0, pi/2]; all complex structure is carried by the phases.  Elements
-come out in chronological order, so their matrix product runs
-last-to-first.
+phases are emitted as plain phase shifters.  An n x k isometry (k < n
+orthonormal columns, such as the part of an SVD factor that a non-square
+``T`` fixes) needs only its k columns nulled: the mesh that undoes those
+steps is an n-mode unitary whose first k columns are the input, and its
+other columns are whatever the steps leave there.  Every emitted beam
+splitter angle lies in [0, pi/2]; all complex structure is carried by the
+phases.  Elements come out in chronological order, so their matrix product
+runs last-to-first.
 
 Every step of column ``c`` follows in closed form from the column
 ``x = M[:, 0]`` of the trailing block ``M = work[c:, c:]``.  With
@@ -82,49 +86,58 @@ def _next_block(m: np.ndarray, x: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def reck_decompose(u, tol: float = TOL) -> Elements:
-    """Factor a unitary into beam splitters and phase shifters, chronological order.
+    """Factor a unitary, or an n x k isometry, into beam splitters and phase shifters, chronological order.
 
+    ``u`` is n x k with k <= n orthonormal columns; k = n is a unitary.  The
+    mesh acts on n modes and the first k columns of its matrix are ``u``; only
+    ``min(k, n - 1)`` columns are nulled, so an isometry costs at most
+    ``k (2n - k - 1) / 2`` beam splitters instead of ``n (n - 1) / 2``.
     Degenerate pivots (both entries of a rotation already ~0) yield identity
     parameters and are pruned, so the identity matrix maps to no elements.
 
     Raises:
-        NotUnitaryError: if ``u`` deviates from unitarity by more than ``tol``.
+        NotUnitaryError: if ``u^dag u`` deviates from the identity by more than ``tol``.
     """
     check_tol(tol)
-    deviation = unitarity_deviation(u)  # also rejects a non-square or non-finite u
+    deviation = unitarity_deviation(u)  # also rejects a wide or non-finite u
     if not deviation <= tol:
         raise NotUnitaryError(deviation, tol)
     m = np.asarray(u, dtype=complex)
-    n = m.shape[0]
-    if not n:
+    n, k = m.shape
+    if not k:
         return Elements()
 
     # Step (a=c, b) is L = BS(a,b,theta) @ PS(a,phi), a left multiplication
     # that nulls work[b, c] against the pivot work[c, c].  Row c of ``xs`` holds
-    # column c's ``x`` in entries c..n-1 (the 1x1 block left at the end is
-    # xs[-1, -1]) and row c of ``rhos`` its running norms, so step (c, b) has
-    # target xs[c, b] and pivot xs[c, b-1], and its angles are entry [c][b-1]
-    # of the (n, n-1) arrays below (entries with b <= c are unused).  Column
-    # c's pivot ends as e^{i angle(x_last)}, the residual phase of mode c.
+    # column c's ``x`` in entries c..n-1 (for a unitary, the 1x1 block left at
+    # the end is xs[-1, -1]) and row c of ``rhos`` its running norms, so step
+    # (c, b) has target xs[c, b] and pivot xs[c, b-1], and its angles are entry
+    # [c][b-1] of the (cols, n-1) arrays below (entries with b <= c are
+    # unused).  Column c's pivot ends as e^{i angle(x_last)}, the residual
+    # phase of mode c; rows of ``xs`` past the nulled columns stay 0, phase 0.
+    cols = min(k, n - 1)
     xs = np.zeros((n, n), dtype=complex)
     rhos = np.zeros((n, n))
-    for c in range(n - 1):
+    for c in range(cols):
         x = m[:, 0]
         rho = np.hypot.accumulate(np.abs(x))
         xs[c, c:] = x
         rhos[c, c:] = rho
-        m = _next_block(m, x, rho)
-    xs[-1, -1] = m[0, 0]
+        if c + 1 < k:  # an isometry's last nulled column leaves no block that is read
+            m = _next_block(m, x, rho)
+    if k == n:
+        xs[-1, -1] = m[0, 0]
     angles = np.angle(xs)
-    thetas = np.arctan2(np.abs(xs[:, 1:]), rhos[:, :-1])
-    phis = angles[:, 1:] - angles[:, :-1]
+    thetas = np.arctan2(np.abs(xs[:cols, 1:]), rhos[:cols, :-1])
+    phis = angles[:cols, 1:] - angles[:cols, :-1]
     return _emit(n, angles[:, -1].tolist(), thetas.tolist(), phis.tolist())
 
 
 def _emit(n: int, lam: list[float], thetas: list[list[float]], phis: list[list[float]]) -> Elements:
-    """Chronological elements of the steps (c, b), c < b, and the residual phases ``lam``.
+    """Chronological elements of the steps (c, b), c < b, and the residual phases ``lam`` of the n modes.
 
-    Step (c, b) has angles ``thetas[c][b-1]`` and ``phis[c][b-1]``.
+    Step (c, b) has angles ``thetas[c][b-1]`` and ``phis[c][b-1]``; columns c
+    past the rows of ``thetas`` have no steps.
     u = L_1^dag ... L_K^dag Lambda with L^dag = PS(a, pi - phi) BS(theta) PS(a, pi),
     so chronologically: Lambda phases, then steps in reverse.  Adjacent phases
     on the same mode are accumulated and flushed (wrapped to (-pi, pi], and
@@ -136,7 +149,7 @@ def _emit(n: int, lam: list[float], thetas: list[list[float]], phis: list[list[f
     pending = list(lam)  # Lambda phases and the -phi of each step, without the pi's
     odd = [False] * n  # an odd number of pi's is owed to the mode
     kind, mode_a, mode_b, angle = [], [], [], []
-    for a in range(n - 2, -1, -1):
+    for a in range(len(thetas) - 1, -1, -1):
         p_a, odd_a = pending[a], odd[a]
         for b, theta, phi in zip(range(n - 1, a, -1), reversed(thetas[a]), reversed(phis[a])):
             if theta <= PRUNE_EPS:  # no beam splitter: pi + (pi - phi) leaves the parity as it is

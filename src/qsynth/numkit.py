@@ -57,10 +57,10 @@ def quasiunitarity_deviation(s) -> float:
 
 
 def unitarity_deviation(u) -> float:
-    """Max entry magnitude of ``U^dag U - I``."""
+    """Max entry magnitude of ``U^dag U - I``; a tall ``u`` is measured as an isometry (orthonormal columns)."""
     u = as_matrix(u, "u")
-    if u.shape[0] != u.shape[1]:
-        raise ValueError(f"u must be square, got {u.shape}")
+    if u.shape[0] < u.shape[1]:
+        raise ValueError(f"u must be square or tall, got {u.shape}")
     gram = u.conj().T @ u
     gram.reshape(-1)[:: len(gram) + 1] -= 1.0  # the diagonal, as a view (faster than gram.flat)
     return max_abs(gram)

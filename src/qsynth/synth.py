@@ -1,11 +1,14 @@
 """End-to-end synthesis of a quasiunitary network from an arbitrary complex matrix.
 
-Pipeline: singular value decomposition, identity padding for non-square
-inputs, mesh decomposition of the two unitary factors, one beam splitter or
-two-mode squeezer per singular value different from 1 (each coupling a
-nominal mode to its own vacuum ancilla), and the scattering matrix of the
-whole circuit.  The result carries the circuit, the full scattering matrix
-with the input in its upper-left block, and the verification deviations.
+Pipeline: singular value decomposition, mesh decomposition of the two
+unitary factors, one beam splitter or two-mode squeezer per singular value
+different from 1 (each coupling a nominal mode to its own vacuum ancilla),
+and the scattering matrix of the whole circuit.  A non-square ``n x m``
+input fixes only ``min(n, m)`` columns of its larger factor, so that factor
+gets the mesh of an isometry (:func:`mesh.reck_decompose`) rather than of an
+identity-padded square.  The result carries the circuit, the full
+scattering matrix with the input in its upper-left block, and the
+verification deviations.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ def couplings(singulars, tol: float, n_nominal: int) -> Elements:
     Mode ``j`` is coupled iff ``|sigma_j - 1| > tol``; by Cauchy-Schwarz over a
     row of U and a column of W, leaving the other modes uncoupled moves each
     block entry by at most ``tol``.  ``singulars`` may be shorter than
-    ``n_nominal``; missing entries are the identity padding values, exactly 1.
+    ``n_nominal``; the modes past its end stay uncoupled, as for exactly 1.
     Ancillas are numbered in ascending mode order starting at ``n_nominal``.
     Loss ``sigma < 1`` is a beam splitter with ``theta = acos(sigma)`` and gain
     a two-mode squeezer with ``xi = acosh(sigma)``.
@@ -70,7 +73,7 @@ def couplings(singulars, tol: float, n_nominal: int) -> Elements:
 
 
 def pad_factors(factors: SvdFactors) -> tuple[np.ndarray, np.ndarray]:
-    """U (n x n) and W (m x m) padded to max(n, m) square with identity rows/cols."""
+    """U (n x n) and W (m x m) padded to max(n, m) square with identity rows/cols (for ``naimark_extension``)."""
     n, m = len(factors.u), len(factors.w)
     u = np.eye(max(n, m), dtype=complex)
     w = np.eye(max(n, m), dtype=complex)
@@ -82,21 +85,30 @@ def pad_factors(factors: SvdFactors) -> tuple[np.ndarray, np.ndarray]:
 def synthesize(t, tol: float = TOL) -> SynthesisResult:
     """Compile ``t`` into a circuit and its 2N x 2N scattering matrix.
 
-    The returned matrix has ``t`` as its upper-left block and is
+    A tall ``t`` (n >= m) meshes W and the isometry ``U[:, :m]``; a wide one
+    meshes U and ``W[:n].T``, then transposes that mesh (elements reversed,
+    ``BS(a, b, theta)^T = BS(b, a, theta)``) so that its first n rows are ``W[:n]``.
+    The rest of each larger factor meets only vacuum ancilla inputs or
+    discarded outputs.  The returned matrix has ``t`` as its upper-left block and is
     quasiunitary; both deviations are re-measured and a
     :class:`SynthesisError` is raised if either exceeds ``tol``.
     """
     t = as_matrix(t, "t")
     factors = svd(t)
-    d_elements = couplings(factors.singulars, tol, max(t.shape))
-    u_pad, w_pad = pad_factors(factors)
-    w_elements = factor_mesh("factor W", w_pad, tol)
-    u_elements = factor_mesh("factor U", u_pad, tol)
+    n, m = t.shape
+    d_elements = couplings(factors.singulars, tol, max(n, m))
+    if n >= m:
+        w_elements = factor_mesh("factor W", factors.w, tol)
+        u_elements = factor_mesh("factor U", factors.u[:, :m], tol)
+    else:
+        w_t = factor_mesh("factor W", factors.w[:n].T, tol)
+        w_elements = Elements(w_t.kind[::-1], w_t.mode_b[::-1], w_t.mode_a[::-1], w_t.angle[::-1])
+        u_elements = factor_mesh("factor U", factors.u, tol)
     return verified(t, factors.singulars, w_elements, d_elements, u_elements, tol)
 
 
 def factor_mesh(name: str, u: np.ndarray, tol: float) -> Elements:
-    """``mesh.reck_decompose(u, tol)`` of a unitary that qsynth computed itself, such as an SVD factor.
+    """``mesh.reck_decompose(u, tol)`` of a unitary or isometry that qsynth computed itself, such as an SVD factor.
 
     Its failing the unitarity check is a failure of the pipeline, not of the
     caller's input, so it raises :class:`SynthesisError` naming ``name``.

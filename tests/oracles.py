@@ -294,11 +294,16 @@ class CountBounds:
 
 
 def count_bounds(n: int, m: int) -> CountBounds:
-    """Element-count ceilings for an n x m input (D-stage elements counted in max_d)."""
+    """Element-count ceilings for an n x m input (D-stage elements counted in max_d).
+
+    With k = min(n, m) and N = max(n, m), the meshes are a k x k unitary
+    (k (k - 1) / 2 beam splitters) and an N x k isometry (k (2N - k - 1) / 2):
+    k (N - 1) in all, which is n (n - 1) / 2 + m (m - 1) / 2 for a square input.
+    """
     if n < 1 or m < 1:
         raise ValueError(f"dimensions must be >= 1, got {n}x{m}")
     return CountBounds(
-        max_bs=n * (n - 1) // 2 + m * (m - 1) // 2,
+        max_bs=min(n, m) * (max(n, m) - 1),
         max_ps=n * (n + 1) // 2 + m * (m + 1) // 2,
         max_d=min(n, m),
     )

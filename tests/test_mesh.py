@@ -140,17 +140,25 @@ def test_reconstruct_respects_chronological_order():
 # --- parity with the step-by-step reference loop ----------------------------
 
 
-def assert_matches_reference(u, noise: float = 0.0):
+def assert_matches_reference(u, noise: float = 0.0, k: int | None = None):
     """Same element kinds, modes and count as ``oracles.reck_reference``; angles within 1e-13.
 
     With ``noise`` > 0, phase shifters with ``|phi| <= noise`` are dropped from
     both lists first (rounding noise can put such a phase on either side of
     the pruning threshold), and the other phases agree within ``noise``.
+    With ``k``, the mesh of the isometry ``u[:, :k]`` is held to the
+    reference's steps of the first k columns and no residual phase on the
+    other modes.
     """
-    elements = reck_decompose(u)
-    assert mesh_verify(elements, u) <= 1e-13
+    n = len(u)
+    k = n if k is None else k
+    elements = reck_decompose(u[:, :k])
+    assert max_abs(passive_product(elements, n)[:, :k] - u[:, :k]) <= 1e-13
+    _, lam, thetas, phis = reck_angles(u)
+    zero = [[0.0] * (n - 1)] * (n - k)
+    reference = emit_reference(n, lam[:k] + [0.0] * (n - k), thetas[:k] + zero, phis[:k] + zero)
     got = [e for e in elements if not (e[0] == PS and abs(e[3]) <= noise)]
-    want = [e for e in reck_reference(u) if not (e[0] == PS and abs(e[3]) <= noise)]
+    want = [e for e in reference if not (e[0] == PS and abs(e[3]) <= noise)]
     assert [e[:3] for e in got] == [e[:3] for e in want]
     for (kind, _, _, g), (_, _, _, w) in zip(got, want):
         if kind == BS:
@@ -235,6 +243,24 @@ def test_parity_cz_factors_with_negative_zero():
             assert_matches_reference(factor)
 
 
+def test_parity_isometries():
+    # The first k columns of Haar unitaries, of structured ones with exact
+    # zeros, and the tall factors that synthesize meshes: U[:, :m] of a tall
+    # input and W[:n].T (the first n columns of W.T) of a wide one.
+    rng = np.random.default_rng(91)
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            assert_matches_reference(random_unitary(rng, n), k=k)
+            assert_matches_reference(np.eye(n, dtype=complex)[rng.permutation(n)], k=k)
+    for n in range(1, 9):
+        for m in range(1, 9):
+            f = svd(rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m)))
+            if n >= m:
+                assert_matches_reference(f.u, k=m)
+            else:
+                assert_matches_reference(f.w.T, k=n)
+
+
 def test_emission_matches_reference_exactly():
     # The emission half alone, on the same angles: the two must agree to the
     # bit, also with steps of theta = 0 (no beam splitter) at random places
@@ -254,6 +280,19 @@ def test_emission_matches_reference_exactly():
             cases.append((quarter(n), [[0.0 if rng.random() < 0.5 else math.pi / 2 for _ in row] for row in thetas], phis))
             for args in cases:
                 assert _emit(n, *args) == emit_reference(n, *args)
+
+
+def test_isometry_emission_reads_only_the_nulled_rows():
+    # An isometry's steps past its k nulled columns are zero-angle steps and
+    # its other modes carry no residual phase; passing only the k rows gives
+    # the reference's elements of all n rows to the bit.
+    rng = np.random.default_rng(90)
+    for n in range(1, 13):
+        _, lam, thetas, phis = reck_angles(random_unitary(rng, n))
+        for k in range(n):
+            lam_k = lam[:k] + [0.0] * (n - k)
+            zero = [[0.0] * (n - 1)] * (n - k)
+            assert _emit(n, lam_k, thetas[:k], phis[:k]) == emit_reference(n, lam_k, thetas[:k] + zero, phis[:k] + zero)
 
 
 def _tiny_phases(elements):
@@ -303,13 +342,13 @@ def test_empty_matrix_gives_empty_list():
 
 
 @st.composite
-def structured_unitaries(draw):
+def structured_unitaries(draw, max_n: int = 12):
     """P (U_a + U_b) D: a permuted direct sum of two Haar blocks times diagonal phases.
 
     Every zero entry is set to an exact +0.0 or -0.0 in each part, and the
     phases include 0, pi/2 and pi, whose exponentials carry rounding noise.
     """
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(1, max_n))
     k = draw(st.integers(0, n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     u = np.zeros((n, n), dtype=complex)
@@ -337,3 +376,37 @@ def test_structured_unitaries_round_trip(u):
     bounds = count_bounds(n, n)  # two meshes of n modes
     assert 2 * bs_count(elements) <= bounds.max_bs
     assert 2 * ps_count(elements) <= bounds.max_ps
+
+
+@st.composite
+def isometries(draw):
+    """The first k columns of a structured n x n unitary, 1 <= k <= n <= 8."""
+    u = draw(structured_unitaries(max_n=8))
+    return u[:, : draw(st.integers(1, len(u)))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(isometries())
+def test_isometry_round_trip_and_bounds(v):
+    n, k = v.shape
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        elements = reck_decompose(v)
+    assert max_abs(passive_product(elements, n)[:, :k] - v) <= 1e-12
+    assert bs_count(elements) <= k * (2 * n - k - 1) // 2
+    assert all(0 <= a < n and 0 <= b < n for _, a, b, _ in elements)
+    assert all(0.0 <= angle <= math.pi / 2 for kind, _, _, angle in elements if kind == BS)
+
+
+def test_isometry_check_refuses_tall_non_isometries_and_wide_inputs():
+    rng = np.random.default_rng(92)
+    for n in range(2, 9):
+        for k in range(1, n):
+            v = random_unitary(rng, n)[:, :k]
+            with pytest.raises(NotUnitaryError) as info:
+                reck_decompose(1.5 * v)
+            assert info.value.deviation == pytest.approx(1.25, abs=1e-12)
+            assert info.value.tol == 1e-10
+            with pytest.raises(ValueError, match=rf"u must be square or tall, got \({k}, {n}\)") as info:
+                reck_decompose(v.T)
+            assert not isinstance(info.value, NotUnitaryError)

@@ -112,7 +112,7 @@ def test_quasiunitarity_rejects_odd_dimension():
 
 
 def test_unitarity_deviation_rejects_non_square():
-    with pytest.raises(ValueError, match=r"u must be square, got \(2, 3\)"):
+    with pytest.raises(ValueError, match=r"u must be square or tall, got \(2, 3\)"):
         unitarity_deviation(np.ones((2, 3)))
 
 

@@ -1,5 +1,6 @@
 import inspect
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qsynth.numkit import TOL, max_abs, quasiunitarity_deviation, svd
 from qsynth.synth import (
     SIGMA_MAX,
     couplings,
+    factor_mesh,
     pad_factors,
     synthesize,
     verification_report,
@@ -51,7 +53,7 @@ def lift_singular(j, m_aj, sigma, n_modes):
 
 @pytest.mark.parametrize(
     "n, m, expected",
-    [(2, 2, (2, 6, 2)), (4, 4, (12, 20, 4)), (2, 3, (4, 9, 2))],
+    [(2, 2, (2, 6, 2)), (4, 4, (12, 20, 4)), (2, 3, (4, 9, 2)), (8, 1, (7, 37, 1))],
 )
 def test_count_bounds(n, m, expected):
     b = count_bounds(n, m)
@@ -375,3 +377,46 @@ def test_verification_report_nonsquare_lists_true_singular_count():
     t = 0.7 * random_unitary(rng, 3)[:2, :]
     report = verification_report(synthesize(t))
     assert len(report["singular_values"]) == 2
+
+
+@st.composite
+def shaped_targets(draw):
+    """An n x m target, 1 <= n, m <= 8: Haar factors around a loss, gain, passive or mixed spectrum."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = min(n, m)
+    sigmas = {
+        "loss": rng.uniform(0.0, 1.0, k),
+        "gain": rng.uniform(1.0, 4.0, k),
+        "passive": np.ones(k),
+        "mixed": rng.uniform(0.0, 3.0, k),
+    }[draw(st.sampled_from(("loss", "gain", "passive", "mixed")))]
+    return random_unitary(rng, n)[:, :k] @ np.diag(sigmas) @ random_unitary(rng, m)[:k]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(shaped_targets())
+def test_round_trip_meshes_each_factor_on_its_own_modes(t):
+    n, m = t.shape
+    sizes = {}
+
+    def spy(name, u, tol):
+        elements = factor_mesh(name, u, tol)
+        sizes[name] = len(elements)
+        return elements
+
+    with mock.patch("qsynth.synth.factor_mesh", spy):
+        r = synthesize(t)
+    assert max_abs(r.s_total[:n, :m] - t) <= TOL
+    elements = r.circuit.elements
+    w_stage, u_stage = elements[: sizes["factor W"]], elements[len(elements) - sizes["factor U"] :]
+    d_stage = elements[len(w_stage) : len(elements) - len(u_stage)]
+    assert all(kind != TMS and a < m and b < m for kind, a, b, _ in w_stage)
+    assert all(kind != TMS and a < n and b < n for kind, a, b, _ in u_stage)
+    assert all(a < min(n, m) <= max(n, m) <= b for _, a, b, _ in d_stage)
+    assert all(0.0 <= angle <= math.pi / 2 for kind, _, _, angle in elements if kind == BS)
+    # A wide input's W stage is a transposed mesh: each beam splitter's first mode is the larger one.
+    assert all((a > b) == (n < m) for kind, a, b, _ in w_stage if kind == BS)
+    assert all(a < b for kind, a, b, _ in u_stage if kind == BS)
+    assert element_counts(w_stage)["beam_splitters"] + element_counts(u_stage)["beam_splitters"] \
+        <= count_bounds(n, m).max_bs

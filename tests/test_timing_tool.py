@@ -20,8 +20,10 @@ def expected_keys(timing) -> dict:
     """Each job's row keys and the size field its rows carry."""
     names = [name for name, _, _ in timing.fock_cases()]
     stages = ("fock_evolve", "postselect", "tables", "write", "command")
+    functions = ("reck_decompose", "synthesize", "synthesize_tall", "synthesize_wide", "circuit_smatrix",
+                 "circuit_from_json")
     return {
-        "mesh": ("elements", {f"mesh/n={n}/{f}" for f in timing.FUNCTIONS for n in timing.SIZES}),
+        "mesh": ("elements", {f"mesh/n={n}/{f}" for f in functions for n in timing.SIZES}),
         "fock-warm": ("outcomes", {f"fock-warm/{name}/fock_evolve" for name in names}),
         "fock-cold": ("outcomes", {f"fock-cold/{name}/fock_evolve" for name in names}),
         "command": ("outcomes", {f"command/{name}/{stage}" for name in names if name != "caps" for stage in stages}

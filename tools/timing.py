@@ -4,12 +4,14 @@
 
 Every run times every suite; a row is one ``(suite, case, stage)``:
 
-- ``mesh``: ``reck_decompose``, ``synthesize``, ``circuit_smatrix`` and
-  ``circuit_from_json`` at n in ``SIZES``.  ``reck_decompose`` gets a seeded
-  Haar n x n unitary.  ``synthesize`` gets a seeded complex Gaussian n x n
-  matrix scaled by ``1 / sqrt(2 n)``, whose singular values lie on both sides
-  of 1, so the circuit has loss and gain couplings and ``N = 2 n`` modes
-  (barring a singular value within ``tol`` of 1).  ``circuit_smatrix`` gets
+- ``mesh``: ``reck_decompose``, ``synthesize`` (square, tall and wide),
+  ``circuit_smatrix`` and ``circuit_from_json`` at n in ``SIZES``.
+  ``reck_decompose`` gets a seeded Haar n x n unitary.  ``synthesize`` gets a
+  seeded complex Gaussian n x n matrix scaled by ``1 / sqrt(2 n)``, whose
+  singular values lie on both sides of 1, so the circuit has loss and gain
+  couplings and ``N = 2 n`` modes (barring a singular value within ``tol`` of
+  1); ``synthesize_tall`` gets its first ``max(1, n // 2)`` columns and
+  ``synthesize_wide`` its first ``max(1, n // 2)`` rows.  ``circuit_smatrix`` gets
   the circuit that ``synthesize`` makes of that input, and ``circuit_from_json``
   the netlist JSON of that circuit, as ``json.load`` reads it.  Each case gets
   the best of ``--repeats`` timed calls for ``reck_decompose``, and of
@@ -39,10 +41,11 @@ to one thread as in ``perfbench/run.py``; a round runs one interpreter for
 ``fock-cold`` case, each on both sides in a row, and which side goes first
 alternates by round.
 
-Each row holds its size (``elements`` of the netlist, or ``outcomes`` of the
-Fock states the stage evolves), each side's median and minimum over
-``--rounds`` rounds, the ratio of the medians (parent / change) and the
-median of the per-round ratios, whose two runs are adjacent in time.
+Each row holds, per side, its size (``elements`` of the netlist, or
+``outcomes`` of the Fock states the stage evolves; the same in every round)
+and its median and minimum over ``--rounds`` rounds, then the ratio of the
+medians (parent / change) and the median of the per-round ratios, whose two
+runs are adjacent in time.
 """
 
 from __future__ import annotations
@@ -67,7 +70,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import refs  # noqa: E402  (perfbench/refs.py; it does not import qsynth)
 
 SIZES = (2, 4, 8, 16, 32, 64, 128)
-FUNCTIONS = ("reck_decompose", "synthesize", "circuit_smatrix", "circuit_from_json")
+FUNCTIONS = ("reck_decompose", "synthesize", "synthesize_tall", "synthesize_wide", "circuit_smatrix",
+             "circuit_from_json")
 CAPS = (8, (1, 1, 1, 1, 1, 1, 0, 0))
 CZ_PAIRS = {"HH": (0, 2), "HV": (0, 3), "VH": (1, 2), "VV": (1, 3)}
 PREDICATE = '{"0": [0, 1], "1": [0, 1]}'
@@ -95,14 +99,15 @@ def mesh_job(repeats: int, case: int) -> dict:
         t = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(2 * n)
         circuit = synthesize(t).circuit
         netlist = json.loads(json.dumps(circuit_to_json(circuit)))
-        inputs[n] = (refs.haar_unitary(np.random.default_rng(n), n), t, circuit, netlist)
+        half = max(1, n // 2)
+        inputs[n] = (refs.haar_unitary(np.random.default_rng(n), n), t, t[:, :half], t[:half], circuit, netlist)
     out = {}
-    calls = (reck_decompose, synthesize, circuit_smatrix, circuit_from_json)
+    calls = (reck_decompose, synthesize, synthesize, synthesize, circuit_smatrix, circuit_from_json)
     for i, (function, call) in enumerate(zip(FUNCTIONS, calls)):
         for n in SIZES:
             seconds, result = best_of(repeats if i == 0 else max(3, repeats // 4), call, inputs[n][i])
-            # the mesh's own elements, else those of the one circuit the other three share
-            size = len(result) if i == 0 else len(inputs[n][2].elements)
+            # the mesh's or the synthesized circuit's own elements, else those of the square input's circuit
+            size = len(result) if i == 0 else len(result.circuit.elements) if i < 4 else len(inputs[n][4].elements)
             out[f"mesh/n={n}/{function}"] = {"seconds": seconds, "elements": size}
     return out
 
@@ -243,13 +248,13 @@ def main() -> None:
     rows = []
     for key, first in samples["parent"][0].items():
         size_name = next(name for name in first if name != "seconds")
-        sizes = {s[key][size_name] for side in sides for s in samples[side]}
-        if len(sizes) != 1:
-            raise SystemExit(f"{key}: the sides give different {size_name} counts {sorted(sizes)}")
-        row = dict(zip(("suite", "case", "stage"), key.split("/")), **{size_name: sizes.pop()})
-        for side in sides:
+        row = dict(zip(("suite", "case", "stage"), key.split("/")))
+        for side in sides:  # a side's work is the same every round; the sides may differ, as a change can
+            sizes = {s[key][size_name] for s in samples[side]}
+            if len(sizes) != 1:
+                raise SystemExit(f"{key}: the {side} side gives different {size_name} counts {sorted(sizes)}")
             seconds = [s[key]["seconds"] for s in samples[side]]
-            row[side] = {"median_s": statistics.median(seconds), "min_s": min(seconds)}
+            row[side] = {size_name: sizes.pop(), "median_s": statistics.median(seconds), "min_s": min(seconds)}
         row["speedup_median"] = row["parent"]["median_s"] / row["change"]["median_s"]
         row["speedup_paired_median"] = statistics.median(
             p[key]["seconds"] / c[key]["seconds"] for p, c in zip(samples["parent"], samples["change"]))
