@@ -4,10 +4,10 @@ controlled-Z gate verified photon by photon.
 A rank-one POVM with m outcomes on an n-dimensional space is carried as the
 n x m matrix whose columns are the (unnormalized) measurement vectors; its
 rows are orthonormal (``T T^dag = I``), so every singular value is 1 and the
-synthesis needs no full ancillas.  The padded product of the unitary factors
-is then an m x m unitary whose first n rows equal the POVM matrix: detecting
-outcome i after running the photon through the adjoint network reproduces the
-POVM statistics exactly.
+synthesis needs no full ancillas.  The right factor W of the SVD, with its
+first n rows turned into ``U W[:n]``, is then an m x m unitary whose first n
+rows equal the POVM matrix: detecting outcome i after running the photon
+through the adjoint network reproduces the POVM statistics exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .sim import _checked_unitary, passive_block, postselect
 # verify_cz checks its block once, then evolves it with sim.fock_evolve's core; under this name
 # perfbench/tracer.py still counts those calls as sim.fock_evolve
 from .sim import _evolve as fock_evolve
-from .synth import SynthesisResult, pad_factors
+from .synth import SynthesisResult
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,9 @@ def naimark_extension(povm: RankOnePovm, tol: float = TOL) -> np.ndarray:
     """m x m unitary whose first n rows are the POVM matrix.
 
     Requires ``T T^dag = I`` within ``tol`` (rejected otherwise, with the
-    measured deviation); that makes every singular value 1, the diagonal
-    factor pads to the identity, and the padded product of the unitary
-    factors is the extension.  The last ``m - n`` modes are ancilla outputs.
+    measured deviation); that makes every singular value 1, so the SVD gives
+    ``T = U W[:n]``.  The extension is W with its first n rows replaced by
+    ``U W[:n]``; rows ``n..m-1`` are W's own, and their modes are ancilla outputs.
     """
     check_tol(tol)
     deviation = povm.completeness_deviation()
@@ -92,8 +92,9 @@ def naimark_extension(povm: RankOnePovm, tol: float = TOL) -> np.ndarray:
     worst = max(abs(s - 1.0) for s in factors.singulars)
     if not worst <= tol:
         raise ValueError(f"singular values deviate from 1 by {worst:.3e}; input is not a rank-one POVM matrix")
-    u_pad, w_pad = pad_factors(factors)
-    return u_pad @ w_pad
+    extension = factors.w.copy()
+    extension[:n] = factors.u @ factors.w[:n]
+    return extension
 
 
 def povm_probabilities(extension, psi) -> np.ndarray:

@@ -7,8 +7,8 @@ mode_b, angle)``: a kind code ``PS``, ``BS`` or ``TMS``, its modes (a phase
 shifter repeats its mode in ``mode_b``) and its phi, theta or xi.  A circuit
 stores its elements as parallel columns (:class:`Elements`), applied
 first-to-last; the corresponding matrix product therefore runs last-to-first.
-The element rules live in one row check, which the JSON decoder and
-:func:`check_modes` share.
+The element rules live in one row check, which :func:`check_modes` runs for
+every :class:`Circuit`, a decoded netlist included.
 
 The 2N x 2N scattering matrix of a circuit acts on the operator vector
 ``(a_1 .. a_N, a_1^dag .. a_N^dag)``: mode ``p`` couples to row/column ``p``
@@ -232,7 +232,7 @@ def element_to_json(e) -> dict:
 
 def element_from_json(obj) -> tuple:
     """Decode one element to its ``(kind, mode_a, mode_b, angle)`` row; modes must be JSON integers
-    and angles finite JSON numbers, and the row must keep the element rules."""
+    and angles finite JSON numbers.  The element rules are the :class:`Circuit`'s to check."""
     try:
         kind = obj["type"]
         if kind == "ps":
@@ -240,9 +240,7 @@ def element_from_json(obj) -> tuple:
             return PS, mode, mode, json_float(obj["phi"])
         if kind in ("bs", "tms"):
             a, b = (json_int(x, "modes") for x in obj["modes"])
-            row = (BS, a, b, json_float(obj["theta"])) if kind == "bs" else (TMS, a, b, json_float(obj["xi"]))
-            _check_row(*row)
-            return row
+            return (BS, a, b, json_float(obj["theta"])) if kind == "bs" else (TMS, a, b, json_float(obj["xi"]))
     except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed element JSON {obj!r}: {exc}") from exc
     raise ValueError(f"unknown element type {kind!r}")

@@ -180,6 +180,9 @@ def _counts(items: list[str]) -> list[int]:
 
 
 def _amplitudes(items: list[str]) -> list[complex]:
+    """Finite complex amplitudes, ``i`` or ``j`` imaginary, without ``_`` (``complex`` would read ``1_0`` as 10)."""
+    if any("_" in x for x in items):
+        raise ValueError("amplitudes must not contain '_'")
     values = [complex(x.replace("i", "j")) for x in items]
     if not all(map(cmath.isfinite, values)):
         raise ValueError("amplitudes must be finite")
@@ -230,7 +233,7 @@ def cmd_naimark(args) -> dict:
     extension = apps.naimark_extension(povm, args.tol)
     # One passive mesh whose first dim rows hold the POVM; outputs dim..m-1 are ancillas.
     elements = synth.factor_mesh("Naimark extension", extension, args.tol)
-    result = synth.verified(povm.matrix, (1.0,) * povm.dim, (), (), elements, args.tol)
+    result = synth.verified(povm.matrix, (1.0,) * povm.dim, (), elements, args.tol)
     return {args.out: {"extension": matrix_to_json(extension), "netlist": circuit_to_json(result.circuit)}}
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .blocks import BS, PS, SCHEMA, Elements
 from .mesh import PRUNE_EPS, wrap_angle
 from .numkit import TOL, as_matrix
-from .synth import SynthesisResult, couplings, verified
+from .synth import SynthesisResult, verified
 
 @dataclass(frozen=True)
 class Params2x2:
@@ -138,17 +138,16 @@ def analytic_synthesize(t, tol: float = TOL) -> tuple[Params2x2, SynthesisResult
     """Closed-form pipeline: parameters plus the verified circuit for ``t``.
 
     The circuit uses only phase shifters, the two beam splitter rotations of
-    the chain, and one loss/gain coupling per singular value different from 1
-    (mode 0 pairs with the first ancilla, mode 1 with the next free one).  At
-    most two ancillas appear, so the scattering matrix is at most 8x8.
+    the chain, and the D stage that :func:`qsynth.synth.verified` derives from
+    ``(sigma1, sigma2)``: one loss/gain coupling per singular value different
+    from 1 (mode 0 pairs with the first ancilla, mode 1 with the next free one).
+    At most two ancillas appear, so the scattering matrix is at most 8x8.
     """
     t = as_matrix(t, "t")
     p = analytic_params(t)
-    singulars = (p.sigma1, p.sigma2)
-    d_elements = couplings(singulars, tol, 2)
     w_elements = _stage((PS, 0, -p.xi1), (BS, 0, p.theta2))
     u_elements = _stage((PS, 1, p.beta2), (PS, 0, p.beta1), (BS, 0, p.gamma), (PS, 1, p.alpha2), (PS, 0, p.alpha1))
-    return p, verified(t, singulars, w_elements, d_elements, u_elements, tol)
+    return p, verified(t, (p.sigma1, p.sigma2), w_elements, u_elements, tol)
 
 
 def params_to_json(p: Params2x2) -> dict:

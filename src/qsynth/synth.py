@@ -20,16 +20,7 @@ import numpy as np
 
 from . import mesh
 from .blocks import BS, PS, SCHEMA, TMS, XI_MAX, Circuit, Elements, circuit_smatrix
-from .numkit import (
-    TOL,
-    SvdFactors,
-    SynthesisError,
-    as_matrix,
-    check_tol,
-    max_abs,
-    quasiunitarity_deviation,
-    svd,
-)
+from .numkit import TOL, SynthesisError, as_matrix, check_tol, max_abs, quasiunitarity_deviation, svd
 
 # The gain of a squeezer at the ceiling; acosh(SIGMA_MAX) == XI_MAX exactly.
 SIGMA_MAX = math.cosh(XI_MAX)
@@ -47,7 +38,7 @@ class SynthesisResult:
 
 
 def couplings(singulars, tol: float, n_nominal: int) -> Elements:
-    """The D stage: one loss or gain coupling per singular value more than ``tol`` from 1.
+    """The D stage, built by :func:`verified`: one loss or gain coupling per singular value more than ``tol`` from 1.
 
     Mode ``j`` is coupled iff ``|sigma_j - 1| > tol``; by Cauchy-Schwarz over a
     row of U and a column of W, leaving the other modes uncoupled moves each
@@ -72,16 +63,6 @@ def couplings(singulars, tol: float, n_nominal: int) -> Elements:
                     [math.acos(sigma) if sigma < 1.0 else math.acosh(sigma) for _, sigma in coupled])
 
 
-def pad_factors(factors: SvdFactors) -> tuple[np.ndarray, np.ndarray]:
-    """U (n x n) and W (m x m) padded to max(n, m) square with identity rows/cols (for ``naimark_extension``)."""
-    n, m = len(factors.u), len(factors.w)
-    u = np.eye(max(n, m), dtype=complex)
-    w = np.eye(max(n, m), dtype=complex)
-    u[:n, :n] = factors.u
-    w[:m, :m] = factors.w
-    return u, w
-
-
 def synthesize(t, tol: float = TOL) -> SynthesisResult:
     """Compile ``t`` into a circuit and its 2N x 2N scattering matrix.
 
@@ -89,14 +70,14 @@ def synthesize(t, tol: float = TOL) -> SynthesisResult:
     meshes U and ``W[:n].T``, then transposes that mesh (elements reversed,
     ``BS(a, b, theta)^T = BS(b, a, theta)``) so that its first n rows are ``W[:n]``.
     The rest of each larger factor meets only vacuum ancilla inputs or
-    discarded outputs.  The returned matrix has ``t`` as its upper-left block and is
-    quasiunitary; both deviations are re-measured and a
-    :class:`SynthesisError` is raised if either exceeds ``tol``.
+    discarded outputs.  :func:`verified` adds the D stage from the singular values
+    and checks the product: the returned matrix has ``t`` as its upper-left block
+    and is quasiunitary, and a :class:`SynthesisError` is raised if either
+    deviation exceeds ``tol``.
     """
     t = as_matrix(t, "t")
     factors = svd(t)
     n, m = t.shape
-    d_elements = couplings(factors.singulars, tol, max(n, m))
     if n >= m:
         w_elements = factor_mesh("factor W", factors.w, tol)
         u_elements = factor_mesh("factor U", factors.u[:, :m], tol)
@@ -104,7 +85,7 @@ def synthesize(t, tol: float = TOL) -> SynthesisResult:
         w_t = factor_mesh("factor W", factors.w[:n].T, tol)
         w_elements = Elements(w_t.kind[::-1], w_t.mode_b[::-1], w_t.mode_a[::-1], w_t.angle[::-1])
         u_elements = factor_mesh("factor U", factors.u, tol)
-    return verified(t, factors.singulars, w_elements, d_elements, u_elements, tol)
+    return verified(t, factors.singulars, w_elements, u_elements, tol)
 
 
 def factor_mesh(name: str, u: np.ndarray, tol: float) -> Elements:
@@ -121,17 +102,20 @@ def factor_mesh(name: str, u: np.ndarray, tol: float) -> Elements:
         ) from exc
 
 
-def verified(target: np.ndarray, singulars, w_elements, d_elements, u_elements, tol: float) -> SynthesisResult:
-    """Circuit W, D, U for ``target`` (one ancilla per D coupling), with its checked ``S_total``.
+def verified(target: np.ndarray, singulars, w_elements, u_elements, tol: float) -> SynthesisResult:
+    """Circuit W, D, U for ``target``, with its checked ``S_total``; D is ``couplings(singulars, tol, max(n, m))``.
 
-    Each part is :class:`Elements` or ``(kind, mode_a, mode_b, angle)`` rows; the circuit joins their columns.
+    ``w_elements`` and ``u_elements`` are :class:`Elements` or ``(kind, mode_a, mode_b, angle)`` rows; the
+    circuit joins their columns around D's, with one full ancilla per D coupling.
 
-    Raises :class:`SynthesisError` unless ``S_total`` is quasiunitary and holds
-    ``target`` in its upper-left block, both within ``tol``.
+    Raises ValueError from :func:`couplings` (a bad ``tol``, or a singular value
+    beyond the gain ceiling) before anything is built, and :class:`SynthesisError`
+    unless ``S_total`` is quasiunitary and holds ``target`` in its upper-left
+    block, both within ``tol``.
     """
-    check_tol(tol)
     n, m = target.shape
     n_nominal = max(n, m)
+    d_elements = couplings(singulars, tol, n_nominal)
     n_modes = n_nominal + len(d_elements)
     circuit = Circuit(
         n_modes=n_modes,

@@ -4,7 +4,7 @@ Nothing here shares a code path with the package: permanents are enumerated
 over explicit permutations, unitaries come from QR orthonormalization, the
 coupling matrices are written out entry by entry, every element has a dense
 matrix lift (the definition the package's row-update kernel is checked
-against), the closed-form 2x2 parameters multiply out as dense 2x2 factors,
+against), the SVD factors pad to squares with identity blocks, the closed-form 2x2 parameters multiply out as dense 2x2 factors,
 the lossy-beam-splitter network is a hand-checkable closed form in a fixed
 factor gauge, and element counts, their worst-case bounds and each mode's
 channel kind are read off element lists.  Elements are the package's
@@ -199,6 +199,16 @@ def lift_unitary_factor(u_piece, n_ancillas: int) -> np.ndarray:
     out[:k, :k] = u_piece
     out[n : n + k, n : n + k] = u_piece.conj()
     return out
+
+
+def pad_factors(factors) -> tuple[np.ndarray, np.ndarray]:
+    """The SVD factors U (n x n) and W (m x m) padded to max(n, m) square with identity rows/cols."""
+    n, m = len(factors.u), len(factors.w)
+    u = np.eye(max(n, m), dtype=complex)
+    w = np.eye(max(n, m), dtype=complex)
+    u[:n, :n] = factors.u
+    w[:m, :m] = factors.w
+    return u, w
 
 
 def reconstruct_params(p) -> np.ndarray:

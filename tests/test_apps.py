@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsynth.apps import (
     RankOnePovm,
@@ -65,6 +67,31 @@ def test_random_rank_one_povm_from_unitary_rows():
         assert unitarity_deviation(ext) < 1e-10
         assert max_abs(ext[:n, :] - povm.matrix) < 1e-10
         assert all(abs(s - 1.0) < 1e-10 for s in svd(povm.matrix).singulars)
+
+
+@st.composite
+def povm_rows(draw):
+    """The first n rows of an m-mode unitary, 1 <= n <= m <= 40: Haar, or a phased permutation whose
+    zeros carry signs."""
+    m = draw(st.integers(1, 40))
+    n = draw(st.integers(1, m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return random_unitary(rng, m)[:n]
+    return (np.eye(m)[rng.permutation(m)] * np.exp(0.5j * math.pi * rng.integers(-1, 3, size=m)))[:n]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(povm_rows())
+def test_naimark_extension_is_w_with_its_first_rows_turned_into_the_povm(rows):
+    # For T = U diag(1) W[:n], the extension is W with rows :n replaced by U W[:n], to the bit.
+    povm = RankOnePovm.from_vectors(list(rows.T))
+    u, _, w = np.linalg.svd(povm.matrix)
+    expected = w.copy()
+    expected[: len(u)] = u @ w[: len(u)]
+    ext = naimark_extension(povm)
+    assert np.array_equal(ext, expected)
+    assert ext.tobytes() == expected.tobytes()  # signed zeros too
 
 
 def test_incomplete_povm_rejected():

@@ -1113,6 +1113,11 @@ ERROR_DOCS = {
     "padding": {"n_modes": 3, "n_nominal": 2, "ancilla_inputs": [2], "elements": []},
     "out_of_range": {"n_modes": 2, "n_nominal": 2, "elements": [{"type": "ps", "mode": 1, "phi": 0.5},
                                                                 {"type": "bs", "modes": [0, 2], "theta": 0.25}]},
+    # The element rules are checked once, by the Circuit, which names the element.
+    "same_modes": {"n_modes": 2, "n_nominal": 2, "elements": [{"type": "ps", "mode": 0, "phi": 0.5},
+                                                              {"type": "bs", "modes": [1, 1], "theta": 0.3}]},
+    "xi_80": {"n_modes": 2, "n_nominal": 1, "full_ancillas": [1],
+              "elements": [{"type": "tms", "modes": [0, 1], "xi": 80}]},
     "non_square_op": {"dim": 1, "operators": [[[[1, 0], [0, 0]]]]},
     "non_hermitian_op": {"dim": 2, "operators": [[[[0, 0], [1, 0]], [[0, 0], [0, 0]]]]},
     "negative_op": {"dim": 1, "operators": [[[[-1, 0]]]]},
@@ -1171,6 +1176,13 @@ OVER_THE_CEILING = [
         (["simulate", "@out_of_range", "--input", "1"], 2,
          "@out_of_range: element 1 (kind, mode_a, mode_b, angle) = (1, 0, 2, 0.25): mode outside 0..1"),
         *OVER_THE_CEILING,
+        # New rows go last: a row's position is part of every later row's test id.
+        (["simulate", "@bs", "--mode", "moments", "--input=1_0,2"], 2,
+         "bad amplitude list '1_0,2': amplitudes must not contain '_'"),
+        (["simulate", "@same_modes", "--input", "1"], 2,
+         "@same_modes: element 1 (kind, mode_a, mode_b, angle) = (1, 1, 1, 0.3): beam splitter modes must be distinct"),
+        (["simulate", "@xi_80", "--mode", "moments", "--input", "1"], 2,
+         "@xi_80: element 0 (kind, mode_a, mode_b, angle) = (2, 0, 1, 80.0): squeezer xi 80.0 exceeds the ceiling 50.0"),
     ],
 )
 def test_error_line_and_exit_code(tmp_path, capsys, argv, code, line):
@@ -1183,3 +1195,100 @@ def test_error_line_and_exit_code(tmp_path, capsys, argv, code, line):
         return re.sub(r"@(\w+)", lambda m: paths[m[1]], text)
 
     assert _call([fill(arg) for arg in argv], capsys) == (code, "", f"error: {fill(line)}\n")
+
+
+# --- one property over the whole CLI ---------------------------------------------------
+
+HUGE_OR_NEGATIVE = st.sampled_from([-1, -7, 0, 9, 4097, 10**30, 2**63])
+MUTANT = st.one_of(NOT_AN_INTEGER, HUGE_OR_NEGATIVE, NUMBER, PAIR, st.none(), st.sampled_from([1e308, -1e308, 80.0]))
+COUNT = st.one_of(st.integers(0, 3).map(str), HUGE_OR_NEGATIVE.map(str), st.sampled_from(["", "x", "1_0", "1.5", "+1"]))
+AMPLITUDE = st.one_of(NUMBER.map(str), st.sampled_from(["1+2i", "-0.4j", "1e308", "nan", "1_0", "x", "", "(1+2j)"]))
+
+
+def _places(tree):
+    """Every ``(container, key)`` of a JSON tree, outermost first."""
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree) if isinstance(tree, list) else ()
+    for key, value in list(items):
+        yield tree, key
+        yield from _places(value)
+
+
+def _mutated(draw, doc):
+    """``doc`` with up to two of its values replaced by a ``MUTANT`` or deleted."""
+    for _ in range(draw(st.integers(0, 2))):
+        places = list(_places(doc))
+        if not places:
+            break
+        container, key = draw(st.sampled_from(places))
+        if draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(MUTANT)
+    return doc
+
+
+def _pairs(values) -> list:
+    return [[float(z.real), float(z.imag)] for z in values]
+
+
+@st.composite
+def cli_case(draw):
+    """A command, its input document (mutated) and its arguments; ``OUT`` and ``IN`` stand for paths."""
+    command = draw(st.sampled_from(("synth", "fock", "moments", "vectors", "operators", "analytic2x2")))
+    outputs = st.sampled_from(["OUT/a.json", "OUT/b.json", "IN", "OUT/missing/c.json", "-"])
+    if command in ("synth", "analytic2x2"):
+        rows, cols = (2, 2) if command == "analytic2x2" else (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+        doc = {"rows": rows, "cols": cols, "data": draw(st.lists(PAIR, min_size=rows * cols, max_size=rows * cols))}
+        if command == "synth":
+            args = [arg for flag in ("--netlist", "--report") if draw(st.booleans()) for arg in (flag, draw(outputs))]
+        else:
+            args = ["--out", draw(outputs)] if draw(st.booleans()) else []
+    elif command in ("fock", "moments"):
+        doc = draw(valid_netlist())
+        items = st.lists(COUNT if command == "fock" else AMPLITUDE, min_size=1, max_size=4)
+        args = ["--mode", command, "--input=" + ",".join(draw(items))]
+        if command == "fock" and draw(st.booleans()):
+            window = st.lists(st.one_of(st.integers(-1, 3), HUGE_OR_NEGATIVE, NOT_AN_INTEGER), min_size=2, max_size=2)
+            mode = st.one_of(st.integers(0, 4), HUGE_OR_NEGATIVE).map(str)
+            args.append("--predicate=" + json.dumps(draw(st.dictionaries(mode, window, max_size=2))))
+        command = "simulate"
+    else:
+        m = draw(st.integers(1, 4))
+        dim = draw(st.integers(1, m))
+        rows = random_unitary(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), m)[:dim]
+        if command == "vectors":
+            doc = {"dim": dim, "vectors": [_pairs(column) for column in rows.T]}
+        else:
+            doc = {"dim": dim, "operators": [[_pairs(row) for row in np.outer(c, c.conj())] for c in rows.T]}
+        command = "naimark"
+        args = ["--out", draw(outputs)] if draw(st.booleans()) else []
+    tol = draw(st.sampled_from([None, None, "1e-9", "1e-300", "0.5", "0", "nan"]))
+    return [*(["--tol", tol] if tol else []), command, "IN", *args], _mutated(draw, doc)
+
+
+def _snapshot(directory: Path) -> dict:
+    return {str(p.relative_to(directory)): p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(cli_case())
+def test_every_command_exits_0_to_4_with_one_error_line_and_no_new_file_on_failure(case):
+    template, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        (directory / "in.json").write_text(json.dumps(doc))
+        argv = [arg.replace("IN", str(directory / "in.json")).replace("OUT", tmp) for arg in template]
+        before = _snapshot(directory)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        stdout, stderr = out.getvalue(), err.getvalue()
+        assert code in (0, 2, 3, 4), (argv, stderr)
+        if code:
+            assert stdout == "" and stderr.startswith("error: ") and stderr.count("\n") == 1, (argv, stderr)
+            assert stderr.endswith("\n")
+            assert _snapshot(directory) == before
+        else:
+            assert stderr == ""
+            for line in stdout.splitlines(keepends=True):
+                assert_one_document(line)

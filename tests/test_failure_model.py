@@ -73,7 +73,7 @@ NAN_TOL_CALLS = {
     "naimark_extension": lambda: naimark_extension(RankOnePovm.from_vectors([[1.0, 0.0], [0.0, 0.5]]), NAN),
     "from_operators": lambda: RankOnePovm.from_operators([np.eye(2)], NAN),
     "verify_cz": lambda: verify_cz(synthesize(cz_gate_target()), NAN),
-    "verified": lambda: verified(HADAMARD, (1.0, 1.0), (), (), reck_decompose(HADAMARD), NAN),
+    "verified": lambda: verified(HADAMARD, (1.0, 1.0), (), reck_decompose(HADAMARD), NAN),
     "synthesize": lambda: synthesize(HADAMARD, NAN),
     "analytic_synthesize": lambda: analytic_synthesize(HADAMARD, NAN),
     "couplings": lambda: couplings((1.0, 0.5), NAN, 2),

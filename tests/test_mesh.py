@@ -12,7 +12,6 @@ from qsynth.apps import RankOnePovm, cz_gate_target, naimark_extension
 from qsynth.blocks import BS, PS
 from qsynth.mesh import NotUnitaryError, _emit, reck_decompose
 from qsynth.numkit import max_abs, svd
-from qsynth.synth import pad_factors
 
 from oracles import (
     LOSSY_BS_U,
@@ -20,6 +19,7 @@ from oracles import (
     count_bounds,
     emit_reference,
     mesh_verify,
+    pad_factors,
     passive_product,
     ps,
     random_unitary,
