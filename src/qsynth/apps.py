@@ -4,8 +4,8 @@ controlled-Z gate verified photon by photon.
 A rank-one POVM with m outcomes on an n-dimensional space is carried as the
 n x m matrix whose columns are the (unnormalized) measurement vectors; its
 rows are orthonormal (``T T^dag = I``), so every singular value is 1 and the
-synthesis needs no full ancillas.  The right factor W of the SVD, with its
-first n rows turned into ``U W[:n]``, is then an m x m unitary whose first n
+synthesis needs no full ancillas.  With the SVD ``T = U W[:n]``, ``U W[:n]``
+over the R factor of the QR of ``W[n:]`` is an m x m unitary whose first n
 rows equal the POVM matrix: detecting outcome i after running the photon
 through the adjoint network reproduces the POVM statistics exactly.
 """
@@ -38,9 +38,11 @@ class RankOnePovm:
             raise ValueError("POVM needs at least one vector")
         if any(len(v) != len(vecs[0]) for v in vecs):
             raise ValueError("all POVM vectors must have the same length")
-        matrix = np.column_stack(vecs)
-        matrix.flags.writeable = False
-        return cls(matrix)
+        if not len(vecs[0]):
+            raise ValueError("POVM vectors must not be empty")
+        rows = np.array(vecs)
+        rows.flags.writeable = False  # and so is every view of it, the matrix among them
+        return cls(rows.T)
 
     @property
     def dim(self) -> int:
@@ -77,8 +79,10 @@ def naimark_extension(povm: RankOnePovm, tol: float = TOL) -> np.ndarray:
 
     Requires ``T T^dag = I`` within ``tol`` (rejected otherwise, with the
     measured deviation); that makes every singular value 1, so the SVD gives
-    ``T = U W[:n]``.  The extension is W with its first n rows replaced by
-    ``U W[:n]``; rows ``n..m-1`` are W's own, and their modes are ancilla outputs.
+    ``T = U W[:n]``.  The extension is ``U W[:n]`` over ``qr(W[n:], mode="r")``
+    (ancilla outputs): orthonormal rows spanning ``W[n:]``'s, row ``n + j``
+    starting with j exact zeros, so the Reck mesh prunes every step below row
+    ``c + n`` of column c and has at most ``n (2m - n - 1) / 2`` beam splitters.
     """
     check_tol(tol)
     deviation = povm.completeness_deviation()
@@ -92,9 +96,7 @@ def naimark_extension(povm: RankOnePovm, tol: float = TOL) -> np.ndarray:
     worst = max(abs(s - 1.0) for s in factors.singulars)
     if not worst <= tol:
         raise ValueError(f"singular values deviate from 1 by {worst:.3e}; input is not a rank-one POVM matrix")
-    extension = factors.w.copy()
-    extension[:n] = factors.u @ factors.w[:n]
-    return extension
+    return np.concatenate((factors.u @ factors.w[:n], np.linalg.qr(factors.w[n:], mode="r")))
 
 
 def povm_probabilities(extension, psi) -> np.ndarray:

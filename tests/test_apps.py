@@ -12,11 +12,13 @@ from qsynth.apps import (
     povm_probabilities,
     verify_cz,
 )
+from qsynth.blocks import BS
+from qsynth.mesh import reck_decompose
 from qsynth.numkit import TOL, SynthesisError, max_abs, svd, unitarity_deviation
 from qsynth.sim import NotPassiveError
 from qsynth.synth import synthesize
 
-from oracles import element_counts, random_unitary
+from oracles import element_counts, mesh_verify, random_unitary
 
 
 def trine_povm() -> RankOnePovm:
@@ -70,10 +72,10 @@ def test_random_rank_one_povm_from_unitary_rows():
 
 
 @st.composite
-def povm_rows(draw):
-    """The first n rows of an m-mode unitary, 1 <= n <= m <= 40: Haar, or a phased permutation whose
-    zeros carry signs."""
-    m = draw(st.integers(1, 40))
+def povm_rows(draw, max_modes: int = 40):
+    """The first n rows of an m-mode unitary, 1 <= n <= m <= ``max_modes``: Haar, or a phased permutation
+    whose zeros carry signs."""
+    m = draw(st.integers(1, max_modes))
     n = draw(st.integers(1, m))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -83,15 +85,29 @@ def povm_rows(draw):
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(povm_rows())
-def test_naimark_extension_is_w_with_its_first_rows_turned_into_the_povm(rows):
-    # For T = U diag(1) W[:n], the extension is W with rows :n replaced by U W[:n], to the bit.
+def test_naimark_extension_is_the_povm_over_the_qr_staircase_of_w(rows):
+    # For T = U diag(1) W[:n], rows :n are U W[:n] and rows n: the R factor of W[n:], to the bit;
+    # row n + j of R starts with j exact zeros.
     povm = RankOnePovm.from_vectors(list(rows.T))
     u, _, w = np.linalg.svd(povm.matrix)
-    expected = w.copy()
-    expected[: len(u)] = u @ w[: len(u)]
+    n = len(u)
     ext = naimark_extension(povm)
-    assert np.array_equal(ext, expected)
-    assert ext.tobytes() == expected.tobytes()  # signed zeros too
+    assert ext[:n].tobytes() == (u @ w[:n]).tobytes()  # signed zeros too
+    assert ext[n:].tobytes() == np.linalg.qr(w[n:], mode="r").tobytes()
+    assert not np.tril(ext[n:], -1).any()  # ext[n + j, :j] == 0
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(povm_rows(12))
+def test_naimark_mesh_has_at_most_the_isometry_count_of_beam_splitters(rows):
+    # The staircase rows leave column c with exact zeros below row c + n, so only n (2m - n - 1) / 2
+    # rotations are left to emit.
+    n, m = rows.shape
+    ext = naimark_extension(RankOnePovm.from_vectors(list(rows.T)))
+    elements = reck_decompose(ext)
+    assert element_counts(elements)["beam_splitters"] <= n * (2 * m - n - 1) // 2
+    assert mesh_verify(elements, ext) <= 1e-12
+    assert all(0.0 <= theta <= math.pi / 2 for kind, _, _, theta in elements if kind == BS)
 
 
 def test_incomplete_povm_rejected():
@@ -117,7 +133,10 @@ def test_povm_from_operators_rejects_higher_rank():
         RankOnePovm.from_operators([0.5 * np.eye(2), 0.5 * np.eye(2)])
 
 
-@pytest.mark.parametrize("vectors, message", [([], "at least one vector"), ([[1.0, 0.0], [1.0]], "same length")])
+@pytest.mark.parametrize(
+    "vectors, message",
+    [([], "at least one vector"), ([[1.0, 0.0], [1.0]], "same length"), ([[]], "POVM vectors must not be empty")],
+)
 def test_povm_from_vectors_rejects_empty_or_ragged(vectors, message):
     with pytest.raises(ValueError, match=message):
         RankOnePovm.from_vectors(vectors)
@@ -230,3 +249,4 @@ def test_povm_matrix_is_built_once_and_read_only():
     assert povm.matrix is povm.matrix and povm.matrix.shape == (2, 3) and povm.dim == 2
     with pytest.raises(ValueError, match="read-only"):
         povm.matrix[0, 0] = 0.0
+    assert povm.matrix.base is None or not povm.matrix.base.flags.writeable  # no writable array behind it

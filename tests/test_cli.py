@@ -24,7 +24,7 @@ from qsynth.numkit import SynthesisError, matrix_from_json, matrix_to_json, max_
 from qsynth.sim import FockState, fock_evolve
 from qsynth.synth import synthesize
 
-from oracles import LOSSY_BS_T, random_unitary
+from oracles import LOSSY_BS_T, element_counts, random_unitary
 
 
 def write_matrix(path, m):
@@ -1092,8 +1092,10 @@ def test_naimark_netlist_reconstructs_the_printed_extension(t):
             assert main(["naimark", str(path)]) == 0
     payload = json.loads(out.getvalue())
     extension = matrix_from_json(payload["extension"])
-    s_total = circuit_smatrix(circuit_from_json(payload["netlist"]))
+    circuit = circuit_from_json(payload["netlist"])
+    s_total = circuit_smatrix(circuit)
     assert max_abs(s_total[:m, :m] - extension) <= 1e-10
+    assert element_counts(circuit.elements)["beam_splitters"] <= dim * (2 * m - dim - 1) // 2  # the isometry bound
     assert max_abs(extension[:dim] - t) <= 1e-10
     assert payload["netlist"]["ancilla_outputs"] == list(range(dim, m))
 
@@ -1127,6 +1129,7 @@ ERROR_DOCS = {
     "nan_svd": {"rows": 2, "cols": 2, "data": [[1.2e308, 0], [-1.79e308, 1e308], [0, 0], [-1e307, 1]]},
     "negative_rank_one": {"dim": 2, "operators": [[[[-1, 0], [0, 0]], [[0, 0], [0, 0]]]]},
     "indefinite": {"dim": 2, "operators": [[[[1, 0], [0, 0]], [[0, 0], [-0.5, 0]]]]},
+    "empty_vector": {"vectors": [[]]},
     # Over blocks.MAX_MODES: these overflowed, exhausted memory or asked numpy for 596 GiB before the ceiling.
     "modes_1e30": {"n_modes": 10**30, "n_nominal": 1, "elements": []},
     "modes_2e63": {"n_modes": 2**63, "n_nominal": 1, "elements": []},
@@ -1183,6 +1186,7 @@ OVER_THE_CEILING = [
          "@same_modes: element 1 (kind, mode_a, mode_b, angle) = (1, 1, 1, 0.3): beam splitter modes must be distinct"),
         (["simulate", "@xi_80", "--mode", "moments", "--input", "1"], 2,
          "@xi_80: element 0 (kind, mode_a, mode_b, angle) = (2, 0, 1, 80.0): squeezer xi 80.0 exceeds the ceiling 50.0"),
+        (["naimark", "@empty_vector"], 4, "POVM vectors must not be empty"),
     ],
 )
 def test_error_line_and_exit_code(tmp_path, capsys, argv, code, line):

@@ -5,8 +5,11 @@
 Every run times every suite; a row is one ``(suite, case, stage)``:
 
 - ``mesh``: ``reck_decompose``, ``synthesize`` (square, tall and wide),
-  ``circuit_smatrix`` and ``circuit_from_json`` at n in ``SIZES``.
-  ``reck_decompose`` gets a seeded Haar n x n unitary.  ``synthesize`` gets a
+  ``circuit_smatrix``, ``circuit_from_json`` and ``naimark`` at n in ``SIZES``.
+  ``reck_decompose`` gets a seeded Haar n x n unitary, and ``naimark`` runs
+  ``naimark_extension``, then ``reck_decompose``, on the rank-one POVM whose
+  vectors are the columns of that unitary's first ``max(1, n // 4)`` rows
+  (n outcomes).  ``synthesize`` gets a
   seeded complex Gaussian n x n matrix scaled by ``1 / sqrt(2 n)``, whose
   singular values lie on both sides of 1, so the circuit has loss and gain
   couplings and ``N = 2 n`` modes (barring a singular value within ``tol`` of
@@ -14,7 +17,7 @@ Every run times every suite; a row is one ``(suite, case, stage)``:
   ``synthesize_wide`` its first ``max(1, n // 2)`` rows.  ``circuit_smatrix`` gets
   the circuit that ``synthesize`` makes of that input, and ``circuit_from_json``
   the netlist JSON of that circuit, as ``json.load`` reads it.  Each case gets
-  the best of ``--repeats`` timed calls for ``reck_decompose``, and of
+  the best of ``--repeats`` timed calls for ``reck_decompose`` and ``naimark``, and of
   ``max(3, --repeats // 4)`` for the others, whose calls at n = 128 take
   tenths of a second.
 - ``fock-warm``: ``fock_evolve`` on every ``FOCK_CASES`` shape of
@@ -71,7 +74,8 @@ import refs  # noqa: E402  (perfbench/refs.py; it does not import qsynth)
 
 SIZES = (2, 4, 8, 16, 32, 64, 128)
 FUNCTIONS = ("reck_decompose", "synthesize", "synthesize_tall", "synthesize_wide", "circuit_smatrix",
-             "circuit_from_json")
+             "circuit_from_json", "naimark")
+MESHES = ("reck_decompose", "naimark")  # their result is the mesh; they get the full --repeats
 CAPS = (8, (1, 1, 1, 1, 1, 1, 0, 0))
 CZ_PAIRS = {"HH": (0, 2), "HV": (0, 3), "VH": (1, 2), "VV": (1, 3)}
 PREDICATE = '{"0": [0, 1], "1": [0, 1]}'
@@ -89,9 +93,13 @@ def best_of(repeats: int, call, *args) -> tuple[float, object]:
 
 
 def mesh_job(repeats: int, case: int) -> dict:
+    from qsynth.apps import RankOnePovm, naimark_extension
     from qsynth.blocks import circuit_from_json, circuit_smatrix, circuit_to_json
     from qsynth.mesh import reck_decompose
     from qsynth.synth import synthesize
+
+    def naimark(povm):
+        return reck_decompose(naimark_extension(povm))
 
     inputs = {}  # n -> one input per function
     for n in SIZES:
@@ -100,14 +108,17 @@ def mesh_job(repeats: int, case: int) -> dict:
         circuit = synthesize(t).circuit
         netlist = json.loads(json.dumps(circuit_to_json(circuit)))
         half = max(1, n // 2)
-        inputs[n] = (refs.haar_unitary(np.random.default_rng(n), n), t, t[:, :half], t[:half], circuit, netlist)
+        u = refs.haar_unitary(np.random.default_rng(n), n)
+        povm = RankOnePovm.from_vectors(u[: max(1, n // 4)].T)
+        inputs[n] = (u, t, t[:, :half], t[:half], circuit, netlist, povm)
     out = {}
-    calls = (reck_decompose, synthesize, synthesize, synthesize, circuit_smatrix, circuit_from_json)
+    calls = (reck_decompose, synthesize, synthesize, synthesize, circuit_smatrix, circuit_from_json, naimark)
     for i, (function, call) in enumerate(zip(FUNCTIONS, calls)):
         for n in SIZES:
-            seconds, result = best_of(repeats if i == 0 else max(3, repeats // 4), call, inputs[n][i])
+            mesh = function in MESHES
+            seconds, result = best_of(repeats if mesh else max(3, repeats // 4), call, inputs[n][i])
             # the mesh's or the synthesized circuit's own elements, else those of the square input's circuit
-            size = len(result) if i == 0 else len(result.circuit.elements) if i < 4 else len(inputs[n][4].elements)
+            size = len(result) if mesh else len(result.circuit.elements) if i < 4 else len(inputs[n][4].elements)
             out[f"mesh/n={n}/{function}"] = {"seconds": seconds, "elements": size}
     return out
 
