@@ -190,6 +190,62 @@ def test_analytic2x2(tmp_path, capsys):
     assert payload["netlist"]["n_nominal"] == 2
 
 
+ANALYTIC_PINS = {
+    "lossy_bs": (
+        LOSSY_BS_T,
+        '{"phi11": 0.0, "phi21": 3.141592653589793, "vartheta": 0.7853981633974483, "xi1": 3.141592653589793, '
+        '"xi2": -2.1408461834349666, "theta1": -7.273337206650351e-17, "theta2": 0.7853981633974483, '
+        '"sigma1": 0.9999999999999999, "sigma2": 7.273337206650351e-17, "alpha": 0.0, "beta": -2.1408461834349666, '
+        '"gamma": 0.7853981633974483, "alpha1": 2.07116956187231, "alpha2": 2.07116956187231, '
+        '"beta1": 1.0704230917174833, "beta2": -1.0704230917174833, "schema": "qsynth/1"}',
+        '{"schema": "qsynth/1", "n_modes": 3, "n_nominal": 2, "ancilla_inputs": [], "ancilla_outputs": [], '
+        '"full_ancillas": [2], "elements": [{"type": "ps", "mode": 0, "phi": 3.141592653589793}, '
+        '{"type": "bs", "modes": [0, 1], "theta": 0.7853981633974483}, '
+        '{"type": "bs", "modes": [1, 2], "theta": 1.5707963267948966}, '
+        '{"type": "ps", "mode": 1, "phi": -1.0704230917174833}, {"type": "ps", "mode": 0, "phi": 1.0704230917174833}, '
+        '{"type": "bs", "modes": [0, 1], "theta": 0.7853981633974483}, {"type": "ps", "mode": 1, "phi": 2.07116956187231}, '
+        '{"type": "ps", "mode": 0, "phi": 2.07116956187231}]}',
+        {"beam_splitters": 3, "phase_shifters": 5, "squeezers": 0},
+        [0.9999999999999999, 7.273337206650351e-17],
+    ),
+    "gain_and_loss": (
+        np.array([[1.2 + 0.5j, 0.3 - 0.1j], [-0.4j, 0.6 + 0.2j]]),
+        '{"phi11": 0.39479111969976177, "phi21": -1.5707963267948966, "vartheta": 0.2984989315861793, '
+        '"xi1": -0.12970253715591218, "xi2": 1.9614033704925833, "theta1": -0.08235188423100272, '
+        '"theta2": 0.16549306527496693, "sigma1": 1.374314428649304, "sigma2": 0.6791611378799123, '
+        '"alpha": -0.021757460568101017, "beta": -1.3128631838990623, "gamma": 0.2661341729107796, '
+        '"alpha1": -0.40222173968973207, "alpha2": 1.0579173659312684, "beta1": 0.6455528616654806, '
+        '"beta2": -0.6455528616654806, "schema": "qsynth/1"}',
+        '{"schema": "qsynth/1", "n_modes": 4, "n_nominal": 2, "ancilla_inputs": [], "ancilla_outputs": [], '
+        '"full_ancillas": [2, 3], "elements": [{"type": "ps", "mode": 0, "phi": 0.12970253715591218}, '
+        '{"type": "bs", "modes": [0, 1], "theta": 0.16549306527496693}, '
+        '{"type": "tms", "modes": [0, 2], "xi": 0.840292488072073}, '
+        '{"type": "bs", "modes": [1, 3], "theta": 0.824177178064391}, '
+        '{"type": "ps", "mode": 1, "phi": -0.6455528616654806}, {"type": "ps", "mode": 0, "phi": 0.6455528616654806}, '
+        '{"type": "bs", "modes": [0, 1], "theta": 0.2661341729107796}, '
+        '{"type": "ps", "mode": 1, "phi": 1.0579173659312682}, {"type": "ps", "mode": 0, "phi": -0.40222173968973207}]}',
+        {"beam_splitters": 3, "phase_shifters": 5, "squeezers": 1},
+        [1.374314428649304, 0.6791611378799123],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ANALYTIC_PINS)
+def test_analytic2x2_prints_pinned_params_and_netlist(tmp_path, capsys, name):
+    # The closed form is scalar Python arithmetic, so its parameters, netlist and singular values
+    # repeat to the bit; the deviations come from numpy's products and stay unpinned.
+    t, params, netlist, counts, singulars = ANALYTIC_PINS[name]
+    code, stdout, err = _call(["analytic2x2", write_matrix(tmp_path / "t.json", t)], capsys)
+    assert (code, err) == (0, "")
+    assert f'"params": {params}, "netlist": {netlist}, "report": ' in stdout
+    payload = assert_one_document(stdout)
+    assert list(payload) == ["schema", "params", "netlist", "report"]
+    assert list(payload["report"]) == ["schema", "quasiunitarity_deviation", "block_deviation", "n_full_ancillas",
+                                       "counts", "singular_values"]
+    assert payload["report"]["counts"] == counts
+    assert payload["report"]["singular_values"] == singulars
+
+
 def test_analytic2x2_rejects_wrong_shape(tmp_path, capsys):
     matrix = write_matrix(tmp_path / "t.json", np.eye(3))
     assert main(["analytic2x2", matrix]) == 4
