@@ -55,6 +55,8 @@ class RankOnePovm:
         vectors = []
         for i, op in enumerate(operators):
             e = as_matrix(op, f"operator {i}")
+            if not e.size:
+                raise ValueError(f"operator {i} must not be empty")
             if e.shape[0] != e.shape[1]:
                 raise ValueError(f"operator {i} must be square, got {e.shape}")
             if not max_abs(e - e.conj().T) <= tol:
@@ -92,11 +94,11 @@ def naimark_extension(povm: RankOnePovm, tol: float = TOL) -> np.ndarray:
     n, m = t.shape
     if m < n:
         raise ValueError(f"need at least dim outcomes, got {m} < {n}")
-    factors = svd(t)
-    worst = max(abs(s - 1.0) for s in factors.singulars)
+    u, singulars, w = svd(t)
+    worst = max(abs(s - 1.0) for s in singulars)
     if not worst <= tol:
         raise ValueError(f"singular values deviate from 1 by {worst:.3e}; input is not a rank-one POVM matrix")
-    return np.concatenate((factors.u @ factors.w[:n], np.linalg.qr(factors.w[n:], mode="r")))
+    return np.concatenate((u @ w[:n], np.linalg.qr(w[n:], mode="r")))
 
 
 def povm_probabilities(extension, psi) -> np.ndarray:

@@ -241,7 +241,7 @@ def cmd_analytic2x2(args) -> dict:
     """Closed-form decomposition of a 2x2 matrix file."""
     params, result = closedform2x2.analytic_synthesize(_load(args.matrix, matrix_from_json), args.tol)
     return {args.out: {
-        "params": closedform2x2.params_to_json(params),
+        "params": {**params, "schema": SCHEMA},
         "netlist": circuit_to_json(result.circuit),
         "report": synth.verification_report(result),
     }}

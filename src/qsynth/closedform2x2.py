@@ -5,7 +5,8 @@ matrix to real upper-triangular form, whose singular structure then has a
 closed form: ``T = U . D . BS(theta2) . PS_1(-xi1)`` with
 ``U = PS_1(alpha1) . PS_2(alpha2) . BS(gamma) . PS_1(beta1) . PS_2(beta2)``
 and ``D = diag(sigma1, sigma2)``, ``sigma1 >= sigma2 >= 0``.  This module
-computes the parameters and the element columns of ``W`` and ``U``; the D stage
+computes the parameters, as the name -> float dict that ``qsynth analytic2x2``
+prints under ``params``, and the element columns of ``W`` and ``U``; the D stage
 and the checks are the numeric pipeline's (:func:`qsynth.synth.verified`), so
 it cross-checks the numeric factors.
 """
@@ -14,33 +15,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from .blocks import BS, PS, SCHEMA, Elements
+from .blocks import BS, PS, Elements
 from .mesh import PRUNE_EPS, wrap_angle
 from .numkit import TOL, as_matrix
 from .synth import SynthesisResult, verified
-
-@dataclass(frozen=True)
-class Params2x2:
-    """Closed-form parameters; angles in radians, ``sigma1 >= sigma2 >= 0``."""
-
-    phi11: float
-    phi21: float
-    vartheta: float
-    xi1: float
-    xi2: float
-    theta1: float
-    theta2: float
-    sigma1: float
-    sigma2: float
-    alpha: float
-    beta: float
-    gamma: float
-    alpha1: float
-    alpha2: float
-    beta1: float
-    beta2: float
 
 
 def _phase(z: complex) -> float:
@@ -56,8 +35,8 @@ def _abs(z: complex) -> float:
         return math.inf
 
 
-def analytic_params(t) -> Params2x2:
-    """Compute the decomposition parameters of a finite complex 2x2 matrix."""
+def analytic_params(t) -> dict[str, float]:
+    """The decomposition parameters of a finite complex 2x2 matrix by name; radians, ``sigma1 >= sigma2 >= 0``."""
     t = as_matrix(t, "t")
     if t.shape != (2, 2):
         raise ValueError(f"t must be 2x2, got {t.shape}")
@@ -107,24 +86,11 @@ def analytic_params(t) -> Params2x2:
     alpha = _phase(x)
     beta = _phase(y)
     gamma = math.acos(min(abs(x), 1.0))  # |x| <= 1 by Cauchy-Schwarz, up to rounding
-    return Params2x2(
-        phi11=phi11,
-        phi21=phi21,
-        vartheta=vartheta,
-        xi1=xi1,
-        xi2=xi2,
-        theta1=theta1,
-        theta2=theta2,
-        sigma1=sigma1,
-        sigma2=sigma2,
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        alpha1=phi11 + xi1 + (alpha + beta) / 2.0,
-        alpha2=phi21 + xi2 - (alpha + beta) / 2.0,
-        beta1=(alpha - beta) / 2.0,
-        beta2=(beta - alpha) / 2.0,
-    )
+    return {"phi11": phi11, "phi21": phi21, "vartheta": vartheta, "xi1": xi1, "xi2": xi2,
+            "theta1": theta1, "theta2": theta2, "sigma1": sigma1, "sigma2": sigma2,
+            "alpha": alpha, "beta": beta, "gamma": gamma,
+            "alpha1": phi11 + xi1 + (alpha + beta) / 2.0, "alpha2": phi21 + xi2 - (alpha + beta) / 2.0,
+            "beta1": (alpha - beta) / 2.0, "beta2": (beta - alpha) / 2.0}
 
 
 def _stage(*rows) -> Elements:
@@ -134,7 +100,7 @@ def _stage(*rows) -> Elements:
     return Elements(*zip(*(row for row in rows if abs(row[3]) > PRUNE_EPS)))
 
 
-def analytic_synthesize(t, tol: float = TOL) -> tuple[Params2x2, SynthesisResult]:
+def analytic_synthesize(t, tol: float = TOL) -> tuple[dict[str, float], SynthesisResult]:
     """Closed-form pipeline: parameters plus the verified circuit for ``t``.
 
     The circuit uses only phase shifters, the two beam splitter rotations of
@@ -145,12 +111,8 @@ def analytic_synthesize(t, tol: float = TOL) -> tuple[Params2x2, SynthesisResult
     """
     t = as_matrix(t, "t")
     p = analytic_params(t)
-    w_elements = _stage((PS, 0, -p.xi1), (BS, 0, p.theta2))
-    u_elements = _stage((PS, 1, p.beta2), (PS, 0, p.beta1), (BS, 0, p.gamma), (PS, 1, p.alpha2), (PS, 0, p.alpha1))
-    return p, verified(t, (p.sigma1, p.sigma2), w_elements, u_elements, tol)
+    w_elements = _stage((PS, 0, -p["xi1"]), (BS, 0, p["theta2"]))
+    u_elements = _stage((PS, 1, p["beta2"]), (PS, 0, p["beta1"]), (BS, 0, p["gamma"]), (PS, 1, p["alpha2"]),
+                        (PS, 0, p["alpha1"]))
+    return p, verified(t, (p["sigma1"], p["sigma2"]), w_elements, u_elements, tol)
 
-
-def params_to_json(p: Params2x2) -> dict:
-    out = {name: float(getattr(p, name)) for name in p.__dataclass_fields__}
-    out["schema"] = SCHEMA
-    return out

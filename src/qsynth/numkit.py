@@ -1,10 +1,11 @@
 """Dense complex-matrix helpers shared by the whole package.
 
 All matrices are plain 2-D ``numpy`` arrays of ``complex128``.  The functions
-here validate shapes, perform the singular value decomposition in the
-``T = U @ diag(s) @ W`` convention (``W`` is the right factor applied first),
-and measure how far a square even-dimensional matrix is from quasiunitarity,
-i.e. from satisfying ``S G S^dag = G`` with ``G = diag(+1...+1, -1...-1)``.
+here validate shapes, return the singular value decomposition as numpy's
+``(u, s, vh)`` triple, read as ``T = U @ diag(s) @ W`` (``W`` is the right
+factor applied first), encode and decode matrix JSON, and measure how far a
+square even-dimensional matrix is from quasiunitarity, i.e. from satisfying
+``S G S^dag = G`` with ``G = diag(+1...+1, -1...-1)``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,22 +66,13 @@ def unitarity_deviation(u) -> float:
     return max_abs(gram)
 
 
-@dataclass(frozen=True)
-class SvdFactors:
-    """Factors of ``T = u @ diag(singulars) @ w``.
+def svd(t) -> tuple[np.ndarray, tuple[float, ...], np.ndarray]:
+    """``(u, singulars, w)`` with ``T = u @ diag(singulars) @ w``: numpy's ``(u, s, vh)``.
 
-    ``w`` is stored so that it right-multiplies directly (it equals the
-    conjugate transpose of the right factor in the usual numpy convention).
-    ``singulars`` is sorted descending and has ``min(rows, cols)`` entries.
+    ``w`` right-multiplies, as numpy's ``vh`` (the conjugate transpose of the
+    usual right factor).  ``singulars`` is a tuple of ``min(rows, cols)``
+    non-negative Python floats, descending.
     """
-
-    u: np.ndarray
-    singulars: tuple[float, ...]
-    w: np.ndarray
-
-
-def svd(t) -> SvdFactors:
-    """Singular value decomposition with non-negative singulars, descending."""
     t = as_matrix(t, "t")
     if t.shape[0] < 1 or t.shape[1] < 1:
         raise ValueError(f"t must be non-empty, got shape {t.shape}")
@@ -89,7 +80,7 @@ def svd(t) -> SvdFactors:
         u, s, w = np.linalg.svd(t)
     except np.linalg.LinAlgError as exc:
         raise SynthesisError(f"SVD failed to converge: {exc}") from exc
-    return SvdFactors(u=u, singulars=tuple(float(x) for x in s), w=w)
+    return u, tuple(float(x) for x in s), w
 
 
 def matrix_to_json(m) -> dict:
@@ -136,6 +127,8 @@ def matrix_from_json(obj) -> np.ndarray:
         entries = complex_from_json(obj["data"], depth=1)
     except (TypeError, KeyError) as exc:
         raise ValueError(f"matrix JSON must contain integer rows/cols and data: {exc}") from exc
-    if rows < 0 or cols < 0 or len(entries) != rows * cols:
+    if rows < 0 or cols < 0:
+        raise ValueError(f"rows and cols must be non-negative, got {rows} and {cols}")
+    if len(entries) != rows * cols:
         raise ValueError(f"matrix JSON data length {len(entries)} != rows*cols = {rows * cols}")
     return as_matrix(np.array(entries, dtype=complex).reshape(rows, cols), "matrix JSON")

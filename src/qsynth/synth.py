@@ -76,16 +76,16 @@ def synthesize(t, tol: float = TOL) -> SynthesisResult:
     deviation exceeds ``tol``.
     """
     t = as_matrix(t, "t")
-    factors = svd(t)
+    u, singulars, w = svd(t)
     n, m = t.shape
     if n >= m:
-        w_elements = factor_mesh("factor W", factors.w, tol)
-        u_elements = factor_mesh("factor U", factors.u[:, :m], tol)
+        w_elements = factor_mesh("factor W", w, tol)
+        u_elements = factor_mesh("factor U", u[:, :m], tol)
     else:
-        w_t = factor_mesh("factor W", factors.w[:n].T, tol)
+        w_t = factor_mesh("factor W", w[:n].T, tol)
         w_elements = Elements(w_t.kind[::-1], w_t.mode_b[::-1], w_t.mode_a[::-1], w_t.angle[::-1])
-        u_elements = factor_mesh("factor U", factors.u, tol)
-    return verified(t, factors.singulars, w_elements, u_elements, tol)
+        u_elements = factor_mesh("factor U", u, tol)
+    return verified(t, singulars, w_elements, u_elements, tol)
 
 
 def factor_mesh(name: str, u: np.ndarray, tol: float) -> Elements:

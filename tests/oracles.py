@@ -202,17 +202,19 @@ def lift_unitary_factor(u_piece, n_ancillas: int) -> np.ndarray:
 
 
 def pad_factors(factors) -> tuple[np.ndarray, np.ndarray]:
-    """The SVD factors U (n x n) and W (m x m) padded to max(n, m) square with identity rows/cols."""
-    n, m = len(factors.u), len(factors.w)
+    """The SVD factors U (n x n) and W (m x m) of ``svd``'s ``(u, singulars, w)``, padded to max(n, m) square
+    with identity rows/cols."""
+    u_n, _, w_m = factors
+    n, m = len(u_n), len(w_m)
     u = np.eye(max(n, m), dtype=complex)
     w = np.eye(max(n, m), dtype=complex)
-    u[:n, :n] = factors.u
-    w[:m, :m] = factors.w
+    u[:n, :n] = u_n
+    w[:m, :m] = w_m
     return u, w
 
 
 def reconstruct_params(p) -> np.ndarray:
-    """Multiply out a closed-form ``Params2x2`` chain: the matrix the parameters encode."""
+    """Multiply out the closed-form chain of an ``analytic_params`` dict: the matrix the parameters encode."""
     def ps(mode: int, phi: float) -> np.ndarray:
         out = np.eye(2, dtype=complex)
         out[mode, mode] = cmath.exp(1j * phi)
@@ -222,9 +224,9 @@ def reconstruct_params(p) -> np.ndarray:
         c, s = math.cos(theta), math.sin(theta)
         return np.array([[c, s], [-s, c]], dtype=complex)
 
-    u = ps(0, p.alpha1) @ ps(1, p.alpha2) @ bs(p.gamma) @ ps(0, p.beta1) @ ps(1, p.beta2)
-    d = np.diag([p.sigma1, p.sigma2]).astype(complex)
-    w = bs(p.theta2) @ ps(0, -p.xi1)
+    u = ps(0, p["alpha1"]) @ ps(1, p["alpha2"]) @ bs(p["gamma"]) @ ps(0, p["beta1"]) @ ps(1, p["beta2"])
+    d = np.diag([p["sigma1"], p["sigma2"]]).astype(complex)
+    w = bs(p["theta2"]) @ ps(0, -p["xi1"])
     return u @ d @ w
 
 

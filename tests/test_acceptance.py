@@ -156,8 +156,8 @@ def test_criterion_6_analytic_vs_numeric_2x2():
         t = radius * np.exp(1j * rng.uniform(-np.pi, np.pi, size=(2, 2)))
         params = analytic_params(t)
         sv = np.linalg.svd(t, compute_uv=False)
-        assert abs(params.sigma1 - sv[0]) < 1e-10
-        assert abs(params.sigma2 - sv[1]) < 1e-10
+        assert abs(params["sigma1"] - sv[0]) < 1e-10
+        assert abs(params["sigma2"] - sv[1]) < 1e-10
         _, result = analytic_synthesize(t)
         assert max_abs(result.s_total[:2, :2] - t) < 1e-10
 

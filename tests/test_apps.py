@@ -68,7 +68,7 @@ def test_random_rank_one_povm_from_unitary_rows():
         ext = naimark_extension(povm)
         assert unitarity_deviation(ext) < 1e-10
         assert max_abs(ext[:n, :] - povm.matrix) < 1e-10
-        assert all(abs(s - 1.0) < 1e-10 for s in svd(povm.matrix).singulars)
+        assert all(abs(s - 1.0) < 1e-10 for s in svd(povm.matrix)[1])
 
 
 @st.composite
@@ -157,6 +157,14 @@ def test_povm_from_operators_rejects_non_square_non_hermitian_or_negative(operat
         RankOnePovm.from_operators([np.array(operator, dtype=complex)])
 
 
+def test_povm_from_operators_rejects_an_empty_operator():
+    # An empty operator has no eigenvalues, so no largest one to factor out.
+    with pytest.raises(ValueError, match="^operator 0 must not be empty$"):
+        RankOnePovm.from_operators([np.zeros((0, 0))])
+    with pytest.raises(ValueError, match="^operator 1 must not be empty$"):
+        RankOnePovm.from_operators([np.eye(1), np.zeros((0, 0))])
+
+
 def test_naimark_extension_needs_at_least_dim_outcomes():
     # One outcome on a qubit: T T^dag - I has entries of at most 0.5, complete within tol = 0.9.
     povm = RankOnePovm.from_vectors([[math.sqrt(0.5), math.sqrt(0.5)]])
@@ -191,7 +199,7 @@ def test_cz_target_values():
     k = -t[0, 2] * t[2, 0] / 2
     assert k == pytest.approx(-1.0 / 3.0)
     assert k ** 2 == pytest.approx(1.0 / 9.0)
-    sv = svd(t).singulars
+    _, sv, _ = svd(t)
     assert np.allclose(sv, (1.0, 1.0, a, a), atol=1e-12)
 
 

@@ -1190,6 +1190,8 @@ ERROR_DOCS = {
     "modes_1e30": {"n_modes": 10**30, "n_nominal": 1, "elements": []},
     "modes_2e63": {"n_modes": 2**63, "n_nominal": 1, "elements": []},
     "modes_1e5": {"n_modes": 100000, "n_nominal": 1, "elements": []},
+    # rows * cols = 2 matches the data length, so only the sign check catches it.
+    "negative_dims": {"rows": -1, "cols": -2, "data": [[1, 0], [2, 0]]},
 }
 
 OVER_THE_CEILING = [
@@ -1243,6 +1245,7 @@ OVER_THE_CEILING = [
         (["simulate", "@xi_80", "--mode", "moments", "--input", "1"], 2,
          "@xi_80: element 0 (kind, mode_a, mode_b, angle) = (2, 0, 1, 80.0): squeezer xi 80.0 exceeds the ceiling 50.0"),
         (["naimark", "@empty_vector"], 4, "POVM vectors must not be empty"),
+        (["synth", "@negative_dims"], 2, "@negative_dims: rows and cols must be non-negative, got -1 and -2"),
     ],
 )
 def test_error_line_and_exit_code(tmp_path, capsys, argv, code, line):

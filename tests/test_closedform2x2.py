@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qsynth.blocks import BS, TMS
-from qsynth.closedform2x2 import analytic_params, analytic_synthesize, params_to_json
+from qsynth.closedform2x2 import analytic_params, analytic_synthesize
 from qsynth.numkit import max_abs
 from oracles import LOSSY_BS_T, bs, circuit_kinds, embed_element, reconstruct_params, tms
 
@@ -19,16 +19,16 @@ def random_2x2(rng, radius=2.0):
 
 def test_lossy_bs_singulars():
     p = analytic_params(LOSSY_BS_T)
-    assert p.sigma1 == pytest.approx(1.0, abs=1e-12)
-    assert p.sigma2 == pytest.approx(0.0, abs=1e-12)
+    assert p["sigma1"] == pytest.approx(1.0, abs=1e-12)
+    assert p["sigma2"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pure_phase_matrix():
     t = np.diag([np.exp(1j * np.pi / 3), 1.0])
     p = analytic_params(t)
-    assert p.sigma1 == pytest.approx(1.0, abs=1e-12)
-    assert p.sigma2 == pytest.approx(1.0, abs=1e-12)
-    assert p.gamma == pytest.approx(0.0, abs=1e-7)
+    assert p["sigma1"] == pytest.approx(1.0, abs=1e-12)
+    assert p["sigma2"] == pytest.approx(1.0, abs=1e-12)
+    assert p["gamma"] == pytest.approx(0.0, abs=1e-7)
     assert max_abs(reconstruct_params(p) - t) < 1e-12
 
 
@@ -44,7 +44,7 @@ def test_sigma_ordering_invariant():
     rng = np.random.default_rng(61)
     for _ in range(200):
         p = analytic_params(random_2x2(rng))
-        assert p.sigma1 >= p.sigma2 >= 0.0
+        assert p["sigma1"] >= p["sigma2"] >= 0.0
 
 
 def test_matches_numeric_svd():
@@ -53,9 +53,9 @@ def test_matches_numeric_svd():
         t = random_2x2(rng)
         p = analytic_params(t)
         sv = np.linalg.svd(t, compute_uv=False)
-        assert abs(p.sigma1 - sv[0]) < 1e-10
-        assert abs(p.sigma2 - sv[1]) < 1e-10
-        assert not math.isnan(p.gamma)
+        assert abs(p["sigma1"] - sv[0]) < 1e-10
+        assert abs(p["sigma2"] - sv[1]) < 1e-10
+        assert not math.isnan(p["gamma"])
 
 
 def test_circuit_reconstructs_input():
@@ -76,7 +76,7 @@ def test_rank_one_inputs_verify():
         row = rng.normal(size=2) + 1j * rng.normal(size=2)
         t = np.outer(col, row) / 2
         p, result = analytic_synthesize(t)
-        assert p.sigma2 < 1e-12
+        assert p["sigma2"] < 1e-12
         assert result.block_deviation < 1e-10
         assert result.quasiunitarity_deviation < 1e-10
 
@@ -93,8 +93,8 @@ def test_unitary_input_has_empty_modulation_stage():
 def test_mixed_case_uses_both_coupling_patterns():
     t = np.diag([2.0, 0.5]).astype(complex)
     p, result = analytic_synthesize(t)
-    assert p.sigma1 == pytest.approx(2.0)
-    assert p.sigma2 == pytest.approx(0.5)
+    assert p["sigma1"] == pytest.approx(2.0)
+    assert p["sigma2"] == pytest.approx(0.5)
     assert circuit_kinds(result.circuit) == ["gain", "loss"]
     assert result.circuit.n_modes == 4
 
@@ -176,14 +176,14 @@ def test_entries_near_the_float_limit_are_rejected_at_the_gain_ceiling():
 def test_a_phase_that_underflows_is_zero():
     # atan2(5e-324, 3) underflows to 0, where cmath.phase raised OverflowError.
     p, result = analytic_synthesize(np.array([[3 + 5e-324j, 0.0], [0.0, 0.5]]))
-    assert (p.sigma1, p.sigma2, p.phi11) == (3.0, 0.5, 0.0)
+    assert (p["sigma1"], p["sigma2"], p["phi11"]) == (3.0, 0.5, 0.0)
     assert result.block_deviation < 1e-12
 
 
 def test_zero_matrix():
     t = np.zeros((2, 2), dtype=complex)
     p, result = analytic_synthesize(t)
-    assert p.sigma1 == p.sigma2 == 0.0
+    assert p["sigma1"] == p["sigma2"] == 0.0
     assert max_abs(result.s_total[:2, :2]) < 1e-12
 
 
@@ -204,15 +204,15 @@ def test_triangular_chain_identity():
             return np.array([[c, s], [-s, c]], dtype=complex)
 
         chain = (
-            ps(1, p.phi21)
-            @ ps(0, p.phi11)
-            @ bs(-p.vartheta)
-            @ ps(1, p.xi2)
-            @ ps(0, p.xi1)
-            @ bs(p.theta1)
-            @ np.diag([p.sigma1, p.sigma2]).astype(complex)
-            @ bs(p.theta2)
-            @ ps(0, -p.xi1)
+            ps(1, p["phi21"])
+            @ ps(0, p["phi11"])
+            @ bs(-p["vartheta"])
+            @ ps(1, p["xi2"])
+            @ ps(0, p["xi1"])
+            @ bs(p["theta1"])
+            @ np.diag([p["sigma1"], p["sigma2"]]).astype(complex)
+            @ bs(p["theta2"])
+            @ ps(0, -p["xi1"])
         )
         assert max_abs(chain - t) < 1e-11
 
@@ -228,11 +228,11 @@ def test_huge_entries_report_the_true_singular_value():
 def test_tiny_entries_keep_their_singular_values():
     # Squaring 1e-170 would underflow to 0.
     p = analytic_params(np.diag([1e-170, 2e-170]))
-    assert p.sigma1 == pytest.approx(2e-170, rel=1e-14, abs=0.0)
-    assert p.sigma2 == pytest.approx(1e-170, rel=1e-14, abs=0.0)
+    assert p["sigma1"] == pytest.approx(2e-170, rel=1e-14, abs=0.0)
+    assert p["sigma2"] == pytest.approx(1e-170, rel=1e-14, abs=0.0)
     t = np.array([[1e-170, 1e-170j], [0.0, -2e-170]])
     p = analytic_params(t)
-    assert [p.sigma1, p.sigma2] == pytest.approx(np.linalg.svd(t, compute_uv=False), rel=1e-12, abs=0.0)
+    assert [p["sigma1"], p["sigma2"]] == pytest.approx(np.linalg.svd(t, compute_uv=False), rel=1e-12, abs=0.0)
 
 
 def test_power_of_two_scaling_leaves_params_unchanged():
@@ -243,14 +243,16 @@ def test_power_of_two_scaling_leaves_params_unchanged():
         p = analytic_params(t)
         for j in (-600, -30, 30, 600):
             q = analytic_params(t * 2.0**j)
-            assert (math.ldexp(p.sigma1, j), math.ldexp(p.sigma2, j)) == (q.sigma1, q.sigma2)
-            assert [getattr(p, f) for f in p.__dataclass_fields__ if not f.startswith("sigma")] == [
-                getattr(q, f) for f in q.__dataclass_fields__ if not f.startswith("sigma")
-            ]
+            assert (math.ldexp(p["sigma1"], j), math.ldexp(p["sigma2"], j)) == (q["sigma1"], q["sigma2"])
+            assert {k: v for k, v in p.items() if not k.startswith("sigma")} == {
+                k: v for k, v in q.items() if not k.startswith("sigma")
+            }
 
 
 def test_params_json():
-    out = params_to_json(analytic_params(LOSSY_BS_T))
-    assert out["schema"] == "qsynth/1"
-    assert out["sigma1"] == pytest.approx(1.0, abs=1e-12)
-    assert "gamma" in out and "alpha1" in out
+    # The dict is the ``params`` object that ``qsynth analytic2x2`` prints, less its schema key.
+    p = analytic_params(LOSSY_BS_T)
+    assert list(p) == ["phi11", "phi21", "vartheta", "xi1", "xi2", "theta1", "theta2", "sigma1", "sigma2",
+                       "alpha", "beta", "gamma", "alpha1", "alpha2", "beta1", "beta2"]
+    assert all(type(v) is float for v in p.values())
+    assert p["sigma1"] == pytest.approx(1.0, abs=1e-12)

@@ -105,7 +105,8 @@ def test_classify_rejects_more_singular_values_than_modes():
 
 def padded_diagonal(f, n_pad):
     """The D factor that goes with pad_factors: the singular values, then 1s."""
-    return np.diag(list(f.singulars) + [1.0] * (n_pad - len(f.singulars))).astype(complex)
+    _, singulars, _ = f
+    return np.diag(list(singulars) + [1.0] * (n_pad - len(singulars))).astype(complex)
 
 
 def test_classify_rejects_gain_above_ceiling():
@@ -144,9 +145,9 @@ def test_pad_factors_square_unchanged():
     f = svd(LOSSY_BS_T)
     u, w = pad_factors(f)
     d = padded_diagonal(f, 2)
-    assert max_abs(u - f.u) == 0.0
-    assert max_abs(w - f.w) == 0.0
-    assert np.allclose(np.diag(d), f.singulars)
+    assert max_abs(u - f[0]) == 0.0
+    assert max_abs(w - f[2]) == 0.0
+    assert np.allclose(np.diag(d), f[1])
 
 
 def test_pad_factors_wide_input_with_orthonormal_rows():
