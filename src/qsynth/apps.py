@@ -40,7 +40,7 @@ class RankOnePovm:
             raise ValueError("all POVM vectors must have the same length")
         if not len(vecs[0]):
             raise ValueError("POVM vectors must not be empty")
-        rows = np.array(vecs)
+        rows = as_matrix(vecs, "POVM matrix")
         rows.flags.writeable = False  # and so is every view of it, the matrix among them
         return cls(rows.T)
 

@@ -134,13 +134,12 @@ class Circuit:
         object.__setattr__(self, "elements", Elements.of(self.elements))
         if not (0 < self.n_nominal <= self.n_modes):
             raise ValueError(f"need 0 < n_nominal <= n_modes, got {self.n_nominal}, {self.n_modes}")
-        pad = set(self.ancilla_inputs) | set(self.ancilla_outputs)
-        full = set(self.full_ancillas)
-        if set(self.ancilla_inputs) & set(self.ancilla_outputs) or pad & full:
-            raise ValueError("ancilla index sets must be pairwise disjoint")
-        if any(not (0 <= i < self.n_nominal) for i in pad):
+        listed = (*self.ancilla_inputs, *self.ancilla_outputs, *self.full_ancillas)
+        if len(set(listed)) < len(listed):
+            raise ValueError("ancilla index lists must be pairwise disjoint, without repeats")
+        if any(not (0 <= i < self.n_nominal) for i in (*self.ancilla_inputs, *self.ancilla_outputs)):
             raise ValueError("padding ancillas must lie inside the nominal range")
-        if any(not (self.n_nominal <= i < self.n_modes) for i in full):
+        if any(not (self.n_nominal <= i < self.n_modes) for i in self.full_ancillas):
             raise ValueError("full ancillas must lie above the nominal range")
         check_modes(self.elements, self.n_modes)
 

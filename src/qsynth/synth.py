@@ -1,14 +1,14 @@
 """End-to-end synthesis of a quasiunitary network from an arbitrary complex matrix.
 
 Pipeline: singular value decomposition, mesh decomposition of the two
-unitary factors, one beam splitter or two-mode squeezer per singular value
-different from 1 (each coupling a nominal mode to its own vacuum ancilla),
-and the scattering matrix of the whole circuit.  A non-square ``n x m``
-input fixes only ``min(n, m)`` columns of its larger factor, so that factor
-gets the mesh of an isometry (:func:`mesh.reck_decompose`) rather than of an
-identity-padded square.  The result carries the circuit, the full
-scattering matrix with the input in its upper-left block, and the
-verification deviations.
+unitary factors (or of their product alone, if every singular value is 1),
+one beam splitter or two-mode squeezer per singular value different from 1
+(each coupling a nominal mode to its own vacuum ancilla), and the scattering
+matrix of the whole circuit.  A non-square ``n x m`` input fixes only
+``min(n, m)`` columns of its larger factor, so that factor gets the mesh of
+an isometry (:func:`mesh.reck_decompose`) rather than of an identity-padded
+square.  The result carries the circuit, the full scattering matrix with the
+input in its upper-left block, and the verification deviations.
 """
 
 from __future__ import annotations
@@ -66,40 +66,40 @@ def couplings(singulars, tol: float, n_nominal: int) -> Elements:
 def synthesize(t, tol: float = TOL) -> SynthesisResult:
     """Compile ``t`` into a circuit and its 2N x 2N scattering matrix.
 
-    A tall ``t`` (n >= m) meshes W and the isometry ``U[:, :m]``; a wide one
-    meshes U and ``W[:n].T``, then transposes that mesh (elements reversed,
-    ``BS(a, b, theta)^T = BS(b, a, theta)``) so that its first n rows are ``W[:n]``.
-    The rest of each larger factor meets only vacuum ancilla inputs or
-    discarded outputs.  :func:`verified` adds the D stage from the singular values
-    and checks the product: the returned matrix has ``t`` as its upper-left block
-    and is quasiunitary, and a :class:`SynthesisError` is raised if either
-    deviation exceeds ``tol``.
+    With ``k = min(n, m)``, the circuit meshes ``W[:k]`` and ``U[:, :k]``
+    (:func:`factor_mesh`); the rest of each larger factor meets only vacuum
+    ancilla inputs or discarded outputs.  If :func:`couplings`, run before any
+    mesh (so its ValueError comes first), couples no singular value, the two
+    meshes become one, Reck's, of the isometry ``U[:, :k] W[:k]``.
+    :func:`verified` adds the D stage and checks the product: the returned
+    matrix has ``t`` as its upper-left block and is quasiunitary, and a
+    :class:`SynthesisError` is raised if either deviation exceeds ``tol``.
     """
     t = as_matrix(t, "t")
     u, singulars, w = svd(t)
-    n, m = t.shape
-    if n >= m:
-        w_elements = factor_mesh("factor W", w, tol)
-        u_elements = factor_mesh("factor U", u[:, :m], tol)
-    else:
-        w_t = factor_mesh("factor W", w[:n].T, tol)
-        w_elements = Elements(w_t.kind[::-1], w_t.mode_b[::-1], w_t.mode_a[::-1], w_t.angle[::-1])
-        u_elements = factor_mesh("factor U", u, tol)
-    return verified(t, singulars, w_elements, u_elements, tol)
+    k = len(singulars)
+    if couplings(singulars, tol, max(t.shape)):
+        return verified(t, singulars, factor_mesh("factor W", w[:k], tol), factor_mesh("factor U", u[:, :k], tol), tol)
+    return verified(t, singulars, (), factor_mesh("factor U W", u[:, :k] @ w[:k], tol), tol)
 
 
-def factor_mesh(name: str, u: np.ndarray, tol: float) -> Elements:
-    """``mesh.reck_decompose(u, tol)`` of a unitary or isometry that qsynth computed itself, such as an SVD factor.
+def factor_mesh(name: str, a: np.ndarray, tol: float) -> Elements:
+    """``mesh.reck_decompose(a, tol)`` of a unitary or isometry that qsynth computed itself, such as an SVD factor.
 
-    Its failing the unitarity check is a failure of the pipeline, not of the
+    A wide ``a`` gets the transpose of the mesh of ``a.T`` (elements reversed,
+    ``BS(a, b, theta)^T = BS(b, a, theta)``), so that its first rows are ``a``.
+    Failing the unitarity check is a failure of the pipeline, not of the
     caller's input, so it raises :class:`SynthesisError` naming ``name``.
     """
     try:
-        return mesh.reck_decompose(u, tol)
+        if a.shape[0] >= a.shape[1]:
+            return mesh.reck_decompose(a, tol)
+        e = mesh.reck_decompose(a.T, tol)
     except mesh.NotUnitaryError as exc:
         raise SynthesisError(
             f"{name} is not unitary: deviation {exc.deviation:.3e} exceeds tol {tol:.3e}"
         ) from exc
+    return Elements(e.kind[::-1], e.mode_b[::-1], e.mode_a[::-1], e.angle[::-1])
 
 
 def verified(target: np.ndarray, singulars, w_elements, u_elements, tol: float) -> SynthesisResult:

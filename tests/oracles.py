@@ -305,19 +305,26 @@ class CountBounds:
     max_d: int
 
 
-def count_bounds(n: int, m: int) -> CountBounds:
+def count_bounds(n: int, m: int, coupled: bool = True) -> CountBounds:
     """Element-count ceilings for an n x m input (D-stage elements counted in max_d).
 
     With k = min(n, m) and N = max(n, m), the meshes are a k x k unitary
     (k (k - 1) / 2 beam splitters) and an N x k isometry (k (2N - k - 1) / 2):
     k (N - 1) in all, which is n (n - 1) / 2 + m (m - 1) / 2 for a square input.
+    An input with no coupled singular value (``coupled=False``) has no D stage
+    and one mesh, of U[:, :k] W[:k] (or its transpose): k (2N - k - 1) / 2 beam
+    splitters, Reck's n (n - 1) / 2 for a unitary, and at most one phase shifter
+    per beam splitter plus one per mode.
     """
     if n < 1 or m < 1:
         raise ValueError(f"dimensions must be >= 1, got {n}x{m}")
+    k, big = min(n, m), max(n, m)
+    if not coupled:
+        return CountBounds(max_bs=k * (2 * big - k - 1) // 2, max_ps=k * (2 * big - k - 1) // 2 + big, max_d=0)
     return CountBounds(
-        max_bs=min(n, m) * (max(n, m) - 1),
+        max_bs=k * (big - 1),
         max_ps=n * (n + 1) // 2 + m * (m + 1) // 2,
-        max_d=min(n, m),
+        max_d=k,
     )
 
 

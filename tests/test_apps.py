@@ -142,6 +142,14 @@ def test_povm_from_vectors_rejects_empty_or_ragged(vectors, message):
         RankOnePovm.from_vectors(vectors)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_povm_from_vectors_rejects_non_finite_entries_as_from_operators_does(bad):
+    with pytest.raises(ValueError, match="^POVM matrix contains non-finite entries$"):
+        RankOnePovm.from_vectors([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="^operator 0 contains non-finite entries$"):
+        RankOnePovm.from_operators([[[bad, 0.0], [0.0, 0.0]]])
+
+
 @pytest.mark.parametrize(
     "operator, message",
     [

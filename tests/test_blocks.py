@@ -364,6 +364,21 @@ def test_circuit_validation():
         Circuit(n_modes=2, n_nominal=0)
 
 
+@pytest.mark.parametrize(
+    "lists",
+    [
+        {"ancilla_outputs": (1, 1)},
+        {"ancilla_inputs": (0, 0)},
+        {"full_ancillas": (2, 2)},
+        {"ancilla_outputs": (1,), "full_ancillas": (2, 2)},
+        {"ancilla_inputs": (1,), "ancilla_outputs": (1,)},
+    ],
+)
+def test_circuit_refuses_a_repeated_ancilla_index(lists):
+    with pytest.raises(ValueError, match="^ancilla index lists must be pairwise disjoint, without repeats$"):
+        Circuit(n_modes=3, n_nominal=2, **lists)
+
+
 def test_circuit_refuses_modes_over_the_ceiling_first():
     assert MAX_MODES == 4096 and Circuit(n_modes=MAX_MODES, n_nominal=1).n_modes == MAX_MODES
     # Checked before the rows: this unknown kind code would otherwise be the error.

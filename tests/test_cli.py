@@ -1192,6 +1192,8 @@ ERROR_DOCS = {
     "modes_1e5": {"n_modes": 100000, "n_nominal": 1, "elements": []},
     # rows * cols = 2 matches the data length, so only the sign check catches it.
     "negative_dims": {"rows": -1, "cols": -2, "data": [[1, 0], [2, 0]]},
+    "repeated_ancillas": {"n_modes": 3, "n_nominal": 2, "ancilla_outputs": [1, 1], "full_ancillas": [2, 2],
+                          "elements": [{"type": "bs", "modes": [0, 2], "theta": 0.5}]},
 }
 
 OVER_THE_CEILING = [
@@ -1246,6 +1248,8 @@ OVER_THE_CEILING = [
          "@xi_80: element 0 (kind, mode_a, mode_b, angle) = (2, 0, 1, 80.0): squeezer xi 80.0 exceeds the ceiling 50.0"),
         (["naimark", "@empty_vector"], 4, "POVM vectors must not be empty"),
         (["synth", "@negative_dims"], 2, "@negative_dims: rows and cols must be non-negative, got -1 and -2"),
+        (["simulate", "@repeated_ancillas", "--input", "1,0"], 2,
+         "@repeated_ancillas: ancilla index lists must be pairwise disjoint, without repeats"),
     ],
 )
 def test_error_line_and_exit_code(tmp_path, capsys, argv, code, line):

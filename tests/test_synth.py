@@ -60,6 +60,15 @@ def test_count_bounds(n, m, expected):
     assert (b.max_bs, b.max_ps, b.max_d) == expected
 
 
+@pytest.mark.parametrize(
+    "n, m, expected",
+    [(2, 2, (1, 3, 0)), (4, 4, (6, 10, 0)), (2, 3, (3, 6, 0)), (8, 1, (7, 15, 0)), (1, 1, (0, 1, 0))],
+)
+def test_count_bounds_of_one_mesh(n, m, expected):
+    b = count_bounds(n, m, coupled=False)
+    assert (b.max_bs, b.max_ps, b.max_d) == expected
+
+
 def test_count_bounds_rejects_degenerate():
     with pytest.raises(ValueError):
         count_bounds(0, 2)
@@ -328,6 +337,15 @@ def test_synthesize_rejects_huge_gain():
         synthesize(np.array([[1e22]], dtype=complex))
 
 
+def test_gain_ceiling_is_checked_before_the_meshes():
+    # At tol 1e-17 the factor meshes would fail their unitarity check; the
+    # gain ceiling, an input error, is checked first.
+    rng = np.random.default_rng(48)
+    t = random_unitary(rng, 2) @ np.diag([1e22, 0.5]) @ random_unitary(rng, 2)
+    with pytest.raises(ValueError, match="singular value 1.000e\\+22 exceeds the gain ceiling"):
+        synthesize(t, 1e-17)
+
+
 def test_synthesize_all_loss_is_passive():
     rng = np.random.default_rng(45)
     t = 0.5 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))) / 3
@@ -382,40 +400,57 @@ def test_verification_report_nonsquare_lists_true_singular_count():
 
 @st.composite
 def shaped_targets(draw):
-    """An n x m target, 1 <= n, m <= 8: Haar factors around a loss, gain, passive or mixed spectrum."""
+    """``(spectrum, t)``: an n x m target, 1 <= n, m <= 8, of Haar factors around a loss, gain, passive,
+    near-unit (every sigma within 0.95 TOL of 1) or mixed spectrum."""
     n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     k = min(n, m)
+    spectrum = draw(st.sampled_from(("loss", "gain", "passive", "near_unit", "mixed")))
     sigmas = {
         "loss": rng.uniform(0.0, 1.0, k),
         "gain": rng.uniform(1.0, 4.0, k),
         "passive": np.ones(k),
+        "near_unit": 1.0 + rng.uniform(-0.95, 0.95, k) * TOL,
         "mixed": rng.uniform(0.0, 3.0, k),
-    }[draw(st.sampled_from(("loss", "gain", "passive", "mixed")))]
-    return random_unitary(rng, n)[:, :k] @ np.diag(sigmas) @ random_unitary(rng, m)[:k]
+    }[spectrum]
+    return spectrum, random_unitary(rng, n)[:, :k] @ np.diag(sigmas) @ random_unitary(rng, m)[:k]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(shaped_targets())
-def test_round_trip_meshes_each_factor_on_its_own_modes(t):
+def test_round_trip_meshes_each_factor_on_its_own_modes(drawn):
+    spectrum, t = drawn
     n, m = t.shape
-    sizes = {}
+    calls = []
 
     def spy(name, u, tol):
         elements = factor_mesh(name, u, tol)
-        sizes[name] = len(elements)
+        calls.append((name, len(elements)))
         return elements
 
     with mock.patch("qsynth.synth.factor_mesh", spy):
         r = synthesize(t)
     assert max_abs(r.s_total[:n, :m] - t) <= TOL
+    assert r.quasiunitarity_deviation <= TOL
     elements = r.circuit.elements
+    assert all(0.0 <= angle <= math.pi / 2 for kind, _, _, angle in elements if kind == BS)
+    if spectrum in ("passive", "near_unit"):
+        # Every sigma within TOL of 1: one mesh of U[:, :k] W[:k] on the nominal modes, no D stage.
+        assert len(calls) == 1 and calls[0][1] == len(elements)
+        assert r.circuit.n_modes == max(n, m) and r.circuit.full_ancillas == ()
+        assert all(kind != TMS for kind, _, _, _ in elements)
+        # A wide input's mesh is transposed: each beam splitter's first mode is the larger one.
+        assert all((a > b) == (n < m) for kind, a, b, _ in elements if kind == BS)
+        bounds, counts = count_bounds(n, m, coupled=False), element_counts(elements)
+        assert counts["beam_splitters"] <= bounds.max_bs and counts["phase_shifters"] <= bounds.max_ps
+        return
+    sizes = dict(calls)
+    assert len(calls) == 2
     w_stage, u_stage = elements[: sizes["factor W"]], elements[len(elements) - sizes["factor U"] :]
     d_stage = elements[len(w_stage) : len(elements) - len(u_stage)]
     assert all(kind != TMS and a < m and b < m for kind, a, b, _ in w_stage)
     assert all(kind != TMS and a < n and b < n for kind, a, b, _ in u_stage)
     assert all(a < min(n, m) <= max(n, m) <= b for _, a, b, _ in d_stage)
-    assert all(0.0 <= angle <= math.pi / 2 for kind, _, _, angle in elements if kind == BS)
     # A wide input's W stage is a transposed mesh: each beam splitter's first mode is the larger one.
     assert all((a > b) == (n < m) for kind, a, b, _ in w_stage if kind == BS)
     assert all(a < b for kind, a, b, _ in u_stage if kind == BS)

@@ -4,13 +4,14 @@
 
 Every run times every suite; a row is one ``(suite, case, stage)``:
 
-- ``mesh``: ``reck_decompose``, ``synthesize`` (square, tall and wide),
-  ``circuit_smatrix``, ``circuit_from_json`` and ``naimark`` at n in ``SIZES``.
-  ``reck_decompose`` gets a seeded Haar n x n unitary, and ``naimark`` runs
-  ``naimark_extension``, then ``reck_decompose``, on the rank-one POVM whose
-  vectors are the columns of that unitary's first ``max(1, n // 4)`` rows
-  (n outcomes).  ``synthesize`` gets a
-  seeded complex Gaussian n x n matrix scaled by ``1 / sqrt(2 n)``, whose
+- ``mesh``: ``reck_decompose``, ``synthesize`` (unitary, square, tall and
+  wide), ``circuit_smatrix``, ``circuit_from_json`` and ``naimark`` at n in
+  ``SIZES``.  ``reck_decompose`` and ``synthesize_unitary`` get the same
+  seeded Haar n x n unitary, so that its one-mesh synthesis is timed next to
+  Reck's mesh itself.  ``naimark`` runs ``naimark_extension``, then
+  ``reck_decompose``, on the rank-one POVM whose vectors are the columns of
+  that unitary's first ``max(1, n // 4)`` rows (n outcomes).  ``synthesize``
+  gets a seeded complex Gaussian n x n matrix scaled by ``1 / sqrt(2 n)``, whose
   singular values lie on both sides of 1, so the circuit has loss and gain
   couplings and ``N = 2 n`` modes (barring a singular value within ``tol`` of
   1); ``synthesize_tall`` gets its first ``max(1, n // 2)`` columns and
@@ -73,8 +74,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import refs  # noqa: E402  (perfbench/refs.py; it does not import qsynth)
 
 SIZES = (2, 4, 8, 16, 32, 64, 128)
-FUNCTIONS = ("reck_decompose", "synthesize", "synthesize_tall", "synthesize_wide", "circuit_smatrix",
-             "circuit_from_json", "naimark")
+FUNCTIONS = ("reck_decompose", "synthesize_unitary", "synthesize", "synthesize_tall", "synthesize_wide",
+             "circuit_smatrix", "circuit_from_json", "naimark")
 MESHES = ("reck_decompose", "naimark")  # their result is the mesh; they get the full --repeats
 CAPS = (8, (1, 1, 1, 1, 1, 1, 0, 0))
 CZ_PAIRS = {"HH": (0, 2), "HV": (0, 3), "VH": (1, 2), "VV": (1, 3)}
@@ -110,15 +111,17 @@ def mesh_job(repeats: int, case: int) -> dict:
         half = max(1, n // 2)
         u = refs.haar_unitary(np.random.default_rng(n), n)
         povm = RankOnePovm.from_vectors(u[: max(1, n // 4)].T)
-        inputs[n] = (u, t, t[:, :half], t[:half], circuit, netlist, povm)
+        inputs[n] = (u, u, t, t[:, :half], t[:half], circuit, netlist, povm)
     out = {}
-    calls = (reck_decompose, synthesize, synthesize, synthesize, circuit_smatrix, circuit_from_json, naimark)
+    calls = (reck_decompose, synthesize, synthesize, synthesize, synthesize, circuit_smatrix, circuit_from_json,
+             naimark)
     for i, (function, call) in enumerate(zip(FUNCTIONS, calls)):
         for n in SIZES:
             mesh = function in MESHES
             seconds, result = best_of(repeats if mesh else max(3, repeats // 4), call, inputs[n][i])
             # the mesh's or the synthesized circuit's own elements, else those of the square input's circuit
-            size = len(result) if mesh else len(result.circuit.elements) if i < 4 else len(inputs[n][4].elements)
+            size = len(result) if mesh else len(result.circuit.elements) if call is synthesize \
+                else len(inputs[n][5].elements)
             out[f"mesh/n={n}/{function}"] = {"seconds": seconds, "elements": size}
     return out
 
