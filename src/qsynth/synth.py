@@ -5,10 +5,11 @@ unitary factors (or of their product alone, if every singular value is 1),
 one beam splitter or two-mode squeezer per singular value different from 1
 (each coupling a nominal mode to its own vacuum ancilla), and the scattering
 matrix of the whole circuit.  A non-square ``n x m`` input fixes only
-``min(n, m)`` columns of its larger factor, so that factor gets the mesh of
-an isometry (:func:`mesh.reck_decompose`) rather than of an identity-padded
-square.  The result carries the circuit, the full scattering matrix with the
-input in its upper-left block, and the verification deviations.
+``min(n, m)`` columns of its larger factor, and a fully lost singular value
+fixes none, so each factor gets the mesh of an isometry
+(:func:`mesh.reck_decompose`) rather than of an identity-padded square.  The
+result carries the circuit, the full scattering matrix with the input in its
+upper-left block, and the verification deviations.
 """
 
 from __future__ import annotations
@@ -40,9 +41,17 @@ class SynthesisResult:
 def couplings(singulars, tol: float, n_nominal: int) -> Elements:
     """The D stage, built by :func:`verified`: one loss or gain coupling per singular value more than ``tol`` from 1.
 
-    Mode ``j`` is coupled iff ``|sigma_j - 1| > tol``; by Cauchy-Schwarz over a
-    row of U and a column of W, leaving the other modes uncoupled moves each
-    block entry by at most ``tol``.  ``singulars`` may be shorter than
+    Mode ``j`` is coupled iff ``|sigma_j - 1| > tol``.  :func:`synthesize` drops
+    a loss mode with ``sigma_j <= tol / 2`` from its meshes, whose own column
+    ``U_m[:, j]`` and row ``W_m[j]`` then stand in for ``U[:, j]`` and ``W[j]``:
+    the term it adds and the term it loses are each at most ``sigma_j``, so a
+    dropped mode moves a block entry by at most ``2 max sigma_dropped <= tol``.
+    Over the uncoupled modes A and the dropped modes B, entry ``(i, l)`` moves
+    by at most ``tol sum_A a b + (tol / 2) sum_B (a b + a' b')`` with
+    ``a = |U[i, j]|``, ``b = |W[j, l]|`` and ``a'``, ``b'`` the meshes' entries,
+    which equal them on A.  That is ``(tol / 2) (sum_{A+B} a b + sum_{A+B} a' b')``,
+    and Cauchy-Schwarz over a row and a column of each keeps both sums within
+    1, so the total stays within ``tol``.  ``singulars`` may be shorter than
     ``n_nominal``; the modes past its end stay uncoupled, as for exactly 1.
     Ancillas are numbered in ascending mode order starting at ``n_nominal``.
     Loss ``sigma < 1`` is a beam splitter with ``theta = acos(sigma)`` and gain
@@ -66,21 +75,28 @@ def couplings(singulars, tol: float, n_nominal: int) -> Elements:
 def synthesize(t, tol: float = TOL) -> SynthesisResult:
     """Compile ``t`` into a circuit and its 2N x 2N scattering matrix.
 
-    With ``k = min(n, m)``, the circuit meshes ``W[:k]`` and ``U[:, :k]``
-    (:func:`factor_mesh`); the rest of each larger factor meets only vacuum
-    ancilla inputs or discarded outputs.  If :func:`couplings`, run before any
-    mesh (so its ValueError comes first), couples no singular value, the two
-    meshes become one, Reck's, of the isometry ``U[:, :k] W[:k]``.
+    A singular value is dropped if ``sigma_j <= tol / 2`` and :func:`couplings`
+    couples it as loss (``1 - sigma_j > tol``); with ``r`` of the ``min(n, m)``
+    not dropped (the first ``r``, as they descend), the circuit meshes ``W[:r]``
+    and ``U[:, :r]`` (:func:`factor_mesh`), at most ``r (2m - r - 1) / 2 +
+    r (2n - r - 1) / 2`` beam splitters.  The rest of each factor meets only
+    vacuum ancilla inputs, discarded outputs, or a dropped mode's loss coupling
+    (``theta`` near pi/2, ancilla kept), which moves the block by at most ``tol``
+    (the bound argument is in :func:`couplings`).  If :func:`couplings`, run
+    before any mesh (so its ValueError comes first), couples no singular value,
+    the two meshes become one, Reck's, of the isometry ``U[:, :r] W[:r]``.
     :func:`verified` adds the D stage and checks the product: the returned
     matrix has ``t`` as its upper-left block and is quasiunitary, and a
     :class:`SynthesisError` is raised if either deviation exceeds ``tol``.
     """
     t = as_matrix(t, "t")
     u, singulars, w = svd(t)
-    k = len(singulars)
+    r = len(singulars)
+    while r and singulars[r - 1] <= tol / 2 and 1.0 - singulars[r - 1] > tol:  # they descend: drop from the end
+        r -= 1
     if couplings(singulars, tol, max(t.shape)):
-        return verified(t, singulars, factor_mesh("factor W", w[:k], tol), factor_mesh("factor U", u[:, :k], tol), tol)
-    return verified(t, singulars, (), factor_mesh("factor U W", u[:, :k] @ w[:k], tol), tol)
+        return verified(t, singulars, factor_mesh("factor W", w[:r], tol), factor_mesh("factor U", u[:, :r], tol), tol)
+    return verified(t, singulars, (), factor_mesh("factor U W", u[:, :r] @ w[:r], tol), tol)
 
 
 def factor_mesh(name: str, a: np.ndarray, tol: float) -> Elements:

@@ -305,24 +305,29 @@ class CountBounds:
     max_d: int
 
 
-def count_bounds(n: int, m: int, coupled: bool = True) -> CountBounds:
+def count_bounds(n: int, m: int, coupled: bool = True, r: int | None = None) -> CountBounds:
     """Element-count ceilings for an n x m input (D-stage elements counted in max_d).
 
-    With k = min(n, m) and N = max(n, m), the meshes are a k x k unitary
-    (k (k - 1) / 2 beam splitters) and an N x k isometry (k (2N - k - 1) / 2):
-    k (N - 1) in all, which is n (n - 1) / 2 + m (m - 1) / 2 for a square input.
+    With k = min(n, m), N = max(n, m) and r <= k meshed singular values (the
+    rank argument, default k; the rest are dropped), the meshes are of the
+    isometries W[:r]^T (m x r, r (2m - r - 1) / 2 beam splitters) and U[:, :r]
+    (n x r, r (2n - r - 1) / 2): r (n + m - r - 1) in all, which is k (N - 1)
+    at full rank and n (n - 1) / 2 + m (m - 1) / 2 for a square input.
     An input with no coupled singular value (``coupled=False``) has no D stage
-    and one mesh, of U[:, :k] W[:k] (or its transpose): k (2N - k - 1) / 2 beam
+    and one mesh, of U[:, :r] W[:r] (or its transpose): r (2N - r - 1) / 2 beam
     splitters, Reck's n (n - 1) / 2 for a unitary, and at most one phase shifter
     per beam splitter plus one per mode.
     """
     if n < 1 or m < 1:
         raise ValueError(f"dimensions must be >= 1, got {n}x{m}")
     k, big = min(n, m), max(n, m)
+    r = k if r is None else r
+    if not 0 <= r <= k:
+        raise ValueError(f"rank must lie in 0..{k}, got {r}")
     if not coupled:
-        return CountBounds(max_bs=k * (2 * big - k - 1) // 2, max_ps=k * (2 * big - k - 1) // 2 + big, max_d=0)
+        return CountBounds(max_bs=r * (2 * big - r - 1) // 2, max_ps=r * (2 * big - r - 1) // 2 + big, max_d=0)
     return CountBounds(
-        max_bs=k * (big - 1),
+        max_bs=r * (n + m - r - 1),
         max_ps=n * (n + 1) // 2 + m * (m + 1) // 2,
         max_d=k,
     )

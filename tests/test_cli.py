@@ -61,6 +61,25 @@ def test_synth_identity_gives_empty_netlist(tmp_path, capsys):
     assert json.loads(netlist.read_text())["elements"] == []
 
 
+@pytest.mark.parametrize("sigmas, counts, n_full_ancillas", [
+    (None, {"beam_splitters": 6, "squeezers": 0}, 0),  # a 4 x 4 unitary: Reck's one mesh
+    ((1.5, 0.5, 0.0), {"beam_splitters": 8 + 2, "squeezers": 1}, 3),  # rank-2 meshes, 2 losses, 1 gain
+])
+def test_synth_report_pins_the_mesh_counts(tmp_path, capsys, sigmas, counts, n_full_ancillas):
+    # Counts and exit codes only: the SVD's bits may differ between LAPACK builds.
+    rng = np.random.default_rng(51)
+    t = random_unitary(rng, 4)
+    if sigmas is not None:
+        t = t[:, :3] @ np.diag(sigmas) @ random_unitary(rng, 3)
+    report = tmp_path / "rep.json"
+    code = main(["synth", write_matrix(tmp_path / "t.json", t), "--netlist", str(tmp_path / "net.json"),
+                 "--report", str(report)])
+    assert code == 0
+    rep = json.loads(report.read_text())
+    assert {kind: rep["counts"][kind] for kind in counts} == counts
+    assert rep["n_full_ancillas"] == n_full_ancillas
+
+
 def test_synth_malformed_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

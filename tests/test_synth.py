@@ -61,6 +61,15 @@ def test_count_bounds(n, m, expected):
 
 
 @pytest.mark.parametrize(
+    "n, m, r, expected",
+    [(4, 4, 4, (12, 20, 4)), (4, 4, 2, (10, 20, 4)), (4, 3, 2, (8, 16, 3)), (3, 5, 1, (6, 21, 3)), (8, 1, 0, (0, 37, 1))],
+)
+def test_count_bounds_of_rank_r(n, m, r, expected):
+    b = count_bounds(n, m, r=r)
+    assert (b.max_bs, b.max_ps, b.max_d) == expected
+
+
+@pytest.mark.parametrize(
     "n, m, expected",
     [(2, 2, (1, 3, 0)), (4, 4, (6, 10, 0)), (2, 3, (3, 6, 0)), (8, 1, (7, 15, 0)), (1, 1, (0, 1, 0))],
 )
@@ -72,6 +81,8 @@ def test_count_bounds_of_one_mesh(n, m, expected):
 def test_count_bounds_rejects_degenerate():
     with pytest.raises(ValueError):
         count_bounds(0, 2)
+    with pytest.raises(ValueError, match="rank"):
+        count_bounds(3, 2, r=3)
 
 
 def test_classify_lossy_bs():
@@ -456,3 +467,53 @@ def test_round_trip_meshes_each_factor_on_its_own_modes(drawn):
     assert all(a < b for kind, a, b, _ in u_stage if kind == BS)
     assert element_counts(w_stage)["beam_splitters"] + element_counts(u_stage)["beam_splitters"] \
         <= count_bounds(n, m).max_bs
+
+
+def synthesize_with_mesh_shapes(t, tol):
+    """``synthesize(t, tol)`` and the shapes of the factors it meshed."""
+    shapes = []
+
+    def spy(name, a, tol):
+        shapes.append(a.shape)
+        return factor_mesh(name, a, tol)
+
+    with mock.patch("qsynth.synth.factor_mesh", spy):
+        return synthesize(t, tol), shapes
+
+
+@pytest.mark.parametrize("tol", [TOL, 1e-4, 0.1])
+@pytest.mark.parametrize("absolute, fraction, dropped", [(0.0, 0.0, True), (1e-12, 0.0, True), (0.0, 0.45, True),
+                                                         (0.0, 0.5, True), (0.0, 0.55, False), (0.0, 0.9, False)])
+def test_rank_deficient_inputs_mesh_only_the_kept_modes(tol, absolute, fraction, dropped):
+    # Every other sigma is absolute + fraction * tol: dropped up to tol / 2, so the meshes see
+    # only W[:r] and U[:, :r], and the dropped modes keep their loss couplings and ancillas.
+    rng = np.random.default_rng(49)
+    for n in range(1, 9):
+        for m in range(1, 9):
+            k = min(n, m)
+            small = absolute + fraction * tol
+            sigmas = sorted((small if i % 2 == 0 else rng.uniform(0.3, 2.0) for i in range(k)), reverse=True)
+            t = random_unitary(rng, n)[:, :k] @ np.diag(sigmas) @ random_unitary(rng, m)[:k]
+            result, shapes = synthesize_with_mesh_shapes(t, tol)  # raises SynthesisError unless it verifies
+            rank = sum(sigma > tol / 2 or 1.0 - sigma <= tol for sigma in result.singulars)
+            if fraction != 0.5:  # exactly at tol / 2, the SVD's rounding decides
+                assert rank == (k // 2 if dropped else k)
+            assert shapes == [(rank, m), (n, rank)]
+            assert max_abs(result.s_total[:n, :m] - t) <= tol
+            coupled = sum(abs(sigma - 1.0) > tol for sigma in result.singulars)
+            assert len(result.circuit.full_ancillas) == coupled
+            assert element_counts(result.circuit.elements)["beam_splitters"] \
+                <= count_bounds(n, m, r=rank).max_bs + coupled
+
+
+@pytest.mark.parametrize("tol, sigmas", [(0.9, (2.5, 0.3, 0.3)), (0.7, (1.9, 0.32)), (0.7, (0.32, 0.32, 0.32))])
+def test_a_small_sigma_that_is_not_coupled_stays_meshed(tol, sigmas):
+    # sigma <= tol / 2, but |sigma - 1| <= tol leaves it uncoupled: no loss coupling
+    # sends it to an ancilla, so the meshes must carry it.
+    rng = np.random.default_rng(50)
+    k = len(sigmas)
+    for _ in range(20):
+        t = random_unitary(rng, k) @ np.diag(sigmas) @ random_unitary(rng, k)
+        result, shapes = synthesize_with_mesh_shapes(t, tol)
+        assert shapes and all(shape == (k, k) for shape in shapes)
+        assert max_abs(result.s_total[:k, :k] - t) <= tol

@@ -4,9 +4,9 @@
 
 Every run times every suite; a row is one ``(suite, case, stage)``:
 
-- ``mesh``: ``reck_decompose``, ``synthesize`` (unitary, square, tall and
-  wide), ``circuit_smatrix``, ``circuit_from_json`` and ``naimark`` at n in
-  ``SIZES``.  ``reck_decompose`` and ``synthesize_unitary`` get the same
+- ``mesh``: ``reck_decompose``, ``synthesize`` (unitary, square, tall, wide
+  and rank-deficient), ``circuit_smatrix``, ``circuit_from_json`` and
+  ``naimark`` at n in ``SIZES``.  ``reck_decompose`` and ``synthesize_unitary`` get the same
   seeded Haar n x n unitary, so that its one-mesh synthesis is timed next to
   Reck's mesh itself.  ``naimark`` runs ``naimark_extension``, then
   ``reck_decompose``, on the rank-one POVM whose vectors are the columns of
@@ -15,9 +15,12 @@ Every run times every suite; a row is one ``(suite, case, stage)``:
   singular values lie on both sides of 1, so the circuit has loss and gain
   couplings and ``N = 2 n`` modes (barring a singular value within ``tol`` of
   1); ``synthesize_tall`` gets its first ``max(1, n // 2)`` columns and
-  ``synthesize_wide`` its first ``max(1, n // 2)`` rows.  ``circuit_smatrix`` gets
-  the circuit that ``synthesize`` makes of that input, and ``circuit_from_json``
-  the netlist JSON of that circuit, as ``json.load`` reads it.  Each case gets
+  ``synthesize_wide`` its first ``max(1, n // 2)`` rows;
+  ``synthesize_rank_deficient`` gets it with its ``n // 2`` smallest singular
+  values set to exactly 0, so only the other ``n - n // 2`` modes are meshed.
+  ``circuit_smatrix`` gets the circuit that ``synthesize`` makes of the square
+  input, and ``circuit_from_json`` the netlist JSON of that circuit, as
+  ``json.load`` reads it.  Each case gets
   the best of ``--repeats`` timed calls for ``reck_decompose`` and ``naimark``, and of
   ``max(3, --repeats // 4)`` for the others, whose calls at n = 128 take
   tenths of a second.
@@ -75,7 +78,7 @@ import refs  # noqa: E402  (perfbench/refs.py; it does not import qsynth)
 
 SIZES = (2, 4, 8, 16, 32, 64, 128)
 FUNCTIONS = ("reck_decompose", "synthesize_unitary", "synthesize", "synthesize_tall", "synthesize_wide",
-             "circuit_smatrix", "circuit_from_json", "naimark")
+             "synthesize_rank_deficient", "circuit_smatrix", "circuit_from_json", "naimark")
 MESHES = ("reck_decompose", "naimark")  # their result is the mesh; they get the full --repeats
 CAPS = (8, (1, 1, 1, 1, 1, 1, 0, 0))
 CZ_PAIRS = {"HH": (0, 2), "HV": (0, 3), "VH": (1, 2), "VV": (1, 3)}
@@ -111,17 +114,19 @@ def mesh_job(repeats: int, case: int) -> dict:
         half = max(1, n // 2)
         u = refs.haar_unitary(np.random.default_rng(n), n)
         povm = RankOnePovm.from_vectors(u[: max(1, n // 4)].T)
-        inputs[n] = (u, u, t, t[:, :half], t[:half], circuit, netlist, povm)
+        left, sigmas, right = np.linalg.svd(t)
+        sigmas[n - n // 2 :] = 0.0
+        inputs[n] = (u, u, t, t[:, :half], t[:half], (left * sigmas) @ right, circuit, netlist, povm)
     out = {}
-    calls = (reck_decompose, synthesize, synthesize, synthesize, synthesize, circuit_smatrix, circuit_from_json,
-             naimark)
+    calls = (reck_decompose, synthesize, synthesize, synthesize, synthesize, synthesize, circuit_smatrix,
+             circuit_from_json, naimark)
     for i, (function, call) in enumerate(zip(FUNCTIONS, calls)):
         for n in SIZES:
             mesh = function in MESHES
             seconds, result = best_of(repeats if mesh else max(3, repeats // 4), call, inputs[n][i])
             # the mesh's or the synthesized circuit's own elements, else those of the square input's circuit
             size = len(result) if mesh else len(result.circuit.elements) if call is synthesize \
-                else len(inputs[n][5].elements)
+                else len(inputs[n][6].elements)
             out[f"mesh/n={n}/{function}"] = {"seconds": seconds, "elements": size}
     return out
 
