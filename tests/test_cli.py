@@ -317,6 +317,27 @@ def test_cz_command(tmp_path, capsys):
     assert payload["n_full_ancillas"] == 2
 
 
+def test_cz_prints_pinned_keys_and_exact_values(capsys):
+    # Keys, labels and counts exactly; every float within 1e-10 of its exact value. No float bytes
+    # and no phase-shifter count: the SVD's bits may differ between LAPACK builds.
+    code, out = run(capsys, "cz")
+    assert code == 0
+    doc = assert_one_document(out)
+    assert list(doc) == ["schema", "success_prob", "success_probs", "phase_pattern", "amplitudes",
+                         "singular_values", "n_full_ancillas", "report"]
+    assert list(doc["success_probs"]) == list(doc["amplitudes"]) == ["HH", "HV", "VH", "VV"]
+    assert doc["phase_pattern"] == [-1, 1, 1, 1]
+    assert doc["n_full_ancillas"] == 2 and doc["report"]["counts"]["squeezers"] == 0
+    ninth, third, root = 1.0 / 9.0, 1.0 / 3.0, math.sqrt(1.0 / 3.0)
+    exact = ([ninth] * 5  # success_prob, then success_probs
+             + [-third, 0.0, third, 0.0, third, 0.0, third, 0.0]  # amplitudes
+             + [1.0, 1.0, root, root]  # singular_values
+             + [0.0, 0.0, 1.0, 1.0, root, root])  # the report's two deviations and singular_values
+    floats = [container[key] for container, key in _places(doc) if isinstance(container[key], float)]
+    assert len(floats) == len(exact)
+    assert max(abs(x - y) for x, y in zip(floats, exact)) <= 1e-10
+
+
 def test_synth_to_simulate_round_trip_mean_field(tmp_path, capsys):
     rng = np.random.default_rng(81)
     t = 1.3 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) / 2
@@ -1052,6 +1073,21 @@ def test_full_stdout_exits_2_with_one_line_error():
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: cannot write stdout") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+class _FullStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+def test_failing_stdout_exits_2_and_leaves_no_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_matrix(tmp_path / "t.json", LOSSY_BS_T)
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    code = main(["synth", "t.json", "--netlist", "net.json"])  # the report goes to stdout
+    assert code == 2
+    assert capsys.readouterr().err == "error: cannot write stdout: [Errno 28] No space left on device\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["t.json"]  # no net.json, no *.tmp
 
 
 def _overflowing_netlist(tmp_path) -> str:
