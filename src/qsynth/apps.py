@@ -65,7 +65,7 @@ class RankOnePovm:
             top = values[-1]
             if not values[0] >= -tol * max(1.0, top):
                 raise ValueError(f"operator {i} is not positive semidefinite")
-            residual = float(np.max(np.abs(values[:-1]))) if len(values) > 1 else 0.0
+            residual = max_abs(values[:-1])
             if not residual <= tol * max(1.0, top):
                 raise ValueError(f"operator {i} is not rank one (residual eigenvalue {residual:.3e})")
             vectors.append(math.sqrt(max(top, 0.0)) * basis[:, -1])
@@ -132,49 +132,39 @@ def cz_gate_target() -> np.ndarray:
                      [0.0, 0.0, 0.0, -a]], dtype=complex)
 
 
-CZ_INPUTS = ("HH", "HV", "VH", "VV")
-_CZ_MODE_PAIRS = {"HH": (0, 2), "HV": (0, 3), "VH": (1, 2), "VV": (1, 3)}
+# label -> the (control, target) modes of its photon pair and the sign of its postselected amplitude
+_CZ = {"HH": ((0, 2), -1), "HV": ((0, 3), 1), "VH": ((1, 2), 1), "VV": ((1, 3), 1)}
 
 
-@dataclass(frozen=True)
-class CzVerification:
-    """Postselected behavior of the compiled CZ network."""
-
-    success_prob: float
-    phase_pattern: tuple[int, int, int, int]
-    amplitudes: dict[str, complex]
-    success_probs: dict[str, float]
-
-
-def verify_cz(result: SynthesisResult, tol: float = TOL) -> CzVerification:
-    """Fock-simulate the four computational inputs and check the CZ contract.
+def verify_cz(result: SynthesisResult, tol: float = TOL) -> dict:
+    """Fock-simulate the four computational inputs, check the CZ contract and return what ``qsynth cz`` prints.
 
     Each input is a photon pair on one control and one target mode with
     vacuum ancillas; postselection keeps outcomes with exactly one photon in
     the control modes and one in the target modes.  Asserts equal success
     probability 1/9 and the (-,+,+,+) sign pattern after dividing out the
-    global phase.
+    global phase.  Returns HH's ``success_prob``, then ``success_probs``, ``phase_pattern``
+    (a list) and the divided ``amplitudes`` (``[re, im]`` pairs), each in the order HH, HV, VH, VV.
 
     Raises:
+        ValueError: if the network has fewer than 4 modes.
         NotPassiveError: if the network is active.
         SynthesisError: if the probabilities or the sign pattern do not match.
     """
     block = _checked_unitary(passive_block(result.s_total, tol), tol)  # once for the four inputs
     n = block.shape[0]
-
-    amplitudes: dict[str, complex] = {}
-    success_probs: dict[str, float] = {}
-    for label in CZ_INPUTS:
-        occupation = tuple(int(k in _CZ_MODE_PAIRS[label]) for k in range(n))
+    if n < 4:
+        raise ValueError(f"a CZ network needs at least 4 modes, got {n}")
+    amplitudes, success_probs = {}, {}
+    for label, (pair, _) in _CZ.items():
+        occupation = tuple(int(k in pair) for k in range(n))
         state = fock_evolve(block, occupation)
         occ = state.occupations
         _, success_probs[label] = postselect(state, (occ[:, 0] + occ[:, 1] == 1) & (occ[:, 2] + occ[:, 3] == 1))
+        if not abs(success_probs[label] - 1.0 / 9.0) <= tol:
+            raise SynthesisError(f"input {label}: success probability {success_probs[label]} differs from 1/9")
         found = state.amplitudes[(occ == occupation).all(axis=1)]  # the input row, unless pruned
         amplitudes[label] = complex(found[0]) if len(found) else 0j
-
-    for label, prob in success_probs.items():
-        if not abs(prob - 1.0 / 9.0) <= tol:
-            raise SynthesisError(f"input {label}: success probability {prob} differs from 1/9")
 
     # Divide out the global phase: the common amplitude factor is then positive on HV, VH and VV.
     reference = amplitudes["HV"]
@@ -182,14 +172,9 @@ def verify_cz(result: SynthesisResult, tol: float = TOL) -> CzVerification:
         raise SynthesisError("HV amplitude vanished; no phase reference")
     phase = reference / abs(reference)
     normalized = {label: amp / phase for label, amp in amplitudes.items()}
-    expected_signs = {"HH": -1, "HV": 1, "VH": 1, "VV": 1}
-    for label, sign in expected_signs.items():
-        target = sign / 3.0
-        if not abs(normalized[label] - target) <= tol:
-            raise SynthesisError(f"input {label}: postselected amplitude {normalized[label]} differs from {target}")
-    return CzVerification(
-        success_prob=success_probs["HH"],
-        phase_pattern=tuple(expected_signs[label] for label in CZ_INPUTS),
-        amplitudes=normalized,
-        success_probs=success_probs,
-    )
+    for label, (_, sign) in _CZ.items():
+        if not abs(normalized[label] - sign / 3.0) <= tol:
+            raise SynthesisError(f"input {label}: postselected amplitude {normalized[label]} differs from {sign / 3.0}")
+    return {"success_prob": success_probs["HH"], "success_probs": success_probs,
+            "phase_pattern": [sign for _, sign in _CZ.values()],
+            "amplitudes": {label: [a.real, a.imag] for label, a in normalized.items()}}

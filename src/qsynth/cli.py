@@ -250,12 +250,8 @@ def cmd_analytic2x2(args) -> dict:
 def cmd_cz(args) -> dict:
     """Synthesize the postselected controlled-Z network and report its checks."""
     result = synth.synthesize(apps.cz_gate_target(), args.tol)
-    verification = apps.verify_cz(result, args.tol)
     return {None: {
-        "success_prob": verification.success_prob,
-        "success_probs": verification.success_probs,
-        "phase_pattern": list(verification.phase_pattern),
-        "amplitudes": {label: [a.real, a.imag] for label, a in verification.amplitudes.items()},
+        **apps.verify_cz(result, args.tol),
         "singular_values": list(result.singulars),
         "n_full_ancillas": len(result.circuit.full_ancillas),
         "report": synth.verification_report(result),

@@ -94,8 +94,8 @@ def test_criterion_3_cz_gate():
     assert max(abs(a - b) for a, b in zip(sigmas, expected)) < 1e-10
     assert len(result.circuit.full_ancillas) == 2
     verification = verify_cz(result)
-    assert verification.phase_pattern == (-1, 1, 1, 1)
-    for prob in verification.success_probs.values():
+    assert verification["phase_pattern"] == [-1, 1, 1, 1]
+    for prob in verification["success_probs"].values():
         assert abs(prob - 1.0 / 9.0) < 1e-10
 
 

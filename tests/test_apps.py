@@ -217,11 +217,11 @@ def test_cz_network_verifies():
     assert result.circuit.n_modes == 6
     assert element_counts(result.circuit.elements)["squeezers"] == 0
     v = verify_cz(result)
-    assert v.success_prob == pytest.approx(1.0 / 9.0, abs=1e-10)
-    assert v.phase_pattern == (-1, 1, 1, 1)
-    assert v.amplitudes["HH"] == pytest.approx(-1.0 / 3.0, abs=1e-10)
-    assert v.amplitudes["HV"] == pytest.approx(1.0 / 3.0, abs=1e-10)
-    for prob in v.success_probs.values():
+    assert v["success_prob"] == pytest.approx(1.0 / 9.0, abs=1e-10)
+    assert v["phase_pattern"] == [-1, 1, 1, 1]
+    assert v["amplitudes"]["HH"] == pytest.approx([-1.0 / 3.0, 0.0], abs=1e-10)
+    assert v["amplitudes"]["HV"] == pytest.approx([1.0 / 3.0, 0.0], abs=1e-10)
+    for prob in v["success_probs"].values():
         assert prob == pytest.approx(1.0 / 9.0, abs=1e-10)
 
 
@@ -229,8 +229,8 @@ def test_cz_verification_is_gauge_invariant():
     # A global phase on the target matrix must not disturb the sign check.
     result = synthesize(np.exp(0.7j) * cz_gate_target())
     v = verify_cz(result)
-    assert v.phase_pattern == (-1, 1, 1, 1)
-    assert v.success_prob == pytest.approx(1.0 / 9.0, abs=1e-10)
+    assert v["phase_pattern"] == [-1, 1, 1, 1]
+    assert v["success_prob"] == pytest.approx(1.0 / 9.0, abs=1e-10)
 
 
 def test_cz_checks_the_unitarity_of_its_block_once(monkeypatch):
@@ -250,6 +250,16 @@ def test_cz_rejects_active_network():
     result = synthesize(2.0 * cz_gate_target())
     with pytest.raises(NotPassiveError):
         verify_cz(result)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cz_rejects_a_network_of_fewer_than_four_modes(n, monkeypatch):
+    def evolve(block, occupation):
+        raise AssertionError("evolved a network the check cannot read")
+
+    monkeypatch.setattr("qsynth.apps.fock_evolve", evolve)
+    with pytest.raises(ValueError, match=rf"^a CZ network needs at least 4 modes, got {n}$"):
+        verify_cz(synthesize(np.eye(n)))
 
 
 def test_cz_rejects_wrong_sign_pattern():
