@@ -151,7 +151,7 @@ def verify_cz(result: SynthesisResult, tol: float = TOL) -> dict:
         NotPassiveError: if the network is active.
         SynthesisError: if the probabilities or the sign pattern do not match.
     """
-    block = _checked_unitary(passive_block(result.s_total, tol), tol)  # once for the four inputs
+    block = _checked_unitary(passive_block(result.top, tol), tol)  # once for the four inputs
     n = block.shape[0]
     if n < 4:
         raise ValueError(f"a CZ network needs at least 4 modes, got {n}")

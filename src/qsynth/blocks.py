@@ -14,7 +14,7 @@ The 2N x 2N scattering matrix of a circuit acts on the operator vector
 ``(a_1 .. a_N, a_1^dag .. a_N^dag)``: mode ``p`` couples to row/column ``p``
 (annihilation) and ``p + N`` (creation).  Mode indices are 0-based.  It has
 the form ``[[A, B], [B*, A*]]``, so only the ``N x 2N`` top half ``[A, B]`` is
-multiplied out; the bottom half is its conjugate with the halves swapped.
+multiplied out and returned; :func:`numkit.partner_rows` gives any bottom row.
 A phase shifter costs no numpy call: each mode's phases wait, as one Python
 complex, for the next beam splitter or squeezer on that mode, which takes
 them into its one 2x2 matmul on the two rows; phases still pending at the
@@ -31,10 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import json_float, json_int
+from .numkit import json_float, json_int, partner_rows
 
 XI_MAX = 50.0  # the largest |xi| of a squeezer; cosh(XI_MAX) ~ 2.6e21 is the gain ceiling
-MAX_MODES = 4096  # the largest n_modes: the 2N x 2N complex128 S_total of 4,096 modes takes 1 GiB
+# The largest n_modes: the stored N x 2N complex128 product of 4,096 modes takes 512 MiB, but the quasiunitarity
+# check still forms one 2N x 2N array (1 GiB) on the way.
+MAX_MODES = 4096
 PS, BS, TMS = 0, 1, 2  # the codes of the kind column
 
 
@@ -157,27 +159,15 @@ def check_modes(elements, n_modes: int) -> None:
             raise ValueError(f"element {i} (kind, mode_a, mode_b, angle) = {row}: {exc}") from None
 
 
-def _squeeze(rows: np.ndarray, xi: float) -> None:
-    """Left-multiply rows ``a, b`` (a ``2 x 2N`` view of the top half) by a squeezer on modes ``a, b`` in place.
-
-    Each row mixes with the other's partner row ``p + N``, read as that top row
-    conjugated with its halves swapped.
-    """
-    n = rows.shape[1] // 2
-    flipped = rows[::-1].conj()
-    partners = np.concatenate((flipped[:, n:], flipped[:, :n]), axis=1)
-    rows[...] = math.cosh(xi) * rows + math.sinh(xi) * partners
-
-
 def circuit_smatrix(c: Circuit) -> np.ndarray:
-    """2N x 2N scattering matrix of the circuit: its elements applied in order to the top half.
+    """The N x 2N top half ``[A, B]`` of the circuit's scattering matrix: its elements applied in order.
 
     A beam splitter's 2x2 matrix is its rotation times the phases pending on its
-    modes; a squeezer's is those phases alone, and its own step follows.
+    modes; a squeezer's is those phases alone, and its own step follows: each of
+    its two rows mixes with the other's partner row ``p + N``.
     """
     n = c.n_modes
-    s = np.eye(2 * n, dtype=complex)
-    top = s[:n]
+    top = np.eye(n, 2 * n, dtype=complex)
     phase = [1.0] * n
     coefficients, steps = [], []
     for kind, a, b, angle in zip(*c.elements.columns):
@@ -199,11 +189,9 @@ def circuit_smatrix(c: Circuit) -> np.ndarray:
         view = top[rows]
         view[...] = matrix @ view
         if xi is not None:
-            _squeeze(view, xi)
+            view[...] = math.cosh(xi) * view + math.sinh(xi) * partner_rows(view[::-1])
     top *= np.array(phase)[:, None]
-    np.conjugate(top[:, n:], out=s[n:, :n])
-    np.conjugate(top[:, :n], out=s[n:, n:])
-    return s
+    return top
 
 
 # --- netlist JSON -----------------------------------------------------------

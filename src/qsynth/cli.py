@@ -135,12 +135,12 @@ def cmd_simulate(args) -> dict:
         predicate = _parse_predicate(args.predicate, n)
         sim.check_fock_modes(n)  # before the product, which an over-wide netlist would only waste
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product fails in as_matrix, means in _write
-        s_total = circuit_smatrix(circuit)
+        top = circuit_smatrix(circuit)
         if args.mode == "moments":
-            means = as_matrix(s_total[:n], "s_total") @ np.concatenate((alpha, alpha.conj()))
+            means = as_matrix(top, "s_total") @ np.concatenate((alpha, alpha.conj()))
             return {None: {"means": [[float(z.real), float(z.imag)] for z in means]}}
 
-    block = sim.passive_block(s_total, args.tol)
+    block = sim.passive_block(top, args.tol)
     state = sim.fock_evolve(block, occupation, args.tol)
     payload = {"outcomes": _outcome_table(state)}
     if predicate is not None:

@@ -4,8 +4,8 @@ All matrices are plain 2-D ``numpy`` arrays of ``complex128``.  The functions
 here validate shapes, return the singular value decomposition as numpy's
 ``(u, s, vh)`` triple, read as ``T = U @ diag(s) @ W`` (``W`` is the right
 factor applied first), encode and decode matrix JSON, and measure how far a
-square even-dimensional matrix is from quasiunitarity, i.e. from satisfying
-``S G S^dag = G`` with ``G = diag(+1...+1, -1...-1)``.
+scattering matrix ``S = [[A, B], [B*, A*]]``, carried as its top half ``[A, B]``,
+is from quasiunitarity, i.e. from ``S G S^dag = G`` with ``G = diag(+1...+1, -1...-1)``.
 """
 
 from __future__ import annotations
@@ -46,14 +46,24 @@ def max_abs(m) -> float:
     return float(np.abs(m).max()) if m.size else 0.0
 
 
-def quasiunitarity_deviation(s) -> float:
-    """Max entry magnitude of ``S G S^dag - G``; zero iff ``S`` is quasiunitary."""
-    s = as_matrix(s, "s")
-    rows, cols = s.shape
-    if rows != cols or rows % 2 != 0:
-        raise ValueError(f"s must be square with even dimension, got {rows}x{cols}")
-    g = np.repeat([1.0, -1.0], rows // 2)  # the diagonal of G
-    return max_abs((s * g) @ s.conj().T - np.diag(g))
+def partner_rows(top: np.ndarray) -> np.ndarray:
+    """Rows ``p + N`` of ``S = [[A, B], [B*, A*]]`` from its rows ``p`` (of ``[A, B]``, any number of them, in
+    order): each row conjugated, with its two halves swapped."""
+    n = top.shape[1] // 2
+    return np.concatenate((top[:, n:], top[:, :n]), axis=1).conj()
+
+
+def quasiunitarity_deviation(top) -> float:
+    """Max entry magnitude of ``S G S^dag - G`` (zero iff ``S`` is quasiunitary) from ``S``'s top half ``[A, B]``:
+    the bottom rows of ``S G S^dag - G`` are the top rows conjugated, up to sign and the order of their halves."""
+    top = as_matrix(top, "top")
+    n, cols = top.shape
+    if cols != 2 * n:
+        raise ValueError(f"top must be N x 2N, got {n}x{cols}")
+    s = np.concatenate((top, partner_rows(top)))
+    residual = (top * np.repeat([1.0, -1.0], n)) @ np.conjugate(s, out=s).T  # top rows of S G S^dag
+    residual.reshape(-1)[:: 2 * n + 1] -= 1.0  # minus G's top rows: 1 on the diagonal, as a view
+    return max_abs(residual)
 
 
 def unitarity_deviation(u) -> float:

@@ -53,22 +53,20 @@ class FockState:
     amplitudes: np.ndarray
 
 
-def passive_block(s_total, tol: float = TOL) -> np.ndarray:
-    """Extract the N x N annihilation block; error if the network is active."""
+def passive_block(top, tol: float = TOL) -> np.ndarray:
+    """The N x N block ``A`` of ``S_total = [[A, B], [B*, A*]]`` from its top half ``[A, B]``; error, at the position
+    in ``S_total`` of ``B``'s largest entry, if the network is active."""
     check_tol(tol)
-    s = as_matrix(s_total, "s_total")
-    rows, cols = s.shape
-    if rows != cols or rows % 2 != 0:
-        raise ValueError(f"s_total must be square with even dimension, got {rows}x{cols}")
-    n = rows // 2
-    off = np.abs(s)
-    off[:n, :n] = 0.0
-    off[n:, n:] = 0.0
+    top = as_matrix(top, "s_total")
+    n, cols = top.shape
+    if cols != 2 * n:
+        raise ValueError(f"s_total's top half must be N x 2N, got {n}x{cols}")
+    off = np.abs(top[:, n:])
     worst = float(off.max()) if off.size else 0.0
     if not worst <= tol:
         r, c = np.unravel_index(int(off.argmax()), off.shape)
-        raise NotPassiveError(worst, int(r), int(c))
-    return s[:n, :n].copy()
+        raise NotPassiveError(worst, int(r), int(c) + n)
+    return top[:, :n].copy()
 
 
 def check_fock_modes(n: int) -> None:

@@ -4,11 +4,11 @@ Pipeline: singular value decomposition, mesh decomposition of the two
 unitary factors (or of their product alone, if every singular value is 1),
 one beam splitter or two-mode squeezer per singular value different from 1
 (each coupling a nominal mode to its own vacuum ancilla), and the scattering
-matrix of the whole circuit.  A non-square ``n x m`` input fixes only
-``min(n, m)`` columns of its larger factor, and a fully lost singular value
-fixes none, so each factor gets the mesh of an isometry
-(:func:`mesh.reck_decompose`) rather than of an identity-padded square.  The
-result carries the circuit, the full scattering matrix with the input in its
+matrix of the whole circuit, as its ``N x 2N`` top half.  A non-square
+``n x m`` input fixes only ``min(n, m)`` columns of its larger factor, and a
+fully lost singular value fixes none, so each factor gets the mesh of an
+isometry (:func:`mesh.reck_decompose`) rather than of an identity-padded
+square.  The result carries the circuit, that top half with the input in its
 upper-left block, and the verification deviations.
 """
 
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh
-from .blocks import BS, PS, SCHEMA, TMS, XI_MAX, Circuit, Elements, circuit_smatrix
-from .numkit import TOL, SynthesisError, as_matrix, check_tol, max_abs, quasiunitarity_deviation, svd
+from .blocks import BS, MAX_MODES, PS, SCHEMA, TMS, XI_MAX, Circuit, Elements, circuit_smatrix
+from .numkit import TOL, SynthesisError, as_matrix, check_tol, max_abs, partner_rows, quasiunitarity_deviation, svd
 
 # The gain of a squeezer at the ceiling; acosh(SIGMA_MAX) == XI_MAX exactly.
 SIGMA_MAX = math.cosh(XI_MAX)
@@ -29,13 +29,18 @@ SIGMA_MAX = math.cosh(XI_MAX)
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    """The verified circuit, its ``S_total``, the input's ``min(n, m)`` singular values and both deviations."""
+    """The verified circuit, the N x 2N top half of ``S_total``, the ``min(n, m)`` singular values, both deviations."""
 
     circuit: Circuit
-    s_total: np.ndarray
+    top: np.ndarray
     singulars: tuple[float, ...]
     block_deviation: float
     quasiunitarity_deviation: float
+
+    @property
+    def s_total(self) -> np.ndarray:
+        """The paper's 2N x 2N ``S_total = [[A, B], [B*, A*]]``, built from ``top`` on each access."""
+        return np.concatenate((self.top, partner_rows(self.top)))
 
 
 def couplings(singulars, tol: float, n_nominal: int) -> Elements:
@@ -73,7 +78,7 @@ def couplings(singulars, tol: float, n_nominal: int) -> Elements:
 
 
 def synthesize(t, tol: float = TOL) -> SynthesisResult:
-    """Compile ``t`` into a circuit and its 2N x 2N scattering matrix.
+    """Compile ``t`` into a circuit and the top half of its scattering matrix; refuse ``max(n, m) > MAX_MODES``.
 
     A singular value is dropped if ``sigma_j <= tol / 2`` and :func:`couplings`
     couples it as loss (``1 - sigma_j > tol``); with ``r`` of the ``min(n, m)``
@@ -86,10 +91,12 @@ def synthesize(t, tol: float = TOL) -> SynthesisResult:
     before any mesh (so its ValueError comes first), couples no singular value,
     the two meshes become one, Reck's, of the isometry ``U[:, :r] W[:r]``.
     :func:`verified` adds the D stage and checks the product: the returned
-    matrix has ``t`` as its upper-left block and is quasiunitary, and a
+    top half has ``t`` as its upper-left block and is quasiunitary, and a
     :class:`SynthesisError` is raised if either deviation exceeds ``tol``.
     """
     t = as_matrix(t, "t")
+    if max(t.shape) > MAX_MODES:
+        raise ValueError(f"t needs {max(t.shape)} nominal modes, which exceeds the ceiling {MAX_MODES}")
     u, singulars, w = svd(t)
     r = len(singulars)
     while r and singulars[r - 1] <= tol / 2 and 1.0 - singulars[r - 1] > tol:  # they descend: drop from the end
@@ -119,15 +126,15 @@ def factor_mesh(name: str, a: np.ndarray, tol: float) -> Elements:
 
 
 def verified(target: np.ndarray, singulars, w_elements, u_elements, tol: float) -> SynthesisResult:
-    """Circuit W, D, U for ``target``, with its checked ``S_total``; D is ``couplings(singulars, tol, max(n, m))``.
+    """Circuit W, D, U for ``target``, with its checked top half; D is ``couplings(singulars, tol, max(n, m))``.
 
     ``w_elements`` and ``u_elements`` are :class:`Elements` or ``(kind, mode_a, mode_b, angle)`` rows; the
     circuit joins their columns around D's, with one full ancilla per D coupling.
 
     Raises ValueError from :func:`couplings` (a bad ``tol``, or a singular value
     beyond the gain ceiling) before anything is built, and :class:`SynthesisError`
-    unless ``S_total`` is quasiunitary and holds ``target`` in its upper-left
-    block, both within ``tol``.
+    unless ``S_total`` is quasiunitary and its top half holds ``target`` in its
+    upper-left block, both within ``tol``.
     """
     n, m = target.shape
     n_nominal = max(n, m)
@@ -141,21 +148,15 @@ def verified(target: np.ndarray, singulars, w_elements, u_elements, tol: float) 
         ancilla_outputs=tuple(range(n, n_nominal)),
         full_ancillas=tuple(range(n_nominal, n_modes)),
     )
-    s_total = circuit_smatrix(circuit)
-    block_dev = max_abs(s_total[:n, :m] - target)
-    quasi_dev = quasiunitarity_deviation(s_total)
+    top = circuit_smatrix(circuit)
+    block_dev = max_abs(top[:n, :m] - target)
+    quasi_dev = quasiunitarity_deviation(top)
     if not (block_dev <= tol and quasi_dev <= tol):
         raise SynthesisError(
             "synthesized network failed verification: "
             f"block deviation {block_dev:.3e}, quasiunitarity deviation {quasi_dev:.3e}, tol {tol:.3e}"
         )
-    return SynthesisResult(
-        circuit=circuit,
-        s_total=s_total,
-        singulars=tuple(float(s) for s in singulars),
-        block_deviation=block_dev,
-        quasiunitarity_deviation=quasi_dev,
-    )
+    return SynthesisResult(circuit, top, tuple(float(s) for s in singulars), block_dev, quasi_dev)
 
 
 def verification_report(result: SynthesisResult) -> dict:

@@ -433,6 +433,17 @@ def vacuum_moments(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     return coherent_moments(np.zeros(n_modes, dtype=complex))
 
 
+def quasiunitarity_residual(s) -> float:
+    """Max entry magnitude of ``S G S^dag - G`` over all ``2N`` rows of a whole ``2N x 2N`` ``s``.
+
+    The full residual that ``numkit.quasiunitarity_deviation`` formed before it
+    took the top half alone; the reference for that check.
+    """
+    s = np.asarray(s, dtype=complex)
+    g = np.repeat([1.0, -1.0], len(s) // 2)
+    return float(np.abs((s * g) @ s.conj().T - np.diag(g)).max())
+
+
 def propagate_moments(s_total, mean, second) -> tuple[np.ndarray, np.ndarray]:
     """The reference propagation through a ``2N x 2N`` scattering matrix: mean -> S mean, second -> S second S^dag.
 

@@ -286,6 +286,17 @@ def test_synth_verification_failure_exits_3(tmp_path, capsys):
     assert all(word in captured.err for word in ("block deviation", "quasiunitarity deviation", "tol"))
 
 
+@pytest.mark.parametrize("shape", [(1, 4097), (4097, 1)])
+def test_synth_refuses_an_over_wide_matrix_before_the_svd(tmp_path, capsys, monkeypatch, shape):
+    def no_svd(t):
+        raise AssertionError("the SVD ran")
+
+    monkeypatch.setattr("qsynth.synth.svd", no_svd)
+    matrix = write_matrix(tmp_path / "t.json", np.full(shape, 0.01))
+    line = "error: t needs 4097 nominal modes, which exceeds the ceiling 4096\n"
+    assert _call(["synth", matrix], capsys) == (4, "", line)
+
+
 def _squeezer_netlist(path, xi):
     element = {"type": "tms", "modes": [0, 1], "xi": xi}
     path.write_text(json.dumps({"n_modes": 2, "n_nominal": 1, "full_ancillas": [1], "elements": [element]}))
@@ -1204,8 +1215,8 @@ def test_naimark_netlist_reconstructs_the_printed_extension(t):
     payload = json.loads(out.getvalue())
     extension = matrix_from_json(payload["extension"])
     circuit = circuit_from_json(payload["netlist"])
-    s_total = circuit_smatrix(circuit)
-    assert max_abs(s_total[:m, :m] - extension) <= 1e-10
+    top = circuit_smatrix(circuit)
+    assert max_abs(top[:m, :m] - extension) <= 1e-10
     assert element_counts(circuit.elements)["beam_splitters"] <= dim * (2 * m - dim - 1) // 2  # the isometry bound
     assert max_abs(extension[:dim] - t) <= 1e-10
     assert payload["netlist"]["ancilla_outputs"] == list(range(dim, m))

@@ -68,7 +68,7 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 NAN_TOL_CALLS = {
     "reck_decompose": lambda: reck_decompose(ACTIVE, NAN),
-    "passive_block": lambda: passive_block(synthesize(np.diag([2.0])).s_total, NAN),
+    "passive_block": lambda: passive_block(synthesize(np.diag([2.0])).top, NAN),
     "fock_evolve": lambda: fock_evolve(ACTIVE, (1, 0), NAN),
     "naimark_extension": lambda: naimark_extension(RankOnePovm.from_vectors([[1.0, 0.0], [0.0, 0.5]]), NAN),
     "from_operators": lambda: RankOnePovm.from_operators([np.eye(2)], NAN),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsynth.numkit import (
     as_matrix,
@@ -17,7 +19,7 @@ from qsynth.numkit import (
     unitarity_deviation,
 )
 
-from oracles import LOSSY_BS_T, random_unitary
+from oracles import LOSSY_BS_T, bs, embed_element, ps, quasiunitarity_residual, random_unitary, tms
 
 
 def test_as_matrix_rejects_non_finite():
@@ -85,7 +87,7 @@ def test_svd_rejects_empty():
 
 
 def test_quasiunitarity_identity_is_zero():
-    assert quasiunitarity_deviation(np.eye(4)) == 0.0
+    assert quasiunitarity_deviation(np.eye(2, 4)) == 0.0
 
 
 def test_quasiunitarity_of_loss_rotation():
@@ -99,18 +101,18 @@ def test_quasiunitarity_of_loss_rotation():
         ],
         dtype=complex,
     )
-    assert quasiunitarity_deviation(s) < 1e-14
+    assert quasiunitarity_deviation(s[:2]) < 1e-14
 
 
 def test_quasiunitarity_hand_computed_diagonal():
-    # S = diag(2, 2, 1/2, 1/2), N = 2: S G S^dag - G is diagonal with entries
-    # 2*2 - 1 = 3 (twice) and -1/4 + 1 = 3/4 (twice); the largest is 3.
+    # S's top half [diag(2, 2), 0], N = 2: the top rows of S G S^dag - G are
+    # diagonal with entries 2*2 - 1 = 3; the bottom rows repeat them conjugated.
     s = np.diag([2.0, 2.0, 0.5, 0.5]).astype(complex)
-    assert quasiunitarity_deviation(s) == pytest.approx(3.0, abs=1e-14)
+    assert quasiunitarity_deviation(s[:2]) == pytest.approx(3.0, abs=1e-14)
 
 
 def test_quasiunitarity_rejects_odd_dimension():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="top must be N x 2N, got 3x3"):
         quasiunitarity_deviation(np.eye(3))
 
 
@@ -137,7 +139,27 @@ def test_quasiunitary_closed_under_products():
                 e = tms(int(a), int(b), float(rng.uniform(0, 1.0)))
             mats.append(embed_element(e, n))
         product = mats[0] @ mats[1]
-        assert quasiunitarity_deviation(product) < 2 * n * 1e-15
+        assert quasiunitarity_deviation(product[:n]) < 2 * n * 1e-15
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.integers(0, 12), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-12, 1e-6, 0.3]))
+def test_top_half_check_equals_the_full_residual(n, length, seed, perturbation):
+    # A product of element lifts, then one entry of its top half moved: the check on the top half
+    # reads the largest entry of the whole 2N x 2N residual, so it misses nothing the full check sees.
+    rng = np.random.default_rng(seed)
+    s = np.eye(2 * n, dtype=complex)
+    for _ in range(length):
+        a, b = (int(x) for x in rng.permutation(max(n, 2))[:2])
+        pick = rng.integers(0, 3) if n > 1 else 0
+        angle = float(rng.uniform(-np.pi, np.pi))
+        e = ps(a % n, angle) if pick == 0 else bs(a, b, angle) if pick == 1 else tms(a, b, abs(angle) / np.pi)
+        s = embed_element(e, n) @ s
+    top = s[:n].copy()
+    top[rng.integers(n), rng.integers(2 * n)] += perturbation * np.exp(1j * rng.uniform(-np.pi, np.pi))
+    whole = np.concatenate((top, np.roll(top.conj(), n, axis=1)))  # [[A, B], [B*, A*]] around the moved entry
+    rounding = 4 * (2 * n) * np.finfo(float).eps * float(np.abs(whole).sum(axis=1).max()) ** 2
+    assert abs(quasiunitarity_deviation(top) - quasiunitarity_residual(whole)) <= rounding
 
 
 def test_matrix_json_round_trip():

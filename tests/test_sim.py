@@ -38,26 +38,26 @@ LOSSY_BS_BLOCK = LOSSY_BS_S_TOTAL[:3, :3]
 
 
 def test_passive_block_of_fixture():
-    assert max_abs(passive_block(LOSSY_BS_S_TOTAL) - LOSSY_BS_BLOCK) == 0.0
+    assert max_abs(passive_block(LOSSY_BS_S_TOTAL[:3]) - LOSSY_BS_BLOCK) == 0.0
 
 
 def test_passive_block_identity():
-    assert max_abs(passive_block(np.eye(4)) - np.eye(2)) == 0.0
+    assert max_abs(passive_block(np.eye(2, 4)) - np.eye(2)) == 0.0
 
 
 def test_passive_block_rejects_gain():
     with pytest.raises(NotPassiveError) as info:
-        passive_block(lift_gain(2.0))
+        passive_block(lift_gain(2.0)[:2])
     assert info.value.max_entry == pytest.approx(math.sqrt(3.0))
 
 
-@pytest.mark.parametrize("row, col, value", [(1, 2, 0.3), (3, 0, 0.4)])
+@pytest.mark.parametrize("row, col, value", [(1, 2, 0.3), (0, 3, 0.4)])
 def test_passive_block_reports_position_in_s_total(row, col, value):
-    # One entry in the upper-right, then the lower-left off-diagonal block.
-    s = np.eye(4, dtype=complex)
-    s[row, col] = value
+    # One entry in the upper-right block B of the top half [A, B]; its column counts from S_total's first.
+    top = np.eye(2, 4, dtype=complex)
+    top[row, col] = value
     with pytest.raises(NotPassiveError) as info:
-        passive_block(s)
+        passive_block(top)
     assert info.value.position == (row, col)
     assert info.value.max_entry == pytest.approx(value)
 
@@ -197,9 +197,10 @@ def test_fock_at_the_caps_matches_the_permanent():
         assert abs(got[occ_out] - fock_amplitude(a, occ_in, occ_out)) < 1e-12
 
 
-@pytest.mark.parametrize("shape", [(2, 4), (3, 3)])
+@pytest.mark.parametrize("shape", [(4, 4), (3, 3)])
 def test_passive_block_rejects_non_square_or_odd(shape):
-    with pytest.raises(ValueError, match="s_total must be square with even dimension"):
+    # It takes S_total's N x 2N top half, so a square S_total is refused, of even dimension or odd.
+    with pytest.raises(ValueError, match=r"s_total's top half must be N x 2N, got (4x4|3x3)$"):
         passive_block(np.zeros(shape))
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsynth.blocks import BS, TMS
+from qsynth.blocks import BS, MAX_MODES, TMS
 from qsynth.closedform2x2 import analytic_synthesize
 from qsynth.mesh import reck_decompose
 from qsynth.numkit import TOL, max_abs, quasiunitarity_deviation, svd
@@ -42,6 +42,7 @@ from oracles import (
     pad_factors,
     random_unitary,
     singular_element,
+    smatrix_reference,
     tms,
 )
 
@@ -204,7 +205,7 @@ def test_lift_unitary_factor_fixture_pieces():
 def test_lift_unitary_factor_random_rotation_quasiunitary():
     rng = np.random.default_rng(42)
     piece = random_unitary(rng, 2)
-    assert quasiunitarity_deviation(lift_unitary_factor(piece, 3)) < 1e-14
+    assert quasiunitarity_deviation(lift_unitary_factor(piece, 3)[:5]) < 1e-14
 
 
 def test_lift_singular_total_attenuation_matches_fixture():
@@ -355,6 +356,40 @@ def test_gain_ceiling_is_checked_before_the_meshes():
     t = random_unitary(rng, 2) @ np.diag([1e22, 0.5]) @ random_unitary(rng, 2)
     with pytest.raises(ValueError, match="singular value 1.000e\\+22 exceeds the gain ceiling"):
         synthesize(t, 1e-17)
+
+
+class SvdReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("shape", [(1, MAX_MODES + 1), (MAX_MODES + 1, 1), (1, MAX_MODES)])
+def test_synthesize_refuses_more_than_max_modes_before_the_svd(monkeypatch, shape):
+    def svd_reached(t):
+        raise SvdReached
+
+    monkeypatch.setattr("qsynth.synth.svd", svd_reached)
+    if max(shape) > MAX_MODES:
+        expected = pytest.raises(ValueError, match=r"^t needs 4097 nominal modes, which exceeds the ceiling 4096$")
+    else:
+        expected = pytest.raises(SvdReached)  # MAX_MODES nominal modes are not refused up front
+    with expected:
+        synthesize(np.zeros(shape))
+
+
+def test_result_holds_the_top_half_and_derives_s_total():
+    rng = np.random.default_rng(61)
+    for n, m in ((1, 1), (2, 3), (3, 2), (4, 4), (6, 5)):
+        for scale in (0.4, 1.0, 2.5):
+            t = scale * (rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))) / math.sqrt(2 * max(n, m))
+            result = synthesize(t)
+            modes = result.circuit.n_modes
+            assert result.top.shape == (modes, 2 * modes)
+            assert result.s_total.shape == (2 * modes, 2 * modes)
+            assert np.array_equal(result.s_total[:modes], result.top)
+            reference = smatrix_reference(result.circuit)
+            assert max_abs(result.s_total - reference) <= 1e-13 * max(1.0, max_abs(reference))
+    with pytest.raises(AttributeError):
+        result.s_total = result.s_total  # derived from top, never stored
 
 
 def test_synthesize_all_loss_is_passive():

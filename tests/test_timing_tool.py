@@ -21,7 +21,8 @@ def expected_keys(timing) -> dict:
     names = [name for name, _, _ in timing.fock_cases()]
     stages = ("fock_evolve", "postselect", "tables", "write", "command")
     functions = ("reck_decompose", "synthesize_unitary", "synthesize", "synthesize_tall", "synthesize_wide",
-                 "synthesize_rank_deficient", "circuit_smatrix", "circuit_from_json", "naimark")
+                 "synthesize_rank_deficient", "circuit_smatrix", "quasiunitarity_deviation", "circuit_from_json",
+                 "naimark")
     return {
         "mesh": ("elements", {f"mesh/n={n}/{f}" for f in functions for n in timing.SIZES}),
         "fock-warm": ("outcomes", {f"fock-warm/{name}/fock_evolve" for name in names}),

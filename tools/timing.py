@@ -5,8 +5,8 @@
 Every run times every suite; a row is one ``(suite, case, stage)``:
 
 - ``mesh``: ``reck_decompose``, ``synthesize`` (unitary, square, tall, wide
-  and rank-deficient), ``circuit_smatrix``, ``circuit_from_json`` and
-  ``naimark`` at n in ``SIZES``.  ``reck_decompose`` and ``synthesize_unitary`` get the same
+  and rank-deficient), ``circuit_smatrix``, ``quasiunitarity_deviation``,
+  ``circuit_from_json`` and ``naimark`` at n in ``SIZES``.  ``reck_decompose`` and ``synthesize_unitary`` get the same
   seeded Haar n x n unitary, so that its one-mesh synthesis is timed next to
   Reck's mesh itself.  ``naimark`` runs ``naimark_extension``, then
   ``reck_decompose``, on the rank-one POVM whose vectors are the columns of
@@ -19,8 +19,9 @@ Every run times every suite; a row is one ``(suite, case, stage)``:
   ``synthesize_rank_deficient`` gets it with its ``n // 2`` smallest singular
   values set to exactly 0, so only the other ``n - n // 2`` modes are meshed.
   ``circuit_smatrix`` gets the circuit that ``synthesize`` makes of the square
-  input, and ``circuit_from_json`` the netlist JSON of that circuit, as
-  ``json.load`` reads it.  Each case gets
+  input, ``quasiunitarity_deviation`` that circuit's ``circuit_smatrix`` (the
+  check ``synthesize`` makes of it), and ``circuit_from_json`` the netlist JSON
+  of that circuit, as ``json.load`` reads it.  Each case gets
   the best of ``--repeats`` timed calls for ``reck_decompose`` and ``naimark``, and of
   ``max(3, --repeats // 4)`` for the others, whose calls at n = 128 take
   tenths of a second.
@@ -78,7 +79,8 @@ import refs  # noqa: E402  (perfbench/refs.py; it does not import qsynth)
 
 SIZES = (2, 4, 8, 16, 32, 64, 128)
 FUNCTIONS = ("reck_decompose", "synthesize_unitary", "synthesize", "synthesize_tall", "synthesize_wide",
-             "synthesize_rank_deficient", "circuit_smatrix", "circuit_from_json", "naimark")
+             "synthesize_rank_deficient", "circuit_smatrix", "quasiunitarity_deviation", "circuit_from_json",
+             "naimark")
 MESHES = ("reck_decompose", "naimark")  # their result is the mesh; they get the full --repeats
 CAPS = (8, (1, 1, 1, 1, 1, 1, 0, 0))
 CZ_PAIRS = {"HH": (0, 2), "HV": (0, 3), "VH": (1, 2), "VV": (1, 3)}
@@ -100,6 +102,7 @@ def mesh_job(repeats: int, case: int) -> dict:
     from qsynth.apps import RankOnePovm, naimark_extension
     from qsynth.blocks import circuit_from_json, circuit_smatrix, circuit_to_json
     from qsynth.mesh import reck_decompose
+    from qsynth.numkit import quasiunitarity_deviation
     from qsynth.synth import synthesize
 
     def naimark(povm):
@@ -116,10 +119,11 @@ def mesh_job(repeats: int, case: int) -> dict:
         povm = RankOnePovm.from_vectors(u[: max(1, n // 4)].T)
         left, sigmas, right = np.linalg.svd(t)
         sigmas[n - n // 2 :] = 0.0
-        inputs[n] = (u, u, t, t[:, :half], t[:half], (left * sigmas) @ right, circuit, netlist, povm)
+        inputs[n] = (u, u, t, t[:, :half], t[:half], (left * sigmas) @ right, circuit, circuit_smatrix(circuit),
+                     netlist, povm)
     out = {}
     calls = (reck_decompose, synthesize, synthesize, synthesize, synthesize, synthesize, circuit_smatrix,
-             circuit_from_json, naimark)
+             quasiunitarity_deviation, circuit_from_json, naimark)
     for i, (function, call) in enumerate(zip(FUNCTIONS, calls)):
         for n in SIZES:
             mesh = function in MESHES
@@ -149,7 +153,7 @@ def fock_input(index: int):
     if name.startswith("cz-"):
         from qsynth import apps, sim, synth
 
-        block = sim.passive_block(synth.synthesize(apps.cz_gate_target()).s_total)
+        block = sim.passive_block(synth.synthesize(apps.cz_gate_target()).top)
         return block, tuple(1 if k in occ else 0 for k in range(len(block)))
     return refs.haar_unitary(np.random.default_rng(index), modes), occ
 
